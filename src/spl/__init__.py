@@ -7,6 +7,7 @@ from .core_primes import (
     build_sieve,
     build_spf,
     primes_in,
+    primes_in_class,
     prime_count,
     prime_count_ap,
     factorize,

@@ -22,7 +22,6 @@ from .linear_forms import (
 )
 from .shifted_counts import (
     Theta,
-    count_tuples,
     large_factor_count,
     large_factor_count_fixed,
     smooth_shift_count,
@@ -37,13 +36,10 @@ ABEL_REL_TOL = 1e-10
 class RunConfig:
     sieve_limit: int | None
     cache_dir: Path
-    workers: int
     output: str | None
     format: str
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ArgumentError(f"workers must be >= 1, got {self.workers}")
         if self.sieve_limit is not None and self.sieve_limit < 2:
             raise ArgumentError(f"sieve limit must be >= 2, got {self.sieve_limit}")
         if self.format not in ("csv", "json"):
@@ -54,7 +50,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         sieve_limit=args.sieve_limit,
         cache_dir=Path(args.cache_dir) if args.cache_dir else sieve_cache_dir(),
-        workers=args.workers,
         output=args.output,
         format=args.format,
     )
@@ -87,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir", default=None, help="sieve cache directory (default $SPL_CACHE_DIR or ./cache)"
     )
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--output", default=None, help="output path for experiment tables ('-' = stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -183,28 +177,17 @@ def _run_count(cfg, args) -> int:
         print(smooth_shift_count(cache, args.x, theta))
     else:
         ordered = not args.unordered
-        if args.method in ("oracle", "fast"):
-            if ordered:
-                result = count_tuples(
-                    cache, args.x, args.k, theta, method=args.method, workers=cfg.workers
-                )
-                print(result.ordered_count)
-            elif args.method == "oracle":
-                print(tuple_count_oracle(cache, args.x, args.k, theta, ordered=False))
-            else:
-                print(
-                    tuple_count_fast(
-                        cache, args.x, args.k, theta, ordered=False, workers=cfg.workers
-                    )
-                )
+        oracle = fast = None
+        if args.method != "fast":
+            oracle = tuple_count_oracle(cache, args.x, args.k, theta, ordered=ordered)
+        if args.method != "oracle":
+            fast = tuple_count_fast(cache, args.x, args.k, theta, ordered=ordered)
+        if args.method != "both":
+            print(fast if oracle is None else oracle)
         else:
-            a = tuple_count_oracle(cache, args.x, args.k, theta, ordered=ordered)
-            b = tuple_count_fast(
-                cache, args.x, args.k, theta, ordered=ordered, workers=cfg.workers
-            )
-            print(f"oracle={a} fast={b}")
-            if a != b:
-                raise VerificationError(f"counter mismatch: oracle={a} fast={b}")
+            print(f"oracle={oracle} fast={fast}")
+            if oracle != fast:
+                raise VerificationError(f"counter mismatch: oracle={oracle} fast={fast}")
     return 0
 
 
@@ -251,9 +234,7 @@ def _run_experiment(cfg, args) -> int:
         grid = _parse_int_list(args.x_grid)
         cache = _cache_for(cfg, max(grid))
         records = []
-        for rec in experiments.ratio_table(
-            cache, args.k, theta, grid, workers=cfg.workers
-        ):
+        for rec in experiments.ratio_table(cache, args.k, theta, grid):
             print(f"ratio cell x={rec.inputs['x']} done", file=sys.stderr)
             records.append(rec)
     elif args.which == "density":

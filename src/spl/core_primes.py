@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import floor, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "build_sieve",
     "build_spf",
     "primes_in",
+    "primes_in_class",
     "prime_count",
     "prime_count_ap",
     "factorize",
@@ -183,24 +185,28 @@ def prime_count(cache: SieveCache, x) -> int:
     return int(np.searchsorted(cache.primes, x, side="right"))
 
 
-def prime_count_ap(cache: SieveCache, x, m: int, a: int) -> int:
-    """Number of primes p <= x with p = a (mod m)."""
+def primes_in_class(cache: SieveCache, x, m: int, a: int) -> np.ndarray:
+    """Primes p <= x with p = a (mod m), ascending, int64. x may be non-integral.
+
+    Reads every m-th entry of the flags view from a mod m: O(x/m) work, not a
+    pass over all primes <= x.
+    """
     if m < 1:
         raise ArgumentError(f"modulus must be >= 1, got {m}")
     cache._check(x)
-    primes = cache.primes
-    upto = primes[: np.searchsorted(primes, x, side="right")]
-    return int(np.count_nonzero(upto % m == a % m))
+    a0 = a % m
+    stop = max(floor(x) + 1, 0)  # a negative stop would index from the end
+    return a0 + m * np.flatnonzero(cache.flags[a0:stop:m])
+
+
+def prime_count_ap(cache: SieveCache, x, m: int, a: int) -> int:
+    """Number of primes p <= x with p = a (mod m)."""
+    return len(primes_in_class(cache, x, m, a))
 
 
 def recip_prime_sum_ap(cache: SieveCache, x, m: int, a: int) -> float:
     """Sum of 1/q over primes q <= x with q = a (mod m), compensated, ascending."""
-    if m < 1:
-        raise ArgumentError(f"modulus must be >= 1, got {m}")
-    cache._check(x)
-    primes = cache.primes
-    upto = primes[: np.searchsorted(primes, x, side="right")]
-    qs = upto[upto % m == a % m]
+    qs = primes_in_class(cache, x, m, a)
     return kahan_sum(1.0 / q for q in qs.tolist())
 
 
@@ -307,9 +313,16 @@ def save_sieve(cache: SieveCache, path) -> None:
         + struct.pack("<Q", cache.limit)
         + cache.words.astype("<u8").tobytes()
     )
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    # A unique temp file per writer: concurrent builders never share one.
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o644)  # mkstemp's 0600 would hide a shared cache
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_sieve(path) -> SieveCache:

@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from .core_primes import kahan_sum, prime_count, primes_in, recip_prime_sum_ap
+from .core_primes import kahan_sum, prime_count, primes_in, primes_in_class, recip_prime_sum_ap
 from .dickman import limiting_density
 from .errors import BudgetError, VerificationError
 from .linear_forms import range_bounds_exact
@@ -130,6 +130,12 @@ def _elementary_symmetric(values: np.ndarray, g_max: int) -> list:
     return e[1:]
 
 
+def _prime_shift_multipliers(cache, p: int, h_top: int) -> np.ndarray:
+    """h with 2 <= h <= h_top and p*h + 1 prime, ascending."""
+    hs = (primes_in_class(cache, p * h_top + 1, p, 1) - 1) // p
+    return hs[hs >= 2]
+
+
 def rearrangement_report(
     cache, x: int, k: int, theta: Theta, *, x_budget: int = 10**5
 ) -> ExperimentRecord:
@@ -148,16 +154,15 @@ def rearrangement_report(
     s_val = progression_double_sum(cache, x, k, theta)
     u, v = range_bounds_exact(x, k, theta)
     ps = primes_in(cache, u, v).tolist() if u < v else []
-    flags = cache.flags
 
     # (ii): h < x/p, ph+1 prime
     maj_terms = []
     for p in ps:
-        hs = np.arange(2, (x - 1) // p + 1)
-        if len(hs) == 0:
+        h_top = (x - 1) // p
+        if h_top < 2:
             maj_terms.append(0.0)
             continue
-        good = hs[flags[p * hs + 1]]
+        good = _prime_shift_multipliers(cache, p, h_top)
         h_sum = kahan_sum((1.0 / h) for h in good.tolist())
         maj_terms.append(h_sum ** (k - 1) / p**k)
     majorant = kahan_sum(maj_terms)
@@ -170,8 +175,7 @@ def rearrangement_report(
         cache._check(max(top, x))
         sym_parts = []
         for p in ps:
-            hs = np.arange(2, h_cap + 1)
-            good = hs[flags[p * hs + 1]]
+            good = _prime_shift_multipliers(cache, p, h_cap)
             recips = 1.0 / good.astype(np.float64)
             es = _elementary_symmetric(recips, k - 1)
             sym_parts.append(kahan_sum(es) / p**k)
@@ -193,16 +197,14 @@ def rearrangement_report(
     )
 
 
-def ratio_table(
-    cache, k: int, theta: Theta, x_grid, *, workers: int = 1
-) -> List[ExperimentRecord]:
+def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
     """Per x: the tuple count and its ratio to x^(1-theta(k-1))/(log x)^2."""
     out = []
     exponent = 1.0 - theta.as_real * (k - 1)
     run_max = 0.0
     run_min = math.inf
     for x in x_grid:
-        count = tuple_count_fast(cache, x, k, theta, workers=workers)
+        count = tuple_count_fast(cache, x, k, theta)
         ratio = count * math.log(x) ** 2 / x**exponent
         if ratio > 0:
             run_max = max(run_max, ratio)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map_shared
+from .core_primes import primes_in_class
 from .errors import ArgumentError, BudgetError
 
 __all__ = [
@@ -254,17 +254,15 @@ def _floor_power_bound(r: int, theta: Theta, x: int) -> int:
     return n
 
 
-def _fast_products_for_r(shared, r: int) -> list:
-    cache, x, k, theta, ordered = shared
+def _fast_products_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r: int) -> list:
     n_cap = _floor_power_bound(r, theta, x)
     if n_cap < (r + 1) ** k:
         return []
-    primes = cache.primes
-    qs_all = primes[: np.searchsorted(primes, n_cap, side="right")]
-    qs = qs_all[qs_all % r == 1].tolist()
+    # Every member is a prime = 1 (mod r), so each is >= r + 1 and none can
+    # exceed n_cap // (r + 1)**(k - 1).
+    qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r, 1).tolist()
     if not qs:
         return []
-    gpf = _gpf_upto(cache, int(qs[-1]) - 1)
     q0 = qs[0]
     out = []
 
@@ -286,18 +284,8 @@ def _fast_products_for_r(shared, r: int) -> list:
     return out
 
 
-def _fast_count_for_r(shared, r: int) -> int:
-    return len(_fast_products_for_r(shared, r))
-
-
-def _fast_r_values(cache, x: int, k: int) -> list:
-    primes = cache.primes
-    cand = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
-    return [int(r) for r in cand.tolist() if r**k <= x]
-
-
 def fast_qualifying_products(
-    cache, x: int, k: int, theta: Theta, *, ordered: bool = True, workers: int = 1
+    cache, x: int, k: int, theta: Theta, *, ordered: bool = True
 ) -> list:
     """Products of qualifying tuples via enumeration keyed on r = P+(gcd).
 
@@ -307,32 +295,19 @@ def fast_qualifying_products(
     gcd, so each qualifying tuple is produced exactly once.
     """
     _check_tuple_args(cache, x, k)
-    _gpf_upto(cache, max(x - 1, 2))  # built once here, inherited by workers
-    rs = _fast_r_values(cache, x, k)
-    chunks = parallel_map_shared(
-        _fast_products_for_r, (cache, x, k, theta, ordered), rs, workers=workers
-    )
+    # The gcd of a tuple's shifts is below its smallest member, which is at
+    # most x**(1/k) <= isqrt(x): a table that far covers every lookup.
+    gpf = _gpf_upto(cache, max(math.isqrt(x), 1))
     out = []
-    for chunk in chunks:
-        out.extend(chunk)
+    for r in primes_in_class(cache, math.isqrt(x), 1, 0).tolist():
+        if r**k <= x:
+            out.extend(_fast_products_for_r(cache, x, k, theta, ordered, gpf, r))
     return out
 
 
-def tuple_count_fast(
-    cache, x: int, k: int, theta: Theta, *, ordered: bool = True, workers: int = 1
-) -> int:
-    """Same count as tuple_count_oracle, via the r-keyed enumeration.
-
-    Partial counts per r are integers combined in a fixed order, so the
-    result is deterministic for any worker count.
-    """
-    _check_tuple_args(cache, x, k)
-    _gpf_upto(cache, max(x - 1, 2))
-    rs = _fast_r_values(cache, x, k)
-    counts = parallel_map_shared(
-        _fast_count_for_r, (cache, x, k, theta, ordered), rs, workers=workers
-    )
-    return sum(counts)
+def tuple_count_fast(cache, x: int, k: int, theta: Theta, *, ordered: bool = True) -> int:
+    """Same count as tuple_count_oracle, via the r-keyed enumeration."""
+    return len(fast_qualifying_products(cache, x, k, theta, ordered=ordered))
 
 
 @dataclass(frozen=True)
@@ -350,11 +325,11 @@ class TupleCount:
     method: str
 
 
-def count_tuples(cache, x: int, k: int, theta: Theta, *, method: str = "fast", workers: int = 1) -> TupleCount:
+def count_tuples(cache, x: int, k: int, theta: Theta, *, method: str = "fast") -> TupleCount:
     if method == "oracle":
         n = tuple_count_oracle(cache, x, k, theta)
     elif method == "fast":
-        n = tuple_count_fast(cache, x, k, theta, workers=workers)
+        n = tuple_count_fast(cache, x, k, theta)
     else:
         raise ArgumentError(f"method must be 'oracle' or 'fast', got {method!r}")
     return TupleCount(x=x, k=k, theta=theta, ordered_count=n, method=method)

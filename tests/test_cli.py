@@ -129,13 +129,6 @@ class TestUsage:
         code, _, _ = run(capsys)
         assert code == 1
 
-    def test_workers_validated(self, capsys, cache_dir):
-        code, _, err = run(
-            capsys, "count", "t", "--x", "10", "--theta", "1/2",
-            "--workers", "0", "--cache-dir", cache_dir,
-        )
-        assert code == 1
-
     def test_console_script_wired(self):
         proc = subprocess.run(
             [sys.executable, "-m", "spl.cli", "dickman", "rho", "--u", "0.5"],
@@ -148,16 +141,15 @@ class TestUsage:
 
 class TestExperimentsAndCache:
     def test_worker_outputs_byte_identical(self, capsys, tmp_path, cache_dir):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        for path, workers in ((out1, "1"), (out2, "4")):
-            code, _, _ = run(
-                capsys, "experiment", "ratio", "--k", "2", "--theta", "1/4",
-                "--x-grid", "1000,10000", "--output", str(path),
-                "--workers", workers, "--cache-dir", cache_dir,
-            )
-            assert code == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        """An --output file holds exactly the bytes the command prints to stdout."""
+        argv = ["experiment", "ratio", "--k", "2", "--theta", "1/4",
+                "--x-grid", "1000,10000", "--cache-dir", cache_dir]
+        path = tmp_path / "a.csv"
+        code, _, _ = run(capsys, *argv, "--output", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert path.read_bytes() == out.encode()
 
     def test_density_json_stdout(self, capsys, cache_dir):
         code, out, _ = run(

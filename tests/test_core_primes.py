@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from spl.core_primes import (
     prime_count,
     prime_count_ap,
     primes_in,
+    primes_in_class,
     recip_prime_sum_ap,
     save_sieve,
 )
@@ -105,6 +110,38 @@ class TestPrimesIn:
         right = primes_in(sieve, mid, hi).tolist()
         assert left + right == primes_in(sieve, lo, hi).tolist()
         assert not set(left) & set(right)
+
+
+class TestPrimesInClass:
+    def test_matches_filtered_prime_list(self):
+        sieve = build_sieve(1000)
+        primes = sieve.primes
+        for m in range(1, 41):
+            for a in (-7, -1, 0, 1, m - 1, m, m + 3, 2 * m + 1):
+                a0 = a % m
+                for x in (0, 1, 2, a0 - 1, a0, 99.5, 100, 500.999, sieve.limit):
+                    upto = primes[primes <= math.floor(x)]
+                    want = upto[upto % m == a0]
+                    got = primes_in_class(sieve, x, m, a)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want.tolist(), (x, m, a)
+
+    def test_modulus_beyond_x(self):
+        sieve = build_sieve(1000)
+        for m in (51, 997, 10**6):
+            assert primes_in_class(sieve, 50, m, 7).tolist() == [7]
+            assert primes_in_class(sieve, 50, m, 8).tolist() == []
+            assert primes_in_class(sieve, 50, m, -1).tolist() == []
+        assert primes_in_class(sieve, 1000, 1001, 997).tolist() == [997]
+
+    def test_errors(self):
+        sieve = build_sieve(100)
+        with pytest.raises(RangeError):
+            primes_in_class(sieve, 101, 3, 1)
+        with pytest.raises(ArgumentError):
+            primes_in_class(sieve, 50, 0, 1)
+        with pytest.raises(ArgumentError):
+            recip_prime_sum_ap(sieve, 50, 0, 1)
 
 
 class TestPrimeCount:
@@ -254,6 +291,30 @@ class TestPersistence:
         bigger = ensure_sieve(5000, tmp_path)
         assert bigger.limit == 5000
         assert load_sieve(tmp_path / "sieve.spl").limit == 5000
+
+    def test_concurrent_builders(self, tmp_path):
+        """Two processes saving into one directory never clobber each other."""
+        limits = (1_000_000, 1_200_000)
+        script = (
+            "import sys\n"
+            "from spl.core_primes import build_sieve, save_sieve\n"
+            "c = build_sieve(int(sys.argv[1]))\n"
+            "for _ in range(200):\n"
+            "    save_sieve(c, sys.argv[2])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = tmp_path / "sieve.spl"
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, str(n), str(path)], env=env)
+            for n in limits
+        ]
+        assert [p.wait(timeout=120) for p in procs] == [0, 0]
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert [f.name for f in tmp_path.iterdir()] == ["sieve.spl"]
+        back = load_sieve(path)
+        assert back.limit in limits
+        assert np.array_equal(back.words, build_sieve(back.limit).words)
 
     def test_env_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPL_CACHE_DIR", str(tmp_path / "envcache"))

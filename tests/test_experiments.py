@@ -1,10 +1,12 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from spl.errors import BudgetError
 from spl.experiments import (
+    _prime_shift_multipliers,
     ap_recip_heuristic_table,
     density_table,
     rearrangement_report,
@@ -50,6 +52,14 @@ class TestRearrangement:
         with pytest.raises(BudgetError):
             rearrangement_report(cache, 2 * 10**5, 2, Theta(1, 4))
 
+    def test_shift_multipliers_match_flag_scan(self, cache):
+        flags = cache.flags
+        for p in (2, 3, 5, 7, 31, 97, 997):
+            for h_top in (0, 1, 2, 3, 10, 1000, (cache.limit - 1) // p):
+                hs = np.arange(2, h_top + 1)
+                want = hs[flags[p * hs + 1]]
+                assert _prime_shift_multipliers(cache, p, h_top).tolist() == want.tolist()
+
     def test_reproducible(self, cache):
         a = rearrangement_report(cache, 500, 2, Theta(1, 4))
         b = rearrangement_report(cache, 500, 2, Theta(1, 4))
@@ -68,11 +78,6 @@ class TestRatioTable:
         assert all(r > 0 for r in ratios)
         band = dict(recs[-1].derived)["band"]
         assert band == pytest.approx(max(ratios) / min(ratios), rel=1e-12)
-
-    def test_worker_identical_records(self, cache):
-        a = ratio_table(cache, 2, Theta(1, 4), [10**3, 10**4], workers=1)
-        b = ratio_table(cache, 2, Theta(1, 4), [10**3, 10**4], workers=2)
-        assert a == b
 
 
 class TestDensityTable:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gpf_trial, reference_flags
-from spl.core_primes import prime_count
+from spl.core_primes import build_sieve, prime_count
 from spl.errors import ArgumentError, BudgetError
 from spl.shifted_counts import (
+    _GPF_MEMO,
     Theta,
     count_tuples,
     fast_qualifying_products,
@@ -181,11 +182,29 @@ class TestTupleCounters:
                 for x in (10, 100, 300):
                     assert tuple_count_oracle(cache, x, k, th) == tuple_count_fast(cache, x, k, th)
 
-    def test_fast_worker_determinism(self, cache):
-        th = Theta(1, 4)
-        a = tuple_count_fast(cache, 20000, 2, th, workers=1)
-        b = tuple_count_fast(cache, 20000, 2, th, workers=3)
-        assert a == b
+    def test_oracle_fast_agree_at_member_cap(self, cache):
+        """Tuples whose largest member is exactly n_cap // (r+1)**(k-1).
+
+        The cap is reached only when every other member is r + 1, which is
+        prime only for r = 2: tuples (3, ..., 3, q). With theta = 1/den the
+        threshold at r = 2 admits n <= 2**den, so for x <= 2**den the cap is
+        x // 3**(k-1) and each x below puts a prime q exactly there.
+        """
+        for k, den in ((2, 8), (3, 12)):
+            th = Theta(1, den)
+            head = 3 ** (k - 1)
+            qs = [q for q in range(5, 2**den // head + 1) if cache.is_prime(q)]
+            xs = [head * q + d for q in qs for d in (0, head - 1)]
+            for x in xs:
+                assert x // head in qs
+                fast = fast_qualifying_products(cache, x, k, th)
+                assert head * (x // head) in fast
+                for ordered in (True, False):
+                    assert tuple_count_oracle(cache, x, k, th, ordered=ordered) == tuple_count_fast(
+                        cache, x, k, th, ordered=ordered
+                    )
+                if k == 3:
+                    assert sorted(fast) == sorted(oracle_qualifying_products(cache, x, k, th))
 
     def test_product_multisets_agree(self, cache):
         th = Theta(1, 4)
@@ -237,3 +256,20 @@ class TestTupleCounters:
         thetas = [Theta(1, 8), Theta(1, 6), Theta(1, 4), Theta(1, 3)]
         counts = [tuple_count_oracle(cache, 1000, 2, t) for t in thetas]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+class TestGpfTableSizing:
+    def test_fast_route_table_stops_at_isqrt_x(self):
+        c = build_sieve(10**6)
+        x = 10**6 - 1
+        tuple_count_fast(c, x, 3, Theta(1, 4))
+        assert len(_GPF_MEMO[c]) <= math.isqrt(x) + 1
+
+    def test_fast_route_reuses_single_counter_table(self):
+        c = build_sieve(10**6)
+        x_even = 10**6
+        large_factor_count(c, x_even, Theta(1, 2))
+        table = _GPF_MEMO[c]
+        tuple_count_fast(c, x_even, 2, Theta(1, 4))
+        tuple_count_fast(c, x_even, 3, Theta(1, 4))
+        assert _GPF_MEMO[c] is table
