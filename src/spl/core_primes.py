@@ -269,6 +269,22 @@ def factorize(
     )
 
 
+def _distinct_primes(n: int) -> list:
+    """Distinct primes dividing |n|, ascending, by trial division; [] for |n| <= 1."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def greatest_prime_factor(n: int, spf=None, cache=None) -> int:
     """P+(n); the convention for n = 1 is 1."""
     if n < 1:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_primes import SieveCache, kahan_sum, primes_in
+from .core_primes import SieveCache, _distinct_primes, kahan_sum, primes_in
 from .errors import ArgumentError, DegeneracyError, DomainError
 from .shifted_counts import Theta
 
@@ -63,21 +63,6 @@ class ShiftSystem:
     @cached_property
     def distinct_prime_divisors(self) -> tuple:
         return tuple(_distinct_primes(self.discriminant))
-
-
-def _distinct_primes(n: int) -> list:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def make_system(forms) -> ShiftSystem:

@@ -198,7 +198,9 @@ def oracle_qualifying_products(
         return []
     primes = cache.primes
     ps = primes[: np.searchsorted(primes, x // min_rest, side="right")].tolist()
-    gpf = _gpf_upto(cache, max(x // min_rest, 2))
+    # As in the fast route: the gcd of the shifts is below the smallest
+    # member, which is at most x**(1/k) <= isqrt(x).
+    gpf = _gpf_upto(cache, max(math.isqrt(x), 2))
     out = []
     budget = node_budget
 

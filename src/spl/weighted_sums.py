@@ -6,9 +6,9 @@ p dividing E = h_1...h_g * prod_{i<j}(h_j - h_i). Alongside it live the
 moment sums that bound it through the Hoelder inequality, and the exact
 Mobius-expansion identity used to sum the single-variable weights.
 
-Per-integer tables make each tuple cheap: R[h] is the squarefree kernel of
-h and F[h] = prod_{p|h}(1 + 1/p). The factor for a union of prime sets is
-assembled multiplicatively from gcds of kernels, never by refactoring.
+A per-integer table makes each tuple cheap: F[h] = prod_{p|h}(1 + 1/p).
+The factor for a union of prime sets is assembled from F with the primes
+already counted divided out, never by refactoring E.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from .core_primes import kahan_sum
+from .core_primes import _distinct_primes, _simple_bool_sieve, kahan_sum
 from .errors import ArgumentError, BudgetError, VerificationError
 
 __all__ = [
@@ -53,32 +53,12 @@ def _check_budget(g: int, z: int) -> None:
         )
 
 
-def _weight_tables(z: int):
-    """(R, F) for 0 <= h < z: squarefree kernel and prod_{p|h}(1+1/p)."""
-    size = max(z, 2)
-    flags = np.ones(size, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(size**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    rad = np.ones(size, dtype=np.int64)
-    f = np.ones(size)
-    for p in np.flatnonzero(flags).tolist():
-        rad[p::p] *= p
+def _factor_table(z: int) -> np.ndarray:
+    """F[h] = prod_{p|h}(1+1/p) for 0 <= h < z."""
+    f = np.ones(max(z, 2))
+    for p in np.flatnonzero(_simple_bool_sieve(len(f) - 1)).tolist():
         f[p::p] *= 1.0 + 1.0 / p
-    return rad, f
-
-
-def _union_combine(rad_acc, f_acc, rad_new, f_new, rad_table, f_table):
-    """Fold one more prime set into (kernel, factor) accumulators.
-
-    F(lcm(a, b)) = F(a) * F(b) / F(gcd(a, b)) for squarefree kernels a, b.
-    Works elementwise on arrays and on scalars.
-    """
-    g = np.gcd(rad_acc, rad_new)
-    f_acc = f_acc * f_new / f_table[g]
-    rad_acc = rad_acc * rad_new // g
-    return rad_acc, f_acc
+    return f
 
 
 def _validate(g: int, ell: int, z: int) -> None:
@@ -89,86 +69,60 @@ def _validate(g: int, ell: int, z: int) -> None:
     _check_budget(g, z)
 
 
+def _pairs(g: int) -> list:
+    """Index pairs (s, r) with s < r < g in lexicographic order: one per h_r - h_s."""
+    return list(combinations(range(g), 2))
+
+
+def _without_primes(f: np.ndarray, ps) -> tuple:
+    """(prod_{p in ps}(1+1/p), a copy of f with every p in ps divided out)."""
+    f_rest = f.copy()
+    f_ps = 1.0
+    for p in ps:
+        f_rest[p::p] /= 1.0 + 1.0 / p
+        f_ps *= 1.0 + 1.0 / p
+    return f_ps, f_rest
+
+
 def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     """One enumeration of all tuples with h_g < z_max, binned by h_g.
 
     Returns (w_bins, aj_bins, ars_bins): each bins[h] sums the contributions
     of tuples whose largest coordinate is h, so cumulative sums over h < z
     recover every quantity on the full z grid at once. aj_bins has g rows;
-    ars_bins has one row per pair (r, s) with s < r, in lexicographic
-    (s, r) order. Moment weights use the exponent ell * G with
-    G = comb(g + 1, 2). With moments=False the moment bins stay zero.
+    ars_bins has one row per pair of _pairs(g). Moment weights use the
+    exponent ell * G with G = comb(g + 1, 2). With moments=False the moment
+    bins stay zero.
+
+    The loop runs over prefixes (h_1, ..., h_{g-1}) and is vectorised over
+    h_g. A prime dividing two of the new elements h_g and h_g - h_s also
+    divides h_s or a difference of two h_s, so F(E) is F over the prefix's
+    primes times, for each new element, F with those primes divided out.
+    No kernel product is formed, so every array value stays below z_max.
     """
-    rad, f = _weight_tables(z_max)
-    G = comb(g + 1, 2)
-    f_ell = f**ell
-    f_ellg = f ** (ell * G)
+    f = _factor_table(z_max)
+    f_ellg = f ** (ell * comb(g + 1, 2))
+    hs = np.arange(z_max)
+    inv_h = 1.0 / np.maximum(hs, 1)
+    # the elements of E as x[hi] - x[lo] with x = (0, h_1, ..., h_g): the g
+    # coordinates, then the differences in _pairs order; one moment row each
+    hi, lo = np.array([(j + 1, 0) for j in range(g)] + [(r + 1, s + 1) for s, r in _pairs(g)]).T
+    new = hi == g
     w_bins = np.zeros(z_max)
-    aj_bins = np.zeros((g, z_max))
-    pairs = [(s, r) for s in range(g) for r in range(s + 1, g)]
-    ars_bins = np.zeros((len(pairs), z_max))
-
-    if g == 1:
-        hs = np.arange(2, z_max)
-        if len(hs):
-            w_bins[2:] = f_ell[hs] / hs
-            if moments:
-                aj_bins[0, 2:] = f_ellg[hs] / hs
-        return w_bins, aj_bins, ars_bins
-
-    if g == 2:
-        for h1 in range(2, z_max - 1):
-            h2 = np.arange(h1 + 1, z_max)
-            inv = 1.0 / (h1 * h2.astype(np.float64))
-            rad_u, f_u = _union_combine(rad[h1], f[h1], rad[h2], f[h2], rad, f)
-            _, f_u = _union_combine(rad_u, f_u, rad[h2 - h1], f[h2 - h1], rad, f)
-            w_bins[h1 + 1 :] += f_u**ell * inv
-            if moments:
-                aj_bins[0, h1 + 1 :] += f_ellg[h1] * inv
-                aj_bins[1, h1 + 1 :] += f_ellg[h2] * inv
-                ars_bins[0, h1 + 1 :] += f_ellg[h2 - h1] * inv
-        return w_bins, aj_bins, ars_bins
-
-    if g == 3:
-        for h1 in range(2, z_max - 2):
-            for h2 in range(h1 + 1, z_max - 1):
-                h3 = np.arange(h2 + 1, z_max)
-                inv = 1.0 / (h1 * h2 * h3.astype(np.float64))
-                rad_u, f_u = _union_combine(rad[h1], f[h1], rad[h2], f[h2], rad, f)
-                rad_u, f_u = _union_combine(rad_u, f_u, rad[h2 - h1], f[h2 - h1], rad, f)
-                rad_u, f_u = _union_combine(rad_u, f_u, rad[h3], f[h3], rad, f)
-                rad_u, f_u = _union_combine(rad_u, f_u, rad[h3 - h1], f[h3 - h1], rad, f)
-                _, f_u = _union_combine(rad_u, f_u, rad[h3 - h2], f[h3 - h2], rad, f)
-                sl = slice(h2 + 1, None)
-                w_bins[sl] += f_u**ell * inv
-                if moments:
-                    aj_bins[0, sl] += f_ellg[h1] * inv
-                    aj_bins[1, sl] += f_ellg[h2] * inv
-                    aj_bins[2, sl] += f_ellg[h3] * inv
-                    ars_bins[0, sl] += f_ellg[h2 - h1] * inv
-                    ars_bins[1, sl] += f_ellg[h3 - h1] * inv
-                    ars_bins[2, sl] += f_ellg[h3 - h2] * inv
-        return w_bins, aj_bins, ars_bins
-
-    # generic fallback for g >= 4; budget-gated. Kernel products may exceed
-    # int64 here, so accumulate them as Python ints.
-    for tup in combinations(range(2, z_max), g):
-        inv = 1.0
-        for h in tup:
-            inv /= h
-        rad_u, f_u = 1, 1.0
-        elements = list(tup) + [tup[r] - tup[s] for s, r in pairs]
-        for e in elements:
-            gg = math.gcd(rad_u, int(rad[e]))
-            f_u = f_u * f[e] / f[gg]
-            rad_u = rad_u * int(rad[e]) // gg
-        top = tup[-1]
-        w_bins[top] += float(f_u) ** ell * inv
-        for j in range(g):
-            aj_bins[j, top] += f_ellg[tup[j]] * inv
-        for idx, (s, r) in enumerate(pairs):
-            ars_bins[idx, top] += f_ellg[tup[r] - tup[s]] * inv
-    return w_bins, aj_bins, ars_bins
+    m_bins = np.zeros((len(hi), z_max))
+    for prefix in combinations(range(2, z_max - 1), g - 1):
+        start = prefix[-1] + 1 if prefix else 2
+        x = np.array((0, *prefix, 0))
+        base = x[hi] - x[lo]  # the prefix's elements, and -h_s for the new ones
+        ps = sorted(set().union(*map(_distinct_primes, base[~new].tolist())))
+        fac, f_rest = _without_primes(f, ps)
+        for h in (0, *prefix):
+            fac = fac * f_rest[start - h : z_max - h]
+        inv = inv_h[start:] / math.prod(prefix)
+        w_bins[start:] += fac**ell * inv
+        if moments:
+            m_bins[:, start:] += f_ellg[base[:, None] + new[:, None] * hs[start:]] * inv
+    return w_bins, m_bins[:g], m_bins[g:]
 
 
 def weighted_tuple_sum(g: int, ell: int, z: int) -> float:
@@ -194,7 +148,7 @@ def single_weighted_sum(z: int, e: int) -> float:
         raise ArgumentError(f"need z >= 2, got {z}")
     if e < 1:
         raise ArgumentError(f"need e >= 1, got {e}")
-    _, f = _weight_tables(z)
+    f = _factor_table(z)
     return kahan_sum((f[h] ** e) / h for h in range(2, z))
 
 
@@ -206,18 +160,7 @@ def mobius_expansion_check(h: int, l_param: int):
     """
     if h < 2:
         raise ArgumentError(f"need h >= 2, got {h}")
-    ps = []
-    m = h
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            ps.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        ps.append(m)
-
+    ps = _distinct_primes(h)
     rad = 1
     lhs_num = 1
     for p in ps:
@@ -248,8 +191,7 @@ def difference_moment(g: int, ell: int, z: int, r: int, s: int) -> float:
     if not 1 <= s < r <= g:
         raise ArgumentError(f"need 1 <= s < r <= g, got r={r}, s={s}")
     _, _, ars_bins = _scan_grid(g, ell, z)
-    pairs = [(s_, r_) for s_ in range(g) for r_ in range(s_ + 1, g)]
-    idx = pairs.index((s - 1, r - 1))
+    idx = _pairs(g).index((s - 1, r - 1))
     return kahan_sum(ars_bins[idx].tolist())
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import gpf_trial, reference_flags
 from spl.core_primes import (
+    _distinct_primes,
     build_sieve,
     build_spf,
     ensure_sieve,
@@ -180,6 +181,13 @@ class TestFactorize:
         assert factorize(12, spf).pairs == ((2, 2), (3, 1))
         assert factorize(1).pairs == ()
         assert factorize(8633, None, cache).pairs == ((89, 1), (97, 1))
+        # the trial-division factorizer agrees on boundary shapes, sign-blind
+        assert _distinct_primes(1) == _distinct_primes(-1) == []
+        for p in (2, 3, 97, 1000003):
+            assert _distinct_primes(p) == _distinct_primes(p**5) == [p]
+        for n in [2**k + d for k in range(1, 41) for d in (-1, 1)] + [3**7, 97**2 * 2]:
+            want = [q for q, _ in factorize(n, spf, cache).pairs] if n > 1 else []
+            assert _distinct_primes(n) == _distinct_primes(-n) == want
 
     def test_trial_division_beyond_spf(self, spf, cache):
         n = 1000003 * 2  # 1000003 is prime and exceeds spf.limit

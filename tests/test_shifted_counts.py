@@ -265,6 +265,12 @@ class TestGpfTableSizing:
         tuple_count_fast(c, x, 3, Theta(1, 4))
         assert len(_GPF_MEMO[c]) <= math.isqrt(x) + 1
 
+    def test_oracle_table_stops_at_isqrt_x(self):
+        c = build_sieve(10**6)
+        x = 10**6
+        assert tuple_count_oracle(c, x, 2, Theta(1, 4)) == 914
+        assert len(_GPF_MEMO[c]) <= math.isqrt(x) + 1
+
     def test_fast_route_reuses_single_counter_table(self):
         c = build_sieve(10**6)
         x_even = 10**6

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spl.core_primes import _distinct_primes
 from spl.errors import ArgumentError, BudgetError
 from spl.weighted_sums import (
+    _factor_table,
+    _pairs,
+    _without_primes,
     coordinate_moment,
     difference_moment,
     holder_grid,
@@ -52,13 +56,30 @@ def w_sum_oracle(g: int, ell: int, z: int) -> float:
     return total
 
 
+def moments_oracle(g: int, ell: int, z: int):
+    """Definitional aj and ars moment sums, pairs (s, r) in lexicographic order."""
+    G = math.comb(g + 1, 2)
+    pairs = [(s, r) for s in range(g) for r in range(s + 1, g)]
+    aj = [0.0] * g
+    ars = [0.0] * len(pairs)
+    for tup in combinations(range(2, z), g):
+        inv = 1 / math.prod(tup)
+        for j in range(g):
+            aj[j] += one_plus_inv_primes(tup[j]) ** (ell * G) * inv
+        for idx, (s, r) in enumerate(pairs):
+            ars[idx] += one_plus_inv_primes(tup[r] - tup[s]) ** (ell * G) * inv
+    return aj, ars
+
+
 class TestWSum:
     def test_hand_examples(self):
         assert weighted_tuple_sum(1, 1, 4) == pytest.approx(3 / 4 + 4 / 9, abs=1e-9)
         assert weighted_tuple_sum(2, 1, 3) == 0.0
         assert weighted_tuple_sum(2, 1, 4) == pytest.approx(1 / 3, abs=1e-9)
 
-    @pytest.mark.parametrize("g,ell,z", [(1, 2, 30), (2, 1, 12), (2, 3, 20), (3, 2, 14)])
+    @pytest.mark.parametrize(
+        "g,ell,z", [(1, 2, 30), (2, 1, 12), (2, 3, 20), (3, 2, 14), (4, 1, 13), (5, 1, 12), (6, 1, 11)]
+    )
     def test_matches_definitional_oracle(self, g, ell, z):
         assert weighted_tuple_sum(g, ell, z) == pytest.approx(w_sum_oracle(g, ell, z), rel=1e-12)
 
@@ -146,6 +167,15 @@ class TestMoments:
         assert coordinate_moment(2, 1, 4, 1) == pytest.approx((1 / 6) * (3 / 2) ** 3, rel=1e-12)
         assert difference_moment(2, 1, 4, 2, 1) == pytest.approx(1 / 6, rel=1e-12)
 
+    @pytest.mark.parametrize("g,ell,z", [(2, 2, 40), (3, 1, 22), (4, 1, 14)])
+    def test_every_row_matches_definitional_oracle(self, g, ell, z):
+        aj, ars = moments_oracle(g, ell, z)
+        d = holder_verify(g, ell, z)
+        assert d.aj_moments == pytest.approx(aj, rel=1e-12)
+        assert d.ars_moments == pytest.approx(ars, rel=1e-12)
+        for idx, (s, r) in enumerate(_pairs(g)):
+            assert difference_moment(g, ell, z, r + 1, s + 1) == pytest.approx(ars[idx], rel=1e-12)
+
     def test_index_validation(self):
         with pytest.raises(ArgumentError):
             coordinate_moment(2, 1, 10, 3)
@@ -191,3 +221,30 @@ class TestHolder:
             worst = max(one_plus_inv_primes(h) for h in range(2, z)) ** (g * G)
             harmonic = sum(1 / h for h in range(2, z))
             assert weighted_tuple_sum(g, g, z) <= harmonic**g / math.factorial(g) * worst
+
+
+class TestKernelPrefix:
+    def test_prefix_kernel_beyond_int64(self):
+        """The g = 6 prefix (11, 15, 58, 82, 89) at z = 99 has a kernel above 2**63.
+
+        The scan never forms that kernel: it divides the prefix's primes out
+        of the factor table, which must agree with F(n) / F(gcd(rad n, R)).
+        """
+        z = 99
+        prefix = (11, 15, 58, 82, 89)
+        elements = list(prefix) + [b - a for a, b in combinations(prefix, 2)]
+
+        def rad(n):
+            return math.prod(_distinct_primes(n))
+
+        kernel = 1
+        for e in elements:
+            kernel = kernel * rad(e) // math.gcd(kernel, rad(e))
+        assert kernel > 2**63
+        ps = sorted(set().union(*map(_distinct_primes, elements)))
+        f = _factor_table(z)
+        f_ps, f_rest = _without_primes(f, ps)
+        assert f_ps == pytest.approx(one_plus_inv_primes(kernel), rel=1e-14)
+        for n in range(1, z):
+            want = one_plus_inv_primes(n) / one_plus_inv_primes(math.gcd(rad(n), kernel))
+            assert f_rest[n] == pytest.approx(want, rel=1e-14)
