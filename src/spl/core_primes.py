@@ -14,7 +14,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, isqrt
+from math import floor, isqrt, log2
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "omega",
     "recip_prime_sum_ap",
     "kahan_sum",
+    "floor_root",
     "save_sieve",
     "load_sieve",
     "ensure_sieve",
@@ -60,6 +61,29 @@ def kahan_sum(values) -> float:
         carry = (t - total) - y
         total = t
     return total
+
+
+def floor_root(t: int, e: int, c: int = 1) -> int:
+    """Largest n >= 0 with c * n**e <= t, for integers e, c >= 1; exact at any size.
+
+    A float estimate of log2 of the root gives a start just above it (kept
+    to 64 significant bits, so any size fits a float), and integer Newton
+    steps from above settle it: each step lands on or above the answer and
+    below the previous value until the answer is reached.
+    """
+    if t < c:
+        return 0
+    q = t // c  # c * n**e <= t iff n**e <= t // c
+    lg = log2(q) / e
+    shift = max(int(lg) - 64, 0)
+    n = (int(2 ** (lg - shift) * (1 + 2**-40 * (lg + 1))) + 1) << shift
+    if n**e <= q:  # float error beyond the margin: take a sure upper bound
+        n = 1 << -(-q.bit_length() // e)
+    while True:
+        step = ((e - 1) * n + q // n ** (e - 1)) // e
+        if step >= n:
+            return n
+        n = step
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,18 +366,21 @@ def save_sieve(cache: SieveCache, path) -> None:
 
 
 def load_sieve(path) -> SieveCache:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ArgumentError(f"{path}: not a sieve cache file")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _FORMAT_VERSION:
-        raise ArgumentError(f"{path}: unsupported format version {version}")
-    (limit,) = struct.unpack_from("<Q", raw, 8)
-    nwords = (limit + 1 + 63) >> 6
-    if len(raw) < 16 + 8 * nwords:
-        raise ArgumentError(f"{path}: truncated sieve file")
-    words = np.frombuffer(raw, dtype="<u8", offset=16, count=nwords)
-    return SieveCache(limit=int(limit), words=words.astype(np.uint64))
+    """Read a sieve file: the 16-byte header is checked, then the words are read once."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if header[:4] != _MAGIC:
+            raise ArgumentError(f"{path}: not a sieve cache file")
+        if len(header) < 16:
+            raise ArgumentError(f"{path}: truncated sieve file")
+        version, limit = struct.unpack("<IQ", header[4:])
+        if version != _FORMAT_VERSION:
+            raise ArgumentError(f"{path}: unsupported format version {version}")
+        nwords = (limit + 1 + 63) >> 6
+        if os.fstat(fh.fileno()).st_size < 16 + 8 * nwords:
+            raise ArgumentError(f"{path}: truncated sieve file")
+        words = np.fromfile(fh, dtype="<u8", count=nwords)
+    return SieveCache(limit=int(limit), words=words.astype(np.uint64, copy=False))
 
 
 def ensure_sieve(limit: int, directory=None, *, max_limit: int = 2**40) -> SieveCache:

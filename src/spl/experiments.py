@@ -13,7 +13,14 @@ from typing import List
 
 import numpy as np
 
-from .core_primes import kahan_sum, prime_count, primes_in, primes_in_class, recip_prime_sum_ap
+from .core_primes import (
+    floor_root,
+    kahan_sum,
+    prime_count,
+    primes_in,
+    primes_in_class,
+    recip_prime_sum_ap,
+)
 from .dickman import limiting_density
 from .errors import BudgetError, VerificationError
 from .linear_forms import range_bounds_exact
@@ -99,21 +106,6 @@ def progression_double_sum(cache, x: int, k: int, theta: Theta) -> float:
     )
 
 
-def _floor_h_bound(x: int, theta: Theta) -> int:
-    """Largest integer h with h < 2^theta * x^(1-theta), decided exactly.
-
-    h < 2^num/den * x^(den-num)/den  iff  h^den < 2^num * x^(den-num).
-    """
-    num, den = theta.num, theta.den
-    target = 2**num * x ** (den - num)
-    h = max(int(math.exp((num * math.log(2) + (den - num) * math.log(x)) / den)), 1)
-    while (h + 1) ** den < target:
-        h += 1
-    while h > 1 and h**den >= target:
-        h -= 1
-    return h
-
-
 def _elementary_symmetric(values: np.ndarray, g_max: int) -> list:
     """e_1..e_g of the multiset {values} via Newton's identities.
 
@@ -168,7 +160,8 @@ def rearrangement_report(
     majorant = kahan_sum(maj_terms)
 
     # (iii): sorted distinct tuples below the fixed bound 2^theta x^(1-theta)
-    h_cap = _floor_h_bound(x, theta)
+    # h < 2^theta x^(1-theta)  iff  h^den < 2^num x^(den-num)  iff  h^den <= that - 1
+    h_cap = floor_root(2**theta.num * x ** (theta.den - theta.num) - 1, theta.den)
     sym_total = 0.0
     if ps:
         top = ps[-1] * h_cap + 1

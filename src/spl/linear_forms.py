@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_primes import SieveCache, _distinct_primes, kahan_sum, primes_in
+from .core_primes import SieveCache, _distinct_primes, floor_root, kahan_sum, primes_in
 from .errors import ArgumentError, DegeneracyError, DomainError
 from .shifted_counts import Theta
 
@@ -187,30 +187,13 @@ def local_factor_pos(e: int, ell: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _iroot(x: int, k: int) -> int:
-    r = int(round(x ** (1.0 / k)))
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
-
-
 def range_bounds_exact(x: int, k: int, theta: Theta):
     """Integer cutoffs (u_int, v_int): p qualifies iff u_int < p <= v_int.
 
     p <= x^(1/k) iff p^k <= x; p > (x/2)^theta iff 2^num * p^den > x^num.
     Both are decided by exact integer comparisons.
     """
-    v = _iroot(x, k)
-    num, den = theta.num, theta.den
-    target = x**num
-    m = max(int(math.exp(num * math.log(x / 2) / den)), 0)
-    while 2**num * (m + 1) ** den <= target:
-        m += 1
-    while m > 0 and 2**num * m**den > target:
-        m -= 1
-    return m, v
+    return floor_root(x**theta.num, theta.den, 2**theta.num), floor_root(x, k)
 
 
 def _range_primes(cache, x, k, theta, system) -> list:

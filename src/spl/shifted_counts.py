@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_primes import primes_in_class
+from .core_primes import floor_root, primes_in_class
 from .errors import ArgumentError, BudgetError
 
 __all__ = [
@@ -80,29 +80,79 @@ def threshold_test(r: int, n: int, theta: Theta) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Greatest-prime-factor table, memoized per sieve cache.
+# Greatest prime factors by a segmented pass, memoized per sieve cache.
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1 << 17  # integers per gpf block, and entries per threshold chunk
+
 _GPF_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_SHIFT_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _gpf_block(lo: int, hi: int, small: np.ndarray) -> np.ndarray:
+    """P+(n) for lo <= n < hi (lo >= 1) as int64; P+(1) = 1.
+
+    `small` holds the primes up to at least isqrt(hi - 1), ascending. Each
+    such q writes itself at its multiples (ascending, so the largest wins)
+    and multiplies `smooth` by q at every power q^e < hi, leaving in
+    `smooth` the part of n made of those primes. The cofactor n // smooth
+    has no prime factor <= isqrt(n), so it is 1 or the prime P+(n). No
+    value exceeds n, so nothing overflows.
+    """
+    top = np.ones(hi - lo, dtype=np.int64)
+    smooth = np.ones(hi - lo, dtype=np.int64)
+    for q in small.tolist():
+        if q * q >= hi:
+            break
+        top[-lo % q :: q] = q
+        qe = q
+        while qe < hi:
+            smooth[-lo % qe :: qe] *= q
+            qe *= q
+    cof = np.arange(lo, hi, dtype=np.int64) // smooth
+    return np.where(cof > 1, cof, top)
+
+
+def _small_primes(cache, n: int) -> np.ndarray:
+    """The primes up to isqrt(n): enough for _gpf_block below n + 1."""
+    primes = cache.primes
+    return primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
 
 
 def _gpf_upto(cache, n: int) -> np.ndarray:
-    """gpf[m] = largest prime factor of m for 2 <= m <= n; gpf[1] = 1.
-
-    Built by ascending vectorized strides (the last prime to touch m wins).
-    """
+    """gpf[m] = largest prime factor of m for 2 <= m <= n; gpf[1] = 1, int64."""
     cache._check(n)
     hit = _GPF_MEMO.get(cache)
     if hit is not None and len(hit) > n:
         return hit
-    size = n + 1
-    gpf = np.zeros(size, dtype=np.int32)
-    gpf[1] = 1
-    primes = cache.primes
-    for p in primes[: np.searchsorted(primes, n, side="right")].tolist():
-        gpf[p::p] = p
+    small = _small_primes(cache, n)
+    gpf = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(1, n + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n + 1)
+        gpf[lo:hi] = _gpf_block(lo, hi, small)
     _GPF_MEMO[cache] = gpf
     return gpf
+
+
+def _shift_gpf_pass(cache, ps: np.ndarray) -> np.ndarray:
+    """P+(p - 1) for the ascending primes ps, by blocks of m = (p - 1) / 2.
+
+    For odd p, P+(p - 1) = max(2, P+(m)); p = 2 gives P+(1) = 1. Only the
+    current block and the primes up to isqrt(m) are held besides the result.
+    """
+    out = np.ones(len(ps), dtype=np.int64)
+    i = int(np.searchsorted(ps, 3))  # skip p = 2
+    if i == len(ps):
+        return out
+    m_lo, m_hi = (int(ps[i]) - 1) // 2, (int(ps[-1]) - 1) // 2 + 1
+    small = _small_primes(cache, m_hi - 1)
+    for lo in range(m_lo, m_hi, _BLOCK):
+        hi = min(lo + _BLOCK, m_hi)
+        j = int(np.searchsorted(ps, 2 * hi + 1))  # ps[i:j] have m in [lo, hi)
+        gpf = _gpf_block(lo, hi, small)
+        out[i:j] = np.maximum(gpf[(ps[i:j] >> 1) - lo], 2)
+        i = j
+    return out
 
 
 def _count_threshold(rs: np.ndarray, ns, theta: Theta, op: str) -> int:
@@ -112,39 +162,50 @@ def _count_threshold(rs: np.ndarray, ns, theta: Theta, op: str) -> int:
     pairs fall back to the exact integer power test, so the result matches
     testing every pair exactly. The boundary margin scales with the log
     magnitudes (float error does too), with ~100x headroom over worst-case
-    rounding.
+    rounding. The float temporaries are built one chunk of _BLOCK entries
+    at a time, so they stay small whatever len(rs) is.
     """
     if len(rs) == 0:
         return 0
-    left = theta.den * np.log(rs.astype(np.float64))
     scalar_n = np.isscalar(ns) or np.ndim(ns) == 0
-    if scalar_n:
-        right = theta.num * math.log(ns)
-    else:
-        right = theta.num * np.log(np.asarray(ns, dtype=np.float64))
-    t = left - right
-    margin = 1e-13 * (np.abs(left) + np.abs(right)) + 1e-12
-    if op == "ge":
-        count = int(np.count_nonzero(t > margin))
-    else:
-        count = int(np.count_nonzero(t < -margin))
-    for i in np.flatnonzero(np.abs(t) <= margin):
-        lhs = int(rs[i]) ** theta.den
-        rhs = (int(ns) if scalar_n else int(ns[i])) ** theta.num
-        ok = lhs >= rhs if op == "ge" else lhs <= rhs
-        if ok:
-            count += 1
+    right_n = theta.num * math.log(ns) if scalar_n else None
+    count = 0
+    for lo in range(0, len(rs), _BLOCK):
+        r_part = rs[lo : lo + _BLOCK]
+        n_part = ns if scalar_n else ns[lo : lo + _BLOCK]
+        left = theta.den * np.log(r_part.astype(np.float64))
+        right = right_n if scalar_n else theta.num * np.log(np.asarray(n_part, dtype=np.float64))
+        t = left - right
+        margin = 1e-13 * (np.abs(left) + np.abs(right)) + 1e-12
+        if op == "ge":
+            count += int(np.count_nonzero(t > margin))
+        else:
+            count += int(np.count_nonzero(t < -margin))
+        for i in np.flatnonzero(np.abs(t) <= margin):
+            lhs = int(r_part[i]) ** theta.den
+            rhs = (int(ns) if scalar_n else int(n_part[i])) ** theta.num
+            ok = lhs >= rhs if op == "ge" else lhs <= rhs
+            if ok:
+                count += 1
     return count
 
 
 def _shift_gpfs(cache, x):
-    """(primes <= x, P+(p-1) for each) as aligned arrays."""
+    """(primes <= x, P+(p-1) for each) as aligned arrays.
+
+    The P+(p - 1) array is memoized per cache, aligned with cache.primes:
+    a smaller x takes a prefix of it and a larger x extends it.
+    """
     cache._check(x)
-    ps = cache.primes[: np.searchsorted(cache.primes, x, side="right")]
-    if len(ps) == 0:
-        return ps, ps
-    gpf = _gpf_upto(cache, int(ps[-1]) - 1)
-    return ps, gpf[ps - 1]
+    primes = cache.primes
+    n = int(np.searchsorted(primes, x, side="right"))
+    done = _SHIFT_MEMO.get(cache)
+    if done is None:
+        done = _SHIFT_MEMO[cache] = _shift_gpf_pass(cache, primes[:n])
+    elif len(done) < n:
+        fresh = _shift_gpf_pass(cache, primes[len(done) : n])
+        done = _SHIFT_MEMO[cache] = np.concatenate((done, fresh))
+    return primes[:n], done[:n]
 
 
 def large_factor_count(cache, x: int, theta: Theta) -> int:
@@ -243,21 +304,9 @@ def tuple_count_oracle(
     )
 
 
-def _floor_power_bound(r: int, theta: Theta, x: int) -> int:
-    """Largest n <= x with n**num <= r**den, found exactly."""
-    rp = r ** theta.den
-    if rp >= x ** theta.num:
-        return x
-    n = max(int(math.exp(theta.den / theta.num * math.log(r))), 1)
-    while (n + 1) ** theta.num <= rp:
-        n += 1
-    while n ** theta.num > rp:
-        n -= 1
-    return n
-
-
 def _fast_products_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r: int) -> list:
-    n_cap = _floor_power_bound(r, theta, x)
+    # The largest n <= x passing the threshold at r: n**num <= r**den.
+    n_cap = floor_root(min(r**theta.den, x**theta.num), theta.num)
     if n_cap < (r + 1) ** k:
         return []
     # Every member is a prime = 1 (mod r), so each is >= r + 1 and none can

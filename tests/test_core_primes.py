@@ -16,6 +16,7 @@ from spl.core_primes import (
     build_spf,
     ensure_sieve,
     factorize,
+    floor_root,
     greatest_prime_factor,
     kahan_sum,
     load_sieve,
@@ -217,6 +218,50 @@ class TestFactorize:
             factorize(0)
 
 
+class TestFloorRoot:
+    @staticmethod
+    def check(t, e, c=1):
+        n = floor_root(t, e, c)
+        assert n >= 0 and c * (n + 1) ** e > t
+        assert c * n**e <= t or (n == 0 and t < c)
+        return n
+
+    def test_boundaries(self):
+        # perfect powers and their neighbours
+        for e in range(1, 8):
+            for a in range(1, 60):
+                assert self.check(a**e, e) == a
+                assert self.check(a**e - 1, e) == a - 1
+                assert self.check(a**e + 1, e) == (a + 1 if e == 1 else a)
+                assert self.check(3 * a**e, e, 3) == a
+                assert self.check(3 * a**e - 1, e, 3) == a - 1
+        # r^den == n^num: with r = a^num the root of r^den at num is a^den;
+        # with x = 2 b^den, x^num == 2^num (b^num)^den
+        for num, den in ((1, 2), (2, 3), (3, 4), (2, 5), (7, 16), (13, 32)):
+            for a in (2, 3, 5, 7):
+                r = a**num
+                assert self.check(r**den, num) == a**den
+                assert self.check(r**den - 1, num) == a**den - 1
+                x = 2 * a**den
+                assert self.check(x**num, den, 2**num) == a**num
+                assert self.check(x**num - 1, den, 2**num) == a**num - 1
+        # x = 2^k +- 1, with the scale factors the callers use
+        for k in range(1, 200):
+            for d in (-1, 0, 1):
+                for e in (1, 2, 3, 4, 7, 12):
+                    for c in (1, 2, 2**5, 3):
+                        self.check(2**k + d, e, c)
+        # past the float range the start is scaled by a power of two
+        assert self.check(10**400, 1) == 10**400
+        assert self.check(10**4000, 2) == 10**2000
+        assert floor_root(-5, 3) == floor_root(0, 3) == floor_root(1, 3, 2) == 0
+
+    @given(st.integers(0, 2**2000), st.integers(1, 40), st.integers(1, 2**80))
+    @settings(deadline=None, max_examples=300)
+    def test_random(self, t, e, c):
+        self.check(t, e, c)
+
+
 class TestDerivedArithmetic:
     def test_gpf_examples(self, spf):
         assert greatest_prime_factor(1) == 1
@@ -265,6 +310,7 @@ class TestPersistence:
         save_sieve(c, path)
         back = load_sieve(path)
         assert back.limit == c.limit
+        assert back.words.dtype == np.uint64
         assert np.array_equal(back.words, c.words)
 
     def test_header_layout(self, tmp_path):
@@ -277,11 +323,33 @@ class TestPersistence:
         assert int.from_bytes(raw[8:16], "little") == 100
         assert len(raw) == 16 + 8 * len(c.words)
 
+    @staticmethod
+    def _spoiled(tmp_path, how):
+        """A saved sieve file with a wrong magic, a wrong version or a short body."""
+        path = tmp_path / "sieve.spl"
+        save_sieve(build_sieve(10000), path)
+        raw = path.read_bytes()
+        if how == "magic":
+            raw = b"NOPE" + raw[4:]
+        elif how == "version":
+            raw = raw[:4] + (2).to_bytes(4, "little") + raw[8:]
+        elif how == "truncated":
+            raw = raw[:-8]
+        elif how == "header":
+            raw = raw[:10]
+        path.write_bytes(raw)
+        return path
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.spl"
         path.write_bytes(b"NOPE" + bytes(32))
         with pytest.raises(ArgumentError):
             load_sieve(path)
+
+    @pytest.mark.parametrize("how", ["version", "header"])
+    def test_wrong_version_or_short_header(self, tmp_path, how):
+        with pytest.raises(ArgumentError):
+            load_sieve(self._spoiled(tmp_path, how))
 
     def test_truncated_file(self, tmp_path):
         c = build_sieve(10000)
@@ -290,6 +358,15 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ArgumentError):
             load_sieve(path)
+
+    @pytest.mark.parametrize("how", ["magic", "version", "truncated", "header"])
+    def test_ensure_sieve_rebuilds_spoiled_file(self, tmp_path, how):
+        path = self._spoiled(tmp_path, how)
+        got = ensure_sieve(5000, tmp_path)
+        assert got.limit == 5000
+        assert np.array_equal(got.words, build_sieve(5000).words)
+        back = load_sieve(path)
+        assert back.limit == 5000 and np.array_equal(back.words, got.words)
 
     def test_ensure_sieve_reuses_and_grows(self, tmp_path):
         first = ensure_sieve(1000, tmp_path)

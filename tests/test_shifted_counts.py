@@ -1,16 +1,22 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gpf_trial, reference_flags
 from spl.core_primes import build_sieve, prime_count
+from spl import shifted_counts
 from spl.errors import ArgumentError, BudgetError
 from spl.shifted_counts import (
     _GPF_MEMO,
+    _SHIFT_MEMO,
     Theta,
+    _count_threshold,
+    _gpf_upto,
+    _shift_gpfs,
     count_tuples,
     fast_qualifying_products,
     large_factor_count,
@@ -271,11 +277,92 @@ class TestGpfTableSizing:
         assert tuple_count_oracle(c, x, 2, Theta(1, 4)) == 914
         assert len(_GPF_MEMO[c]) <= math.isqrt(x) + 1
 
-    def test_fast_route_reuses_single_counter_table(self):
+    def test_single_counters_share_one_shift_array(self):
         c = build_sieve(10**6)
-        x_even = 10**6
-        large_factor_count(c, x_even, Theta(1, 2))
-        table = _GPF_MEMO[c]
-        tuple_count_fast(c, x_even, 2, Theta(1, 4))
-        tuple_count_fast(c, x_even, 3, Theta(1, 4))
-        assert _GPF_MEMO[c] is table
+        x = 10**6
+        half = Theta(1, 2)
+        t = large_factor_count(c, x, half)
+        assert len(_GPF_MEMO.get(c, ())) <= math.isqrt(x) + 1
+        shifts = _SHIFT_MEMO[c]
+        assert len(shifts) == prime_count(c, x)
+        tp = large_factor_count_fixed(c, x, half)
+        tc = smooth_shift_count(c, x, half)
+        assert _SHIFT_MEMO[c] is shifts
+        assert (t, tp, tc) == (49597, 43053, 28901)
+        # a larger x after a smaller one extends the memo to the same counts
+        grown = build_sieve(10**6)
+        small = (large_factor_count(grown, 10**4, half), smooth_shift_count(grown, 10**4, half))
+        assert len(_SHIFT_MEMO[grown]) == prime_count(grown, 10**4)
+        assert large_factor_count(grown, x, half) == t
+        assert large_factor_count_fixed(grown, x, half) == tp
+        assert smooth_shift_count(grown, x, half) == tc
+        assert np.array_equal(_SHIFT_MEMO[grown], shifts)
+        # and a smaller x after a larger one reads a prefix
+        assert (large_factor_count(c, 10**4, half), smooth_shift_count(c, 10**4, half)) == small
+        assert _SHIFT_MEMO[c] is shifts
+
+
+class TestSegmentedShiftPass:
+    def test_matches_trial_division_on_tiny_blocks(self, monkeypatch):
+        """Blocks of 7 put many primes on block edges."""
+        monkeypatch.setattr(shifted_counts, "_BLOCK", 7)
+        c = build_sieve(2 * 10**4)
+        ps, rs = _shift_gpfs(c, 2 * 10**4)
+        assert rs.tolist() == [gpf_trial(p - 1) for p in ps.tolist()]
+        gpf = _gpf_upto(c, 300)
+        assert gpf[0] == 0 and gpf[1:].tolist() == [gpf_trial(n) for n in range(1, 301)]
+
+    def test_every_x_on_tiny_blocks(self, monkeypatch):
+        """Each x below 120 on a fresh cache: every block boundary in turn."""
+        monkeypatch.setattr(shifted_counts, "_BLOCK", 7)
+        flags = reference_flags(120)
+        for x in range(0, 120):
+            c = build_sieve(max(x, 2))
+            ps, rs = _shift_gpfs(c, x)
+            expected = [p for p in range(2, x + 1) if flags[p]]
+            assert ps.tolist() == expected
+            assert rs.tolist() == [gpf_trial(p - 1) for p in expected]
+
+    def test_default_block_boundary(self):
+        # the first block holds m = 1 .. B, so p = 2B + 1 is its last slot and
+        # p = 2B + 3 opens the second block; x lands on, just past and beyond it
+        b = shifted_counts._BLOCK
+        for x in (2 * b + 1, 2 * b + 2, 2 * b + 3, 2 * b + 200):
+            ps, rs = _shift_gpfs(build_sieve(x), x)
+            tail = slice(int(np.searchsorted(ps, 2 * b - 400)), None)
+            assert rs[tail].tolist() == [gpf_trial(p - 1) for p in ps[tail].tolist()]
+
+    def test_edges(self):
+        c = build_sieve(70000)
+        ps, rs = _shift_gpfs(c, 70000)
+        gpf_of = dict(zip(ps.tolist(), rs.tolist()))
+        assert gpf_of[2] == 1  # P+(1) = 1
+        assert gpf_of[3] == 2
+        for fermat in (5, 17, 257, 65537):  # p - 1 = 2^k: P+(m) = 1 or 2, lifted to 2
+            assert gpf_of[fermat] == 2
+        for x in (-1, 0, 1):
+            ps, rs = _shift_gpfs(c, x)
+            assert len(ps) == len(rs) == 0
+            assert large_factor_count(c, x, Theta(1, 2)) == 0
+            assert smooth_shift_count(c, x, Theta(1, 2)) == 0
+        assert large_factor_count_fixed(c, 0, Theta(1, 2)) == 0
+
+
+class TestCountThresholdChunks:
+    @pytest.mark.parametrize("theta", [Theta(1, 2), Theta(2, 3), Theta(1, 3)])
+    def test_tiny_chunks_match_one_chunk(self, monkeypatch, theta):
+        # pairs with r^den == n^num exactly, and their neighbours n +- 1
+        a = np.arange(2, 400, dtype=np.int64)
+        r_tie, n_tie = a**theta.num, a**theta.den
+        rs = np.concatenate([r_tie, r_tie, r_tie, np.arange(1, 500, dtype=np.int64)])
+        ns = np.concatenate([n_tie - 1, n_tie, n_tie + 1, np.arange(700, 1199, dtype=np.int64)])
+        one = {op: _count_threshold(rs, ns, theta, op) for op in ("ge", "le")}
+        one_fixed = _count_threshold(rs, 4096, theta, "ge")
+        exact = {
+            "ge": sum(int(r) ** theta.den >= int(n) ** theta.num for r, n in zip(rs, ns)),
+            "le": sum(int(r) ** theta.den <= int(n) ** theta.num for r, n in zip(rs, ns)),
+        }
+        assert one == exact
+        monkeypatch.setattr(shifted_counts, "_BLOCK", 5)
+        assert {op: _count_threshold(rs, ns, theta, op) for op in ("ge", "le")} == one
+        assert _count_threshold(rs, 4096, theta, "ge") == one_fixed
