@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dickman, experiments, weighted_sums
-from .core_primes import ensure_sieve, sieve_cache_dir
+from .core_primes import ensure_sieve, floor_root, sieve_cache_dir
 from .errors import ArgumentError, SplError, VerificationError
 from .linear_forms import (
     abel_identity_rhs,
@@ -62,9 +62,12 @@ def _cache_for(cfg: RunConfig, needed: int):
 
 def _parse_int_list(text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ArgumentError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise ArgumentError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _emit(cfg: RunConfig, records) -> None:
@@ -210,8 +213,8 @@ def _run_verify(cfg, args) -> int:
         theta = Theta.parse(args.theta)
         shifts = _parse_int_list(args.shifts)
         system = system_from_shifts(shifts)
-        v_guess = int(args.x ** (1.0 / args.k)) + 2
-        needed = max(args.x, max(h * v_guess + 1 for h in shifts))
+        v = floor_root(args.x, args.k)  # no prime p above v enters either side
+        needed = max(args.x, max(h * v + 1 for h in shifts))
         cache = _cache_for(cfg, needed)
         lhs = inverse_power_prime_sum(cache, args.x, args.k, theta, system)
         rhs = abel_identity_rhs(cache, args.x, args.k, theta, system)
@@ -245,9 +248,8 @@ def _run_experiment(cfg, args) -> int:
         for rec in records:
             print(f"density cell x={rec.inputs['x']} done", file=sys.stderr)
     elif args.which == "rearrange":
-        v_guess = int(args.x ** (1.0 / args.k)) + 2
-        h_cap = 2.0 ** theta.as_real * args.x ** (1.0 - theta.as_real)
-        needed = max(args.x, int(v_guess * h_cap) + v_guess + 1)
+        v = floor_root(args.x, args.k)  # no prime p above v enters the report
+        needed = max(args.x, v * experiments.rearrange_h_cap(args.x, theta) + 1)
         cache = _cache_for(cfg, needed)
         records = [experiments.rearrangement_report(cache, args.x, args.k, theta)]
     else:

@@ -3,8 +3,10 @@
 Everything here is plain multiplicative-number-theory plumbing: a packed
 primality bitset built by a segmented sieve, a smallest-prime-factor table,
 factorization helpers (greatest prime factor, Mobius, omega), counts of
-primes in arithmetic progressions, and compensated reciprocal sums. All
-tables are immutable after construction.
+primes in arithmetic progressions, and exactly rounded reciprocal sums.
+All tables are immutable after construction. Only this module reads the
+storage behind a sieve: everything else asks `SieveCache.is_prime` or
+`primes_in`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, isqrt, log2
+from math import floor, fsum, isqrt, log2
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,6 @@ __all__ = [
     "mobius",
     "omega",
     "recip_prime_sum_ap",
-    "kahan_sum",
     "floor_root",
     "save_sieve",
     "load_sieve",
@@ -47,22 +48,6 @@ __all__ = [
 _SEGMENT_BITS = 1 << 18  # multiple of 64 so segments pack on word boundaries
 
 
-def kahan_sum(values) -> float:
-    """Compensated sum of floats in the iteration order given.
-
-    Fixed order + compensation makes results bit-identical across runs,
-    which the reproducibility contracts downstream rely on.
-    """
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def floor_root(t: int, e: int, c: int = 1) -> int:
     """Largest n >= 0 with c * n**e <= t, for integers e, c >= 1; exact at any size.
 
@@ -71,6 +56,8 @@ def floor_root(t: int, e: int, c: int = 1) -> int:
     steps from above settle it: each step lands on or above the answer and
     below the previous value until the answer is reached.
     """
+    if e < 1 or c < 1:
+        raise ArgumentError(f"floor_root needs e, c >= 1, got e={e}, c={c}")
     if t < c:
         return 0
     q = t // c  # c * n**e <= t iff n**e <= t // c
@@ -93,10 +80,26 @@ class SieveCache:
     limit: int
     words: np.ndarray  # uint64, little-endian bit order within each word
 
-    def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
-            raise RangeError(f"{n} outside sieve range [0, {self.limit}]")
-        return bool((int(self.words[n >> 6]) >> (n & 63)) & 1)
+    def is_prime(self, n):
+        """Primality of n, an int or a 1-D integer array, read from the packed words.
+
+        Values below 2 are not prime; a value above the limit raises
+        RangeError. An array is read _SEGMENT_BITS values at a time, so no
+        temporary grows with its length.
+        """
+        if np.ndim(n) == 0:
+            n = int(n)
+            self._check(n)
+            return n >= 2 and bool((int(self.words[n >> 6]) >> (n & 63)) & 1)
+        ns = np.asarray(n, dtype=np.int64)
+        if len(ns):
+            self._check(int(ns.max()))
+        out = np.empty(len(ns), dtype=bool)
+        octets = self.words.view(np.uint8)
+        for lo in range(0, len(ns), _SEGMENT_BITS):
+            part = np.maximum(ns[lo : lo + _SEGMENT_BITS], 0)  # bits 0 and 1 are clear
+            out[lo : lo + _SEGMENT_BITS] = (octets[part >> 3] >> (part & 7)) & 1
+        return out
 
     @cached_property
     def flags(self) -> np.ndarray:
@@ -229,9 +232,8 @@ def prime_count_ap(cache: SieveCache, x, m: int, a: int) -> int:
 
 
 def recip_prime_sum_ap(cache: SieveCache, x, m: int, a: int) -> float:
-    """Sum of 1/q over primes q <= x with q = a (mod m), compensated, ascending."""
-    qs = primes_in_class(cache, x, m, a)
-    return kahan_sum(1.0 / q for q in qs.tolist())
+    """Sum of 1/q over primes q <= x with q = a (mod m), exactly rounded."""
+    return fsum((1.0 / primes_in_class(cache, x, m, a)).tolist())
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def factorize(
     """Complete factorization of n >= 1.
 
     Uses the SPF table when n is covered, otherwise trial division by the
-    cached prime list up to sqrt(n). Raises CoverageError when neither
+    primes up to sqrt(n). Raises CoverageError when neither
     table suffices.
     """
     if n < 1:
@@ -274,7 +276,7 @@ def factorize(
 
     if cache is not None and cache.limit * cache.limit >= n:
         m = n
-        for p in cache.primes.tolist():
+        for p in primes_in(cache, 1, isqrt(n)).tolist():
             if p * p > m:
                 break
             if m % p == 0:

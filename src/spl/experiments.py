@@ -15,20 +15,20 @@ import numpy as np
 
 from .core_primes import (
     floor_root,
-    kahan_sum,
     prime_count,
     primes_in,
     primes_in_class,
     recip_prime_sum_ap,
 )
 from .dickman import limiting_density
-from .errors import BudgetError, VerificationError
+from .errors import ArgumentError, BudgetError, VerificationError
 from .linear_forms import range_bounds_exact
 from .shifted_counts import Theta, tuple_count_fast, large_factor_count_fixed, large_factor_count
 
 __all__ = [
     "ExperimentRecord",
     "progression_double_sum",
+    "rearrange_h_cap",
     "rearrangement_report",
     "ratio_table",
     "density_table",
@@ -101,7 +101,7 @@ def progression_double_sum(cache, x: int, k: int, theta: Theta) -> float:
     if u >= v:
         return 0.0
     ps = primes_in(cache, u, v)
-    return kahan_sum(
+    return math.fsum(
         (1.0 / p) * recip_prime_sum_ap(cache, x, p, 1) ** (k - 1) for p in ps.tolist()
     )
 
@@ -128,6 +128,14 @@ def _prime_shift_multipliers(cache, p: int, h_top: int) -> np.ndarray:
     return hs[hs >= 2]
 
 
+def rearrange_h_cap(x: int, theta: Theta) -> int:
+    """The largest h < 2^theta x^(1-theta): the shift bound of the symmetrized form.
+
+    h < 2^theta x^(1-theta) iff h^den < 2^num x^(den-num) iff h^den <= that - 1.
+    """
+    return floor_root(2**theta.num * x ** (theta.den - theta.num) - 1, theta.den)
+
+
 def rearrangement_report(
     cache, x: int, k: int, theta: Theta, *, x_budget: int = 10**5
 ) -> ExperimentRecord:
@@ -150,18 +158,13 @@ def rearrangement_report(
     # (ii): h < x/p, ph+1 prime
     maj_terms = []
     for p in ps:
-        h_top = (x - 1) // p
-        if h_top < 2:
-            maj_terms.append(0.0)
-            continue
-        good = _prime_shift_multipliers(cache, p, h_top)
-        h_sum = kahan_sum((1.0 / h) for h in good.tolist())
+        good = _prime_shift_multipliers(cache, p, (x - 1) // p)
+        h_sum = math.fsum((1.0 / good).tolist())
         maj_terms.append(h_sum ** (k - 1) / p**k)
-    majorant = kahan_sum(maj_terms)
+    majorant = math.fsum(maj_terms)
 
     # (iii): sorted distinct tuples below the fixed bound 2^theta x^(1-theta)
-    # h < 2^theta x^(1-theta)  iff  h^den < 2^num x^(den-num)  iff  h^den <= that - 1
-    h_cap = floor_root(2**theta.num * x ** (theta.den - theta.num) - 1, theta.den)
+    h_cap = rearrange_h_cap(x, theta)
     sym_total = 0.0
     if ps:
         top = ps[-1] * h_cap + 1
@@ -171,8 +174,8 @@ def rearrangement_report(
             good = _prime_shift_multipliers(cache, p, h_cap)
             recips = 1.0 / good.astype(np.float64)
             es = _elementary_symmetric(recips, k - 1)
-            sym_parts.append(kahan_sum(es) / p**k)
-        sym_total = kahan_sum(sym_parts)
+            sym_parts.append(math.fsum(es) / p**k)
+        sym_total = math.fsum(sym_parts)
 
     if s_val > majorant:
         raise VerificationError(
@@ -197,6 +200,8 @@ def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
     run_max = 0.0
     run_min = math.inf
     for x in x_grid:
+        if x < 1:
+            raise ArgumentError(f"ratio needs x >= 1, got {x}")
         count = tuple_count_fast(cache, x, k, theta)
         ratio = count * math.log(x) ** 2 / x**exponent
         if ratio > 0:
@@ -245,6 +250,8 @@ def density_table(cache, rho_table, theta: Theta, x_grid) -> List[ExperimentReco
 def ap_recip_heuristic_table(cache, x: int, p_list) -> ExperimentRecord:
     """Exact progression sums against the even-distribution window and the
     crude (log log x)/p reference, per modulus p."""
+    if x < 2 or any(p < 2 for p in p_list):
+        raise ArgumentError(f"apsum needs x >= 2 and moduli >= 2, got x={x}, p={list(p_list)}")
     cache._check(x)
     raw = []
     derived = []

@@ -9,13 +9,14 @@ terms plus an integral against M.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core_primes import SieveCache, _distinct_primes, floor_root, kahan_sum, primes_in
+from .core_primes import SieveCache, _distinct_primes, floor_root, primes_in
 from .errors import ArgumentError, DegeneracyError, DomainError
 from .shifted_counts import Theta
 
@@ -126,12 +127,9 @@ class StepCountFunction:
 
 
 def _qualifying_mask(cache: SieveCache, ps: np.ndarray, system: ShiftSystem) -> np.ndarray:
-    flags = cache.flags
     ok = np.ones(len(ps), dtype=bool)
     for a, b in system.forms:
-        vals = a * ps + b
-        valid = (vals >= 2) & (vals <= cache.limit)
-        ok &= valid & flags[np.clip(vals, 0, cache.limit)]
+        ok &= cache.is_prime(a * ps + b)
     return ok
 
 
@@ -143,14 +141,14 @@ def _check_form_range(cache: SieveCache, t, system: ShiftSystem) -> None:
 def count_simultaneous(cache: SieveCache, t: int, system: ShiftSystem) -> int:
     """M(t) = #{p <= t : a_i*p + b_i prime for every i}."""
     _check_form_range(cache, t, system)
-    ps = cache.primes[: np.searchsorted(cache.primes, t, side="right")]
+    ps = primes_in(cache, 0, t)
     return int(np.count_nonzero(_qualifying_mask(cache, ps, system)))
 
 
 def as_step_function(cache: SieveCache, t_max: int, system: ShiftSystem) -> StepCountFunction:
     """M on [0, t_max] as its jump sequence."""
     _check_form_range(cache, t_max, system)
-    ps = cache.primes[: np.searchsorted(cache.primes, t_max, side="right")]
+    ps = primes_in(cache, 0, t_max)
     bp = ps[_qualifying_mask(cache, ps, system)]
     return StepCountFunction(breakpoints=bp, values=np.arange(1, len(bp) + 1))
 
@@ -208,7 +206,7 @@ def _range_primes(cache, x, k, theta, system) -> list:
 def inverse_power_prime_sum(cache, x: int, k: int, theta: Theta, system: ShiftSystem) -> float:
     """Sum of p^(-k) over (x/2)^theta < p <= x^(1/k) with all forms prime."""
     qs = _range_primes(cache, x, k, theta, system)
-    return kahan_sum(1.0 / (q**k) for q in qs)
+    return math.fsum(1.0 / (q**k) for q in qs)
 
 
 def abel_identity_rhs(cache, x: int, k: int, theta: Theta, system: ShiftSystem) -> float:
@@ -224,7 +222,9 @@ def abel_identity_rhs(cache, x: int, k: int, theta: Theta, system: ShiftSystem) 
     qs = _range_primes(cache, x, k, theta, system)
     if not qs:
         return 0.0
-    inv = [1.0 / (q**k) for q in qs] + [1.0 / x]
-    pieces = [i * (inv[i - 1] - inv[i]) for i in range(1, len(qs) + 1)]
-    pieces.append(len(qs) * (1.0 / x))
-    return kahan_sum(pieces)
+    n = len(qs)
+    inv = [1.0 / (q**k) for q in qs]
+    inv.append(1.0 / x)
+    # fsum is exactly rounded in any order, so the pieces stream in unstored
+    pieces = (i * (inv[i - 1] - inv[i]) for i in range(1, n + 1))
+    return math.fsum(itertools.chain(pieces, [n * inv[n]]))

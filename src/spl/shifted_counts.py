@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_primes import floor_root, primes_in_class
+from .core_primes import floor_root, primes_in, primes_in_class
 from .errors import ArgumentError, BudgetError
 
 __all__ = [
@@ -80,12 +80,11 @@ def threshold_test(r: int, n: int, theta: Theta) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Greatest prime factors by a segmented pass, memoized per sieve cache.
+# Greatest prime factors by a segmented pass; P+(p - 1) is memoized per cache.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1 << 17  # integers per gpf block, and entries per threshold chunk
 
-_GPF_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _SHIFT_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -113,25 +112,14 @@ def _gpf_block(lo: int, hi: int, small: np.ndarray) -> np.ndarray:
     return np.where(cof > 1, cof, top)
 
 
-def _small_primes(cache, n: int) -> np.ndarray:
-    """The primes up to isqrt(n): enough for _gpf_block below n + 1."""
-    primes = cache.primes
-    return primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-
-
 def _gpf_upto(cache, n: int) -> np.ndarray:
-    """gpf[m] = largest prime factor of m for 2 <= m <= n; gpf[1] = 1, int64."""
-    cache._check(n)
-    hit = _GPF_MEMO.get(cache)
-    if hit is not None and len(hit) > n:
-        return hit
-    small = _small_primes(cache, n)
-    gpf = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(1, n + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n + 1)
-        gpf[lo:hi] = _gpf_block(lo, hi, small)
-    _GPF_MEMO[cache] = gpf
-    return gpf
+    """gpf[m] = largest prime factor of m for 2 <= m <= n; gpf[1] = 1, int64.
+
+    One block: the tuple routes ask for n <= isqrt(x), which costs well
+    under a millisecond to rebuild, so nothing is memoized.
+    """
+    small = primes_in(cache, 0, math.isqrt(n))
+    return np.concatenate(([0], _gpf_block(1, n + 1, small)))
 
 
 def _shift_gpf_pass(cache, ps: np.ndarray) -> np.ndarray:
@@ -145,7 +133,7 @@ def _shift_gpf_pass(cache, ps: np.ndarray) -> np.ndarray:
     if i == len(ps):
         return out
     m_lo, m_hi = (int(ps[i]) - 1) // 2, (int(ps[-1]) - 1) // 2 + 1
-    small = _small_primes(cache, m_hi - 1)
+    small = primes_in(cache, 0, math.isqrt(m_hi - 1))
     for lo in range(m_lo, m_hi, _BLOCK):
         hi = min(lo + _BLOCK, m_hi)
         j = int(np.searchsorted(ps, 2 * hi + 1))  # ps[i:j] have m in [lo, hi)
@@ -155,7 +143,7 @@ def _shift_gpf_pass(cache, ps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_threshold(rs: np.ndarray, ns, theta: Theta, op: str) -> int:
+def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta, op: str) -> int:
     """Count entries with rs >= ns**theta ("ge") or rs <= ns**theta ("le").
 
     A log comparison settles all pairs far from the boundary; near-boundary
@@ -165,16 +153,12 @@ def _count_threshold(rs: np.ndarray, ns, theta: Theta, op: str) -> int:
     rounding. The float temporaries are built one chunk of _BLOCK entries
     at a time, so they stay small whatever len(rs) is.
     """
-    if len(rs) == 0:
-        return 0
-    scalar_n = np.isscalar(ns) or np.ndim(ns) == 0
-    right_n = theta.num * math.log(ns) if scalar_n else None
     count = 0
     for lo in range(0, len(rs), _BLOCK):
         r_part = rs[lo : lo + _BLOCK]
-        n_part = ns if scalar_n else ns[lo : lo + _BLOCK]
+        n_part = ns[lo : lo + _BLOCK]
         left = theta.den * np.log(r_part.astype(np.float64))
-        right = right_n if scalar_n else theta.num * np.log(np.asarray(n_part, dtype=np.float64))
+        right = theta.num * np.log(n_part.astype(np.float64))
         t = left - right
         margin = 1e-13 * (np.abs(left) + np.abs(right)) + 1e-12
         if op == "ge":
@@ -183,7 +167,7 @@ def _count_threshold(rs: np.ndarray, ns, theta: Theta, op: str) -> int:
             count += int(np.count_nonzero(t < -margin))
         for i in np.flatnonzero(np.abs(t) <= margin):
             lhs = int(r_part[i]) ** theta.den
-            rhs = (int(ns) if scalar_n else int(n_part[i])) ** theta.num
+            rhs = int(n_part[i]) ** theta.num
             ok = lhs >= rhs if op == "ge" else lhs <= rhs
             if ok:
                 count += 1
@@ -193,19 +177,17 @@ def _count_threshold(rs: np.ndarray, ns, theta: Theta, op: str) -> int:
 def _shift_gpfs(cache, x):
     """(primes <= x, P+(p-1) for each) as aligned arrays.
 
-    The P+(p - 1) array is memoized per cache, aligned with cache.primes:
-    a smaller x takes a prefix of it and a larger x extends it.
+    The P+(p - 1) array is memoized per cache, aligned with the ascending
+    primes: a smaller x takes a prefix of it and a larger x extends it.
     """
-    cache._check(x)
-    primes = cache.primes
-    n = int(np.searchsorted(primes, x, side="right"))
+    ps = primes_in(cache, 0, x)
     done = _SHIFT_MEMO.get(cache)
     if done is None:
-        done = _SHIFT_MEMO[cache] = _shift_gpf_pass(cache, primes[:n])
-    elif len(done) < n:
-        fresh = _shift_gpf_pass(cache, primes[len(done) : n])
+        done = _SHIFT_MEMO[cache] = _shift_gpf_pass(cache, ps)
+    elif len(done) < len(ps):
+        fresh = _shift_gpf_pass(cache, ps[len(done) :])
         done = _SHIFT_MEMO[cache] = np.concatenate((done, fresh))
-    return primes[:n], done[:n]
+    return ps, done[: len(ps)]
 
 
 def large_factor_count(cache, x: int, theta: Theta) -> int:
@@ -215,9 +197,15 @@ def large_factor_count(cache, x: int, theta: Theta) -> int:
 
 
 def large_factor_count_fixed(cache, x: int, theta: Theta) -> int:
-    """#{p <= x : P+(p-1) >= x**theta} (threshold fixed at x)."""
-    ps, rs = _shift_gpfs(cache, x)
-    return _count_threshold(rs, int(x), theta, "ge")
+    """#{p <= x : P+(p-1) >= x**theta} (threshold fixed at x).
+
+    r**den >= x**num iff r exceeds the largest n with n**den <= x**num - 1,
+    an exact integer cutoff.
+    """
+    _, rs = _shift_gpfs(cache, x)
+    cutoff = floor_root(int(x) ** theta.num - 1, theta.den)
+    chunks = range(0, len(rs), _BLOCK)  # bounded temporaries, as in _count_threshold
+    return sum(int(np.count_nonzero(rs[lo : lo + _BLOCK] > cutoff)) for lo in chunks)
 
 
 def smooth_shift_count(cache, x: int, theta: Theta) -> int:
@@ -257,8 +245,7 @@ def oracle_qualifying_products(
     min_rest = 2 ** (k - 1)
     if x < 2 * min_rest:
         return []
-    primes = cache.primes
-    ps = primes[: np.searchsorted(primes, x // min_rest, side="right")].tolist()
+    ps = primes_in(cache, 0, x // min_rest).tolist()
     # As in the fast route: the gcd of the shifts is below the smallest
     # member, which is at most x**(1/k) <= isqrt(x).
     gpf = _gpf_upto(cache, max(math.isqrt(x), 2))
@@ -350,9 +337,8 @@ def fast_qualifying_products(
     # most x**(1/k) <= isqrt(x): a table that far covers every lookup.
     gpf = _gpf_upto(cache, max(math.isqrt(x), 1))
     out = []
-    for r in primes_in_class(cache, math.isqrt(x), 1, 0).tolist():
-        if r**k <= x:
-            out.extend(_fast_products_for_r(cache, x, k, theta, ordered, gpf, r))
+    for r in primes_in(cache, 0, floor_root(x, k)).tolist():
+        out.extend(_fast_products_for_r(cache, x, k, theta, ordered, gpf, r))
     return out
 
 

@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from .core_primes import _distinct_primes, _simple_bool_sieve, kahan_sum
+from .core_primes import _distinct_primes, _simple_bool_sieve
 from .errors import ArgumentError, BudgetError, VerificationError
 
 __all__ = [
@@ -129,7 +129,7 @@ def weighted_tuple_sum(g: int, ell: int, z: int) -> float:
     """Sum over 1 < h_1 < ... < h_g < z of (h_1...h_g)^-1 prod_{p|E}(1+1/p)^ell."""
     _validate(g, ell, z)
     w_bins, _, _ = _scan_grid(g, ell, z, moments=False)
-    return kahan_sum(w_bins.tolist())
+    return math.fsum(w_bins.tolist())
 
 
 def weighted_tuple_sum_grid(g: int, ell: int, z_max: int) -> np.ndarray:
@@ -143,13 +143,13 @@ def weighted_tuple_sum_grid(g: int, ell: int, z_max: int) -> np.ndarray:
 
 
 def single_weighted_sum(z: int, e: int) -> float:
-    """Sum over 1 < h < z of (1/h) prod_{p|h}(1+1/p)^e, compensated, ascending."""
+    """Sum over 1 < h < z of (1/h) prod_{p|h}(1+1/p)^e, exactly rounded."""
     if z < 2:
         raise ArgumentError(f"need z >= 2, got {z}")
     if e < 1:
         raise ArgumentError(f"need e >= 1, got {e}")
     f = _factor_table(z)
-    return kahan_sum((f[h] ** e) / h for h in range(2, z))
+    return math.fsum((f[h] ** e) / h for h in range(2, z))
 
 
 def mobius_expansion_check(h: int, l_param: int):
@@ -182,7 +182,7 @@ def coordinate_moment(g: int, ell: int, z: int, j: int) -> float:
     if not 1 <= j <= g:
         raise ArgumentError(f"need 1 <= j <= g, got j={j}")
     _, aj_bins, _ = _scan_grid(g, ell, z)
-    return kahan_sum(aj_bins[j - 1].tolist())
+    return math.fsum(aj_bins[j - 1].tolist())
 
 
 def difference_moment(g: int, ell: int, z: int, r: int, s: int) -> float:
@@ -192,7 +192,7 @@ def difference_moment(g: int, ell: int, z: int, r: int, s: int) -> float:
         raise ArgumentError(f"need 1 <= s < r <= g, got r={r}, s={s}")
     _, _, ars_bins = _scan_grid(g, ell, z)
     idx = _pairs(g).index((s - 1, r - 1))
-    return kahan_sum(ars_bins[idx].tolist())
+    return math.fsum(ars_bins[idx].tolist())
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ def holder_verify(g: int, ell: int, z: int) -> HolderDiagnostics:
         g,
         ell,
         z,
-        kahan_sum(w_bins.tolist()),
-        [kahan_sum(row.tolist()) for row in aj_bins],
-        [kahan_sum(row.tolist()) for row in ars_bins],
+        math.fsum(w_bins.tolist()),
+        [math.fsum(row.tolist()) for row in aj_bins],
+        [math.fsum(row.tolist()) for row in ars_bins],
     )
 
 

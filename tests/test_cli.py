@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -118,6 +119,35 @@ class TestVerify:
         )
         assert code == 0
         assert "rel=" in out
+
+
+class TestOutOfDomainArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "abel", "--x", "1000", "--k", "0", "--theta", "1/4", "--shifts", "2"],
+            ["verify", "abel", "--x", "1000", "--k", "-1", "--theta", "1/4", "--shifts", "2"],
+            ["experiment", "rearrange", "--x", "1000", "--k", "0", "--theta", "1/4"],
+            ["experiment", "apsum", "--x", "1", "--p-list", "3"],
+            ["experiment", "apsum", "--x", "1000", "--p-list", "1,3"],
+            ["experiment", "ratio", "--k", "2", "--theta", "1/4", "--x-grid", "0"],
+            ["experiment", "density", "--theta", "1/2", "--x-grid", ","],
+        ],
+    )
+    def test_exit_one_with_message(self, capsys, cache_dir, argv):
+        code, out, err = run(capsys, *argv, "--cache-dir", cache_dir)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_rearrange_k1_keeps_the_empty_sum_term(self, capsys, cache_dir):
+        """At k = 1 both sides are the sum of 1/p: (empty h-sum)^0 = 1 counts."""
+        code, out, _ = run(
+            capsys, "experiment", "rearrange", "--x", "1000", "--k", "1",
+            "--theta", "1/4", "--format", "json", "--cache-dir", cache_dir,
+        )
+        assert code == 0
+        raw = json.loads(out)["raw"]
+        assert raw["double_sum"] == raw["substitution_majorant"] > 0
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gpf_trial, reference_flags
+from spl import core_primes
 from spl.core_primes import (
     _distinct_primes,
     build_sieve,
@@ -18,7 +20,6 @@ from spl.core_primes import (
     factorize,
     floor_root,
     greatest_prime_factor,
-    kahan_sum,
     load_sieve,
     mobius,
     omega,
@@ -65,6 +66,35 @@ class TestBuildSieve:
         c = build_sieve(50)
         with pytest.raises(RangeError):
             c.is_prime(51)
+        with pytest.raises(RangeError):
+            c.is_prime(np.array([3, 51, 5]))
+
+    def test_is_prime_arrays_in_chunks(self, monkeypatch):
+        """Chunks of 7 values put chunk edges all over a range with negatives."""
+        n = 3000
+        c = build_sieve(n)
+        ref = reference_flags(n)
+        ns = np.arange(-40, n + 1)
+        want = [v >= 0 and bool(ref[v]) for v in ns.tolist()]
+        assert c.is_prime(ns).tolist() == want
+        assert [c.is_prime(int(v)) for v in ns] == want
+        assert c.is_prime(np.int64(2999)) is True
+        assert c.is_prime(np.array([], dtype=np.int64)).tolist() == []
+        monkeypatch.setattr(core_primes, "_SEGMENT_BITS", 7)
+        assert c.is_prime(ns).tolist() == want
+        assert c.is_prime(ns[::-3]).tolist() == want[::-3]
+
+
+def test_only_core_primes_reads_the_prime_tables():
+    """Other modules ask is_prime or primes_in, so the storage can change in one place."""
+    reads = []
+    for path in sorted(Path(core_primes.__file__).parent.glob("*.py")):
+        if path.name == "core_primes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("flags", "primes"):
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert reads == []
 
 
 class TestSpf:
@@ -256,6 +286,11 @@ class TestFloorRoot:
         assert self.check(10**4000, 2) == 10**2000
         assert floor_root(-5, 3) == floor_root(0, 3) == floor_root(1, 3, 2) == 0
 
+    @pytest.mark.parametrize("e, c", [(0, 1), (-1, 1), (2, 0), (2, -3)])
+    def test_rejects_exponent_or_coefficient_below_one(self, e, c):
+        with pytest.raises(ArgumentError):
+            floor_root(100, e, c)
+
     @given(st.integers(0, 2**2000), st.integers(1, 40), st.integers(1, 2**80))
     @settings(deadline=None, max_examples=300)
     def test_random(self, t, e, c):
@@ -297,10 +332,6 @@ class TestRecipSums:
     def test_range_error(self, cache):
         with pytest.raises(RangeError):
             recip_prime_sum_ap(cache, cache.limit + 1, 3, 1)
-
-    def test_kahan_matches_fsum(self):
-        vals = [1.0 / q for q in range(3, 5000, 4)]
-        assert kahan_sum(vals) == pytest.approx(math.fsum(vals), abs=1e-15)
 
 
 class TestPersistence:

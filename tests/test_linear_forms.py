@@ -94,6 +94,12 @@ class TestCountSimultaneous:
             1 for p in range(2, t + 1) if flags[p] and flags[3 * p + 2] and flags[5 * p + 4]
         )
         assert count_simultaneous(cache, t, s) == expected
+        # a form that is negative, 0 or 1 at small p: those values are not prime
+        s = make_system([(3, 2), (1, -5)])
+        expected = sum(
+            1 for p in range(2, t + 1) if flags[p] and flags[3 * p + 2] and p > 5 and flags[p - 5]
+        )
+        assert count_simultaneous(cache, t, s) == expected
 
     def test_bounded_by_pi_and_monotone(self, cache):
         s = system_from_shifts([2])

@@ -11,7 +11,6 @@ from spl.core_primes import build_sieve, prime_count
 from spl import shifted_counts
 from spl.errors import ArgumentError, BudgetError
 from spl.shifted_counts import (
-    _GPF_MEMO,
     _SHIFT_MEMO,
     Theta,
     _count_threshold,
@@ -264,25 +263,39 @@ class TestTupleCounters:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+@pytest.fixture()
+def gpf_blocks(monkeypatch):
+    """The (lo, hi) of every _gpf_block call."""
+    calls = []
+    block = shifted_counts._gpf_block
+
+    def spy(lo, hi, small):
+        calls.append((lo, hi))
+        return block(lo, hi, small)
+
+    monkeypatch.setattr(shifted_counts, "_gpf_block", spy)
+    return calls
+
+
 class TestGpfTableSizing:
-    def test_fast_route_table_stops_at_isqrt_x(self):
+    def test_fast_route_table_stops_at_isqrt_x(self, gpf_blocks):
         c = build_sieve(10**6)
         x = 10**6 - 1
         tuple_count_fast(c, x, 3, Theta(1, 4))
-        assert len(_GPF_MEMO[c]) <= math.isqrt(x) + 1
+        assert gpf_blocks and all(hi <= math.isqrt(x) + 2 for _, hi in gpf_blocks)
 
-    def test_oracle_table_stops_at_isqrt_x(self):
+    def test_oracle_table_stops_at_isqrt_x(self, gpf_blocks):
         c = build_sieve(10**6)
         x = 10**6
         assert tuple_count_oracle(c, x, 2, Theta(1, 4)) == 914
-        assert len(_GPF_MEMO[c]) <= math.isqrt(x) + 1
+        assert gpf_blocks and all(hi <= math.isqrt(x) + 2 for _, hi in gpf_blocks)
 
-    def test_single_counters_share_one_shift_array(self):
+    def test_single_counters_share_one_shift_array(self, gpf_blocks):
         c = build_sieve(10**6)
         x = 10**6
         half = Theta(1, 2)
         t = large_factor_count(c, x, half)
-        assert len(_GPF_MEMO.get(c, ())) <= math.isqrt(x) + 1
+        assert gpf_blocks and all(hi - lo <= shifted_counts._BLOCK for lo, hi in gpf_blocks)
         shifts = _SHIFT_MEMO[c]
         assert len(shifts) == prime_count(c, x)
         tp = large_factor_count_fixed(c, x, half)
@@ -357,7 +370,6 @@ class TestCountThresholdChunks:
         rs = np.concatenate([r_tie, r_tie, r_tie, np.arange(1, 500, dtype=np.int64)])
         ns = np.concatenate([n_tie - 1, n_tie, n_tie + 1, np.arange(700, 1199, dtype=np.int64)])
         one = {op: _count_threshold(rs, ns, theta, op) for op in ("ge", "le")}
-        one_fixed = _count_threshold(rs, 4096, theta, "ge")
         exact = {
             "ge": sum(int(r) ** theta.den >= int(n) ** theta.num for r, n in zip(rs, ns)),
             "le": sum(int(r) ** theta.den <= int(n) ** theta.num for r, n in zip(rs, ns)),
@@ -365,4 +377,19 @@ class TestCountThresholdChunks:
         assert one == exact
         monkeypatch.setattr(shifted_counts, "_BLOCK", 5)
         assert {op: _count_threshold(rs, ns, theta, op) for op in ("ge", "le")} == one
-        assert _count_threshold(rs, 4096, theta, "ge") == one_fixed
+
+
+class TestFixedThresholdCutoff:
+    @pytest.mark.parametrize("theta", [Theta(1, 2), Theta(2, 3), Theta(1, 3)])
+    def test_matches_brute_force_at_perfect_powers(self, theta):
+        # x = a^den makes x^theta = a^num exact: a prime r = a^num sits on the tie
+        c = build_sieve(30000)
+        flags = reference_flags(30000)
+        for a in (2, 3, 5, 7, 10, 13, 21) if theta.den == 3 else (2, 3, 10, 31, 97, 100, 173):
+            for x in (a**theta.den - 1, a**theta.den, a**theta.den + 1):
+                want = sum(
+                    1
+                    for p in range(2, x + 1)
+                    if flags[p] and gpf_trial(p - 1) ** theta.den >= x**theta.num
+                )
+                assert large_factor_count_fixed(c, x, theta) == want, (x, theta)
