@@ -9,7 +9,6 @@ from .core_primes import (
     primes_in,
     primes_in_class,
     prime_count,
-    prime_count_ap,
     factorize,
     greatest_prime_factor,
     mobius,
@@ -18,14 +17,12 @@ from .core_primes import (
 )
 from .shifted_counts import (
     Theta,
-    TupleCount,
     threshold_test,
     large_factor_count,
     large_factor_count_fixed,
     smooth_shift_count,
     tuple_count_oracle,
     tuple_count_fast,
-    count_tuples,
 )
 from .linear_forms import (
     ShiftSystem,
@@ -45,8 +42,6 @@ from .weighted_sums import (
     weighted_tuple_sum,
     single_weighted_sum,
     mobius_expansion_check,
-    coordinate_moment,
-    difference_moment,
     holder_verify,
 )
 from .dickman import (

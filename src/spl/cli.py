@@ -248,9 +248,7 @@ def _run_experiment(cfg, args) -> int:
         for rec in records:
             print(f"density cell x={rec.inputs['x']} done", file=sys.stderr)
     elif args.which == "rearrange":
-        v = floor_root(args.x, args.k)  # no prime p above v enters the report
-        needed = max(args.x, v * experiments.rearrange_h_cap(args.x, theta) + 1)
-        cache = _cache_for(cfg, needed)
+        cache = _cache_for(cfg, experiments.rearrange_sieve_limit(args.x, args.k, theta))
         records = [experiments.rearrangement_report(cache, args.x, args.k, theta)]
     else:
         cache = _cache_for(cfg, args.x)

@@ -2,8 +2,9 @@
 
 Everything here is plain multiplicative-number-theory plumbing: a packed
 primality bitset built by a segmented sieve, a smallest-prime-factor table,
-factorization helpers (greatest prime factor, Mobius, omega), counts of
-primes in arithmetic progressions, and exactly rounded reciprocal sums.
+the one factorizer `factorize` and what derives from it (greatest prime
+factor, Mobius, omega), counts of primes in arithmetic progressions, and
+exactly rounded reciprocal sums.
 All tables are immutable after construction. Only this module reads the
 storage behind a sieve: everything else asks `SieveCache.is_prime` or
 `primes_in`.
@@ -16,12 +17,13 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import floor, fsum, isqrt, log2
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, CoverageError, RangeError
+from .errors import ArgumentError, CapacityError, RangeError
 
 __all__ = [
     "SieveCache",
@@ -32,7 +34,6 @@ __all__ = [
     "primes_in",
     "primes_in_class",
     "prime_count",
-    "prime_count_ap",
     "factorize",
     "greatest_prime_factor",
     "mobius",
@@ -226,11 +227,6 @@ def primes_in_class(cache: SieveCache, x, m: int, a: int) -> np.ndarray:
     return a0 + m * np.flatnonzero(cache.flags[a0:stop:m])
 
 
-def prime_count_ap(cache: SieveCache, x, m: int, a: int) -> int:
-    """Number of primes p <= x with p = a (mod m)."""
-    return len(primes_in_class(cache, x, m, a))
-
-
 def recip_prime_sum_ap(cache: SieveCache, x, m: int, a: int) -> float:
     """Sum of 1/q over primes q <= x with q = a (mod m), exactly rounded."""
     return fsum((1.0 / primes_in_class(cache, x, m, a)).tolist())
@@ -250,21 +246,18 @@ class Factorization:
 def factorize(
     n: int, spf: SpfTable | None = None, cache: SieveCache | None = None
 ) -> Factorization:
-    """Complete factorization of n >= 1.
+    """Complete factorization of n >= 1: the one route from an integer to its primes.
 
-    Uses the SPF table when n is covered, otherwise trial division by the
-    primes up to sqrt(n). Raises CoverageError when neither
-    table suffices.
+    Walks the SPF table when it covers n. Otherwise trial division runs, by
+    the cache's primes when they reach isqrt(n), else by 2 and the odd
+    numbers. Either way the pairs come out ascending.
     """
     if n < 1:
         raise ArgumentError(f"cannot factor {n}; need n >= 1")
-    if n == 1:
-        return Factorization(pairs=(), value=1)
-
     pairs = []
+    m = n
     if spf is not None and n <= spf.limit:
         table = spf.spf
-        m = n
         while m > 1:
             p = int(table[m])
             e = 0
@@ -274,41 +267,23 @@ def factorize(
             pairs.append((p, e))
         return Factorization(pairs=tuple(pairs), value=n)
 
-    if cache is not None and cache.limit * cache.limit >= n:
-        m = n
-        for p in primes_in(cache, 1, isqrt(n)).tolist():
-            if p * p > m:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                pairs.append((p, e))
-        if m > 1:
-            pairs.append((m, 1))
-        pairs.sort()
-        return Factorization(pairs=tuple(pairs), value=n)
-
-    raise CoverageError(
-        f"no table covers {n}: need spf.limit >= n or cache.limit >= sqrt(n)"
-    )
-
-
-def _distinct_primes(n: int) -> list:
-    """Distinct primes dividing |n|, ascending, by trial division; [] for |n| <= 1."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    root = isqrt(n)
+    if cache is not None and cache.limit >= root:
+        divisors = primes_in(cache, 1, root).tolist()
+    else:
+        divisors = chain((2,), range(3, root + 1, 2))
+    for d in divisors:
+        if d * d > m:
+            break
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            pairs.append((d, e))
+    if m > 1:
+        pairs.append((m, 1))
+    return Factorization(pairs=tuple(pairs), value=n)
 
 
 def greatest_prime_factor(n: int, spf=None, cache=None) -> int:
@@ -346,21 +321,18 @@ def sieve_cache_dir() -> Path:
 
 
 def save_sieve(cache: SieveCache, path) -> None:
-    """Write the bitset atomically (temp file then rename)."""
+    """Write the bitset atomically (temp file then rename): the header, then the words."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = (
-        _MAGIC
-        + struct.pack("<I", _FORMAT_VERSION)
-        + struct.pack("<Q", cache.limit)
-        + cache.words.astype("<u8").tobytes()
-    )
+    header = _MAGIC + struct.pack("<IQ", _FORMAT_VERSION, cache.limit)
     # A unique temp file per writer: concurrent builders never share one.
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o644)  # mkstemp's 0600 would hide a shared cache
-            fh.write(payload)
+            fh.write(header)
+            # the words go out from the array itself: no bytes copy is made
+            cache.words.astype("<u8", copy=False).tofile(fh)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

@@ -29,10 +29,6 @@ class RangeError(SplError):
     """Query beyond the coverage of a built table (CLI exit 2)."""
 
 
-class CoverageError(RangeError):
-    """No available table can factor the requested integer."""
-
-
 class BudgetError(RangeError):
     """Enumeration would exceed the configured node budget."""
 

@@ -29,6 +29,7 @@ __all__ = [
     "ExperimentRecord",
     "progression_double_sum",
     "rearrange_h_cap",
+    "rearrange_sieve_limit",
     "rearrangement_report",
     "ratio_table",
     "density_table",
@@ -128,6 +129,9 @@ def _prime_shift_multipliers(cache, p: int, h_top: int) -> np.ndarray:
     return hs[hs >= 2]
 
 
+REARRANGE_X_BUDGET = 10**5
+
+
 def rearrange_h_cap(x: int, theta: Theta) -> int:
     """The largest h < 2^theta x^(1-theta): the shift bound of the symmetrized form.
 
@@ -136,9 +140,19 @@ def rearrange_h_cap(x: int, theta: Theta) -> int:
     return floor_root(2**theta.num * x ** (theta.den - theta.num) - 1, theta.den)
 
 
-def rearrangement_report(
-    cache, x: int, k: int, theta: Theta, *, x_budget: int = 10**5
-) -> ExperimentRecord:
+def rearrange_sieve_limit(x: int, k: int, theta: Theta) -> int:
+    """The sieve limit rearrangement_report needs at (x, k, theta).
+
+    Raises BudgetError for x above REARRANGE_X_BUDGET before anything is
+    sized, so no sieve is built for a report that would be refused.
+    """
+    if x > REARRANGE_X_BUDGET:
+        raise BudgetError(f"direct tuple sums capped at x <= {REARRANGE_X_BUDGET}, got {x}")
+    v = floor_root(x, k)  # no prime p above v enters the report
+    return max(x, v * rearrange_h_cap(x, theta) + 1)
+
+
+def rearrangement_report(cache, x: int, k: int, theta: Theta) -> ExperimentRecord:
     """The double sum against its two rearranged majorants.
 
     raw carries (i) the double sum; (ii) the substitution majorant
@@ -148,9 +162,7 @@ def rearrangement_report(
     and is enforced; the ordering constant (ii)/(iii) is reported, not
     asserted.
     """
-    cache._check(x)
-    if x > x_budget:
-        raise BudgetError(f"direct tuple sums capped at x <= {x_budget}, got {x}")
+    cache._check(rearrange_sieve_limit(x, k, theta))
     s_val = progression_double_sum(cache, x, k, theta)
     u, v = range_bounds_exact(x, k, theta)
     ps = primes_in(cache, u, v).tolist() if u < v else []
@@ -167,8 +179,6 @@ def rearrangement_report(
     h_cap = rearrange_h_cap(x, theta)
     sym_total = 0.0
     if ps:
-        top = ps[-1] * h_cap + 1
-        cache._check(max(top, x))
         sym_parts = []
         for p in ps:
             good = _prime_shift_multipliers(cache, p, h_cap)

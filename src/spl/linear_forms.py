@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_primes import SieveCache, _distinct_primes, floor_root, primes_in
+from .core_primes import SieveCache, factorize, floor_root, primes_in
 from .errors import ArgumentError, DegeneracyError, DomainError
 from .shifted_counts import Theta
 
@@ -55,15 +55,8 @@ class ShiftSystem:
         return len(self.forms)
 
     @cached_property
-    def shifts_view(self):
-        """Ascending shifts h when every form is (h, 1), else None."""
-        if all(b == 1 for _, b in self.forms):
-            return tuple(sorted(a for a, _ in self.forms))
-        return None
-
-    @cached_property
     def distinct_prime_divisors(self) -> tuple:
-        return tuple(_distinct_primes(self.discriminant))
+        return tuple(p for p, _ in factorize(abs(self.discriminant)))
 
 
 def make_system(forms) -> ShiftSystem:
@@ -175,7 +168,7 @@ def local_factor_pos(e: int, ell: int) -> float:
     if ell < 1:
         raise ArgumentError(f"exponent must be >= 1, got {ell}")
     prod = 1.0
-    for p in _distinct_primes(e):
+    for p, _ in factorize(abs(e)):
         prod *= (1.0 + 1.0 / p) ** ell
     return prod
 

@@ -26,14 +26,12 @@ from .errors import ArgumentError, BudgetError
 
 __all__ = [
     "Theta",
-    "TupleCount",
     "threshold_test",
     "large_factor_count",
     "large_factor_count_fixed",
     "smooth_shift_count",
     "tuple_count_oracle",
     "tuple_count_fast",
-    "count_tuples",
     "oracle_qualifying_products",
     "fast_qualifying_products",
 ]
@@ -345,28 +343,3 @@ def fast_qualifying_products(
 def tuple_count_fast(cache, x: int, k: int, theta: Theta, *, ordered: bool = True) -> int:
     """Same count as tuple_count_oracle, via the r-keyed enumeration."""
     return len(fast_qualifying_products(cache, x, k, theta, ordered=ordered))
-
-
-@dataclass(frozen=True)
-class TupleCount:
-    """A tuple-counter result tagged with the route that produced it.
-
-    Either route degenerates at k = 1 to the single-prime self-relative
-    counter, so k = 1 is rejected rather than special-cased.
-    """
-
-    x: int
-    k: int
-    theta: Theta
-    ordered_count: int
-    method: str
-
-
-def count_tuples(cache, x: int, k: int, theta: Theta, *, method: str = "fast") -> TupleCount:
-    if method == "oracle":
-        n = tuple_count_oracle(cache, x, k, theta)
-    elif method == "fast":
-        n = tuple_count_fast(cache, x, k, theta)
-    else:
-        raise ArgumentError(f"method must be 'oracle' or 'fast', got {method!r}")
-    return TupleCount(x=x, k=k, theta=theta, ordered_count=n, method=method)

@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from .core_primes import _distinct_primes, _simple_bool_sieve
+from .core_primes import _simple_bool_sieve, build_spf, factorize
 from .errors import ArgumentError, BudgetError, VerificationError
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "weighted_tuple_sum_grid",
     "single_weighted_sum",
     "mobius_expansion_check",
-    "coordinate_moment",
-    "difference_moment",
     "holder_verify",
     "holder_grid",
     "tuple_budget",
@@ -69,11 +67,6 @@ def _validate(g: int, ell: int, z: int) -> None:
     _check_budget(g, z)
 
 
-def _pairs(g: int) -> list:
-    """Index pairs (s, r) with s < r < g in lexicographic order: one per h_r - h_s."""
-    return list(combinations(range(g), 2))
-
-
 def _without_primes(f: np.ndarray, ps) -> tuple:
     """(prod_{p in ps}(1+1/p), a copy of f with every p in ps divided out)."""
     f_rest = f.copy()
@@ -90,9 +83,9 @@ def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     Returns (w_bins, aj_bins, ars_bins): each bins[h] sums the contributions
     of tuples whose largest coordinate is h, so cumulative sums over h < z
     recover every quantity on the full z grid at once. aj_bins has g rows;
-    ars_bins has one row per pair of _pairs(g). Moment weights use the
-    exponent ell * G with G = comb(g + 1, 2). With moments=False the moment
-    bins stay zero.
+    ars_bins has one row per h_r - h_s, pairs s < r in lexicographic order.
+    Moment weights use the exponent ell * G with G = comb(g + 1, 2). With
+    moments=False the moment bins stay zero.
 
     The loop runs over prefixes (h_1, ..., h_{g-1}) and is vectorised over
     h_g. A prime dividing two of the new elements h_g and h_g - h_s also
@@ -105,16 +98,22 @@ def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     hs = np.arange(z_max)
     inv_h = 1.0 / np.maximum(hs, 1)
     # the elements of E as x[hi] - x[lo] with x = (0, h_1, ..., h_g): the g
-    # coordinates, then the differences in _pairs order; one moment row each
-    hi, lo = np.array([(j + 1, 0) for j in range(g)] + [(r + 1, s + 1) for s, r in _pairs(g)]).T
+    # coordinates, then the differences in lexicographic (s, r) order; one
+    # moment row each
+    pairs = [(r + 1, s + 1) for s, r in combinations(range(g), 2)]
+    hi, lo = np.array([(j + 1, 0) for j in range(g)] + pairs).T
     new = hi == g
+    # the prefix's elements lie in 1..z_max - 1; a g = 1 scan has no prefix
+    if g >= 2:
+        spf = build_spf(z_max)
+        primes_of = [()] + [tuple(p for p, _ in factorize(n, spf)) for n in range(1, z_max)]
     w_bins = np.zeros(z_max)
     m_bins = np.zeros((len(hi), z_max))
     for prefix in combinations(range(2, z_max - 1), g - 1):
         start = prefix[-1] + 1 if prefix else 2
         x = np.array((0, *prefix, 0))
         base = x[hi] - x[lo]  # the prefix's elements, and -h_s for the new ones
-        ps = sorted(set().union(*map(_distinct_primes, base[~new].tolist())))
+        ps = sorted(set().union(*(primes_of[n] for n in base[~new].tolist())))
         fac, f_rest = _without_primes(f, ps)
         for h in (0, *prefix):
             fac = fac * f_rest[start - h : z_max - h]
@@ -160,7 +159,7 @@ def mobius_expansion_check(h: int, l_param: int):
     """
     if h < 2:
         raise ArgumentError(f"need h >= 2, got {h}")
-    ps = _distinct_primes(h)
+    ps = [p for p, _ in factorize(h)]
     rad = 1
     lhs_num = 1
     for p in ps:
@@ -174,25 +173,6 @@ def mobius_expansion_check(h: int, l_param: int):
                 prod *= p
             rhs_num += l_param**size * (rad // prod)
     return Fraction(lhs_num, rad), Fraction(rhs_num, rad)
-
-
-def coordinate_moment(g: int, ell: int, z: int, j: int) -> float:
-    """Moment sum with weight A_j^G, A_j = prod_{p|h_j}(1+1/p)^ell."""
-    _validate(g, ell, z)
-    if not 1 <= j <= g:
-        raise ArgumentError(f"need 1 <= j <= g, got j={j}")
-    _, aj_bins, _ = _scan_grid(g, ell, z)
-    return math.fsum(aj_bins[j - 1].tolist())
-
-
-def difference_moment(g: int, ell: int, z: int, r: int, s: int) -> float:
-    """Moment sum with weight A_{r,s}^G, A_{r,s} = prod_{p|(h_r-h_s)}(1+1/p)^ell."""
-    _validate(g, ell, z)
-    if not 1 <= s < r <= g:
-        raise ArgumentError(f"need 1 <= s < r <= g, got r={r}, s={s}")
-    _, _, ars_bins = _scan_grid(g, ell, z)
-    idx = _pairs(g).index((s - 1, r - 1))
-    return math.fsum(ars_bins[idx].tolist())
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,23 @@ def reference_flags(n: int) -> bytearray:
     return flags
 
 
+def factor_trial(n: int) -> list:
+    """(prime, exponent) pairs of n >= 1, ascending, by trial division by every d >= 2."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            pairs.append((d, e))
+        d += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
 def gpf_trial(n: int) -> int:
     """Greatest prime factor by trial division; P+(1) = 1."""
     g = 1

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +201,15 @@ class TestExperimentsAndCache:
             "--cache-dir", cache_dir,
         )
         assert code == 0 and "exact_p3" in out
+
+    def test_rearrange_budget_checked_before_the_sieve(self, capsys, cache_dir):
+        """x above the rearrange budget exits 2 without sizing or saving a sieve."""
+        code, out, err = run(
+            capsys, "experiment", "rearrange", "--x", "200001", "--k", "2",
+            "--theta", "1/4", "--cache-dir", cache_dir,
+        )
+        assert code == 2 and out == "" and "capped" in err
+        assert not (Path(cache_dir) / "sieve.spl").exists()
 
     def test_sieve_build_persists_and_grows(self, capsys, cache_dir, tmp_path):
         code, out, _ = run(capsys, "sieve", "build", "--limit", "500", "--cache-dir", cache_dir)

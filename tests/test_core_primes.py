@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gpf_trial, reference_flags
+from conftest import factor_trial, gpf_trial, reference_flags
 from spl import core_primes
 from spl.core_primes import (
-    _distinct_primes,
     build_sieve,
     build_spf,
     ensure_sieve,
@@ -24,13 +23,12 @@ from spl.core_primes import (
     mobius,
     omega,
     prime_count,
-    prime_count_ap,
     primes_in,
     primes_in_class,
     recip_prime_sum_ap,
     save_sieve,
 )
-from spl.errors import ArgumentError, CapacityError, CoverageError, RangeError
+from spl.errors import ArgumentError, CapacityError, RangeError
 
 
 class TestBuildSieve:
@@ -188,23 +186,23 @@ class TestPrimeCount:
     def test_partition_over_residues(self, cache):
         x = 10**4
         for m in (1, 2, 3, 4, 5, 12):
-            total = sum(prime_count_ap(cache, x, m, a) for a in range(m))
+            total = sum(len(primes_in_class(cache, x, m, a)) for a in range(m))
             assert total == prime_count(cache, x)
 
     def test_ap_examples(self, cache):
-        assert prime_count_ap(cache, 50, 3, 1) == 6
-        assert prime_count_ap(cache, 20, 4, 1) == 3
-        assert prime_count_ap(cache, 10, 2, 0) == 1
+        assert len(primes_in_class(cache, 50, 3, 1)) == 6
+        assert len(primes_in_class(cache, 20, 4, 1)) == 3
+        assert len(primes_in_class(cache, 10, 2, 0)) == 1
 
     def test_ap_zero_modulus(self, cache):
         with pytest.raises(ArgumentError):
-            prime_count_ap(cache, 10, 0, 0)
+            primes_in_class(cache, 10, 0, 0)
 
     def test_range_errors(self, cache):
         with pytest.raises(RangeError):
             prime_count(cache, cache.limit + 1)
         with pytest.raises(RangeError):
-            prime_count_ap(cache, cache.limit + 1, 3, 1)
+            primes_in_class(cache, cache.limit + 1, 3, 1)
 
 
 class TestFactorize:
@@ -212,13 +210,22 @@ class TestFactorize:
         assert factorize(12, spf).pairs == ((2, 2), (3, 1))
         assert factorize(1).pairs == ()
         assert factorize(8633, None, cache).pairs == ((89, 1), (97, 1))
-        # the trial-division factorizer agrees on boundary shapes, sign-blind
-        assert _distinct_primes(1) == _distinct_primes(-1) == []
-        for p in (2, 3, 97, 1000003):
-            assert _distinct_primes(p) == _distinct_primes(p**5) == [p]
-        for n in [2**k + d for k in range(1, 41) for d in (-1, 1)] + [3**7, 97**2 * 2]:
-            want = [q for q, _ in factorize(n, spf, cache).pairs] if n > 1 else []
-            assert _distinct_primes(n) == _distinct_primes(-n) == want
+
+    def test_every_route_agrees(self, spf, cache):
+        """SPF walk, cache primes and the no-table loop all match test-side trial division."""
+        ns = [2**k + d for k in range(1, 41) for d in (-1, 1)]
+        ns += [p**e for p in (2, 3, 97, 1000003) for e in (1, 2, 5)] + [97**2 * 2]
+        for n in ns:
+            want = tuple(factor_trial(n))
+            if n <= spf.limit:
+                assert factorize(n, spf).pairs == want
+            if math.isqrt(n) <= cache.limit:
+                assert factorize(n, None, cache).pairs == want
+            assert factorize(n).pairs == want
+
+    def test_cache_reaching_isqrt_suffices(self):
+        # 3 = isqrt(10) < sqrt(10): trial division by 2 and 3 settles 10
+        assert factorize(10, None, build_sieve(3)).pairs == ((2, 1), (5, 1))
 
     def test_trial_division_beyond_spf(self, spf, cache):
         n = 1000003 * 2  # 1000003 is prime and exceeds spf.limit
@@ -236,12 +243,11 @@ class TestFactorize:
             assert all(e >= 1 for _, e in fac.pairs)
             assert list(fac.pairs) == sorted(fac.pairs)
 
-    def test_coverage_error(self):
-        tiny = build_sieve(10)
-        with pytest.raises(CoverageError):
-            factorize(10007 * 10009, None, tiny)
-        with pytest.raises(CoverageError):
-            factorize(97, None, None)
+    def test_no_covering_table(self):
+        # neither table covers n: trial division by 2 and the odd numbers
+        assert factorize(10007 * 10009, None, build_sieve(10)).pairs == ((10007, 1), (10009, 1))
+        assert factorize(97, build_spf(10)).pairs == ((97, 1),)
+        assert factorize(97, None, None).pairs == ((97, 1),)
 
     def test_zero_rejected(self):
         with pytest.raises(ArgumentError):
@@ -345,14 +351,16 @@ class TestPersistence:
         assert np.array_equal(back.words, c.words)
 
     def test_header_layout(self, tmp_path):
-        c = build_sieve(100)
-        path = tmp_path / "sieve.spl"
-        save_sieve(c, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"SPL1"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert int.from_bytes(raw[8:16], "little") == 100
-        assert len(raw) == 16 + 8 * len(c.words)
+        # the 16-byte header, then exactly the words
+        for limit in (2, 63, 64, 100, 1000, 2**18 + 1):
+            c = build_sieve(limit)
+            path = tmp_path / f"sieve{limit}.spl"
+            save_sieve(c, path)
+            raw = path.read_bytes()
+            assert raw[:4] == b"SPL1"
+            assert int.from_bytes(raw[4:8], "little") == 1
+            assert int.from_bytes(raw[8:16], "little") == limit
+            assert raw[16:] == c.words.tobytes()
 
     @staticmethod
     def _spoiled(tmp_path, how):

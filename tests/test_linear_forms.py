@@ -25,7 +25,7 @@ class TestMakeSystem:
     def test_forms_example(self):
         s = make_system([(2, 1), (4, 1)])
         assert s.discriminant == -16
-        assert s.shifts_view == (2, 4)
+        assert s.distinct_prime_divisors == (2,)
 
     def test_shifts_example(self):
         assert system_from_shifts([2, 3]).discriminant == 6
@@ -44,9 +44,6 @@ class TestMakeSystem:
             make_system([(0, 1)])
         with pytest.raises(ArgumentError):
             system_from_shifts([0, 2])
-
-    def test_shifts_view_none_for_general_forms(self):
-        assert make_system([(2, 3)]).shifts_view is None
 
 
 class TestLocalRho:

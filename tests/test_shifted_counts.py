@@ -16,7 +16,6 @@ from spl.shifted_counts import (
     _count_threshold,
     _gpf_upto,
     _shift_gpfs,
-    count_tuples,
     fast_qualifying_products,
     large_factor_count,
     large_factor_count_fixed,
@@ -157,13 +156,6 @@ class TestTupleCounters:
 
     def test_fast_examples(self, cache):
         assert tuple_count_fast(cache, 35, 2, Theta(1, 4)) == 3
-
-    def test_count_tuples_record(self, cache):
-        rec = count_tuples(cache, 35, 2, Theta(1, 4), method="oracle")
-        assert rec.ordered_count == 3 and rec.method == "oracle"
-        assert count_tuples(cache, 35, 2, Theta(1, 4)).ordered_count == 3
-        with pytest.raises(ArgumentError):
-            count_tuples(cache, 35, 2, Theta(1, 4), method="magic")
 
     def test_k_below_two_rejected(self, cache):
         with pytest.raises(ArgumentError):

@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spl.core_primes import _distinct_primes
+from conftest import factor_trial
 from spl.errors import ArgumentError, BudgetError
 from spl.weighted_sums import (
     _factor_table,
-    _pairs,
     _without_primes,
-    coordinate_moment,
-    difference_moment,
     holder_grid,
     holder_verify,
     mobius_expansion_check,
@@ -25,18 +22,8 @@ from spl.weighted_sums import (
 
 
 def one_plus_inv_primes(n: int) -> float:
-    """prod over p | n of (1 + 1/p), by trial division (test-side oracle)."""
-    out = 1.0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out *= 1 + 1 / d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out *= 1 + 1 / n
-    return out
+    """prod over p | n of (1 + 1/p), by test-side trial division."""
+    return math.prod(1 + 1 / p for p, _ in factor_trial(n))
 
 
 def w_sum_oracle(g: int, ell: int, z: int) -> float:
@@ -161,11 +148,13 @@ class TestMobiusExpansion:
 class TestMoments:
     def test_g1_collapses_to_single_sum(self):
         for z in (5, 20, 100):
-            assert coordinate_moment(1, 3, z, 1) == pytest.approx(single_weighted_sum(z, 3), rel=1e-12, abs=1e-300)
+            d = holder_verify(1, 3, z)
+            assert d.aj_moments[0] == pytest.approx(single_weighted_sum(z, 3), rel=1e-12, abs=1e-300)
 
     def test_one_tuple_examples(self):
-        assert coordinate_moment(2, 1, 4, 1) == pytest.approx((1 / 6) * (3 / 2) ** 3, rel=1e-12)
-        assert difference_moment(2, 1, 4, 2, 1) == pytest.approx(1 / 6, rel=1e-12)
+        d = holder_verify(2, 1, 4)
+        assert d.aj_moments[0] == pytest.approx((1 / 6) * (3 / 2) ** 3, rel=1e-12)
+        assert d.ars_moments == pytest.approx([1 / 6], rel=1e-12)
 
     @pytest.mark.parametrize("g,ell,z", [(2, 2, 40), (3, 1, 22), (4, 1, 14)])
     def test_every_row_matches_definitional_oracle(self, g, ell, z):
@@ -173,14 +162,6 @@ class TestMoments:
         d = holder_verify(g, ell, z)
         assert d.aj_moments == pytest.approx(aj, rel=1e-12)
         assert d.ars_moments == pytest.approx(ars, rel=1e-12)
-        for idx, (s, r) in enumerate(_pairs(g)):
-            assert difference_moment(g, ell, z, r + 1, s + 1) == pytest.approx(ars[idx], rel=1e-12)
-
-    def test_index_validation(self):
-        with pytest.raises(ArgumentError):
-            coordinate_moment(2, 1, 10, 3)
-        with pytest.raises(ArgumentError):
-            difference_moment(2, 1, 10, 1, 1)
 
 
 class TestHolder:
@@ -235,13 +216,13 @@ class TestKernelPrefix:
         elements = list(prefix) + [b - a for a, b in combinations(prefix, 2)]
 
         def rad(n):
-            return math.prod(_distinct_primes(n))
+            return math.prod(p for p, _ in factor_trial(n))
 
         kernel = 1
         for e in elements:
             kernel = kernel * rad(e) // math.gcd(kernel, rad(e))
         assert kernel > 2**63
-        ps = sorted(set().union(*map(_distinct_primes, elements)))
+        ps = sorted({p for e in elements for p, _ in factor_trial(e)})
         f = _factor_table(z)
         f_ps, f_rest = _without_primes(f, ps)
         assert f_ps == pytest.approx(one_plus_inv_primes(kernel), rel=1e-14)
