@@ -2,8 +2,6 @@
 
 from .core_primes import (
     SieveCache,
-    SpfTable,
-    Factorization,
     build_sieve,
     build_spf,
     primes_in,

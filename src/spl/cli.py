@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from . import dickman, experiments, weighted_sums
-from .core_primes import ensure_sieve, floor_root, sieve_cache_dir
+from .core_primes import ensure_sieve, floor_root
 from .errors import ArgumentError, SplError, VerificationError
 from .linear_forms import (
     abel_identity_rhs,
@@ -32,32 +30,9 @@ from .shifted_counts import (
 ABEL_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    sieve_limit: int | None
-    cache_dir: Path
-    output: str | None
-    format: str
-
-    def __post_init__(self):
-        if self.sieve_limit is not None and self.sieve_limit < 2:
-            raise ArgumentError(f"sieve limit must be >= 2, got {self.sieve_limit}")
-        if self.format not in ("csv", "json"):
-            raise ArgumentError(f"format must be csv or json, got {self.format}")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        sieve_limit=args.sieve_limit,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else sieve_cache_dir(),
-        output=args.output,
-        format=args.format,
-    )
-
-
-def _cache_for(cfg: RunConfig, needed: int):
-    limit = max(needed, cfg.sieve_limit or 0, 2)
-    return ensure_sieve(limit, cfg.cache_dir)
+def _cache_for(args, needed: int):
+    # an empty --cache-dir means the default directory, as an absent one does
+    return ensure_sieve(max(needed, 2), args.cache_dir or None)
 
 
 def _parse_int_list(text: str) -> list:
@@ -70,10 +45,10 @@ def _parse_int_list(text: str) -> list:
     return values
 
 
-def _emit(cfg: RunConfig, records) -> None:
-    writer = experiments.write_csv if cfg.format == "csv" else experiments.write_jsonl
-    if cfg.output and cfg.output != "-":
-        with open(cfg.output, "w") as fh:
+def _emit(args, records) -> None:
+    writer = experiments.write_csv if args.format == "csv" else experiments.write_jsonl
+    if args.output and args.output != "-":
+        with open(args.output, "w") as fh:
             writer(records, fh)
     else:
         writer(records, sys.stdout)
@@ -81,12 +56,12 @@ def _emit(cfg: RunConfig, records) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sieve-limit", type=int, default=None, help="minimum sieve size to build")
     common.add_argument(
         "--cache-dir", default=None, help="sieve cache directory (default $SPL_CACHE_DIR or ./cache)"
     )
-    common.add_argument("--output", default=None, help="output path for experiment tables ('-' = stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    table = argparse.ArgumentParser(add_help=False, parents=[common])
+    table.add_argument("--output", default=None, help="output path for the table ('-' = stdout)")
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = argparse.ArgumentParser(
         prog="spl",
@@ -151,27 +126,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("experiment", help="emit experiment tables")
     pe_sub = pe.add_subparsers(dest="which", required=True)
-    q = pe_sub.add_parser("ratio", parents=[common])
+    q = pe_sub.add_parser("ratio", parents=[table])
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--theta", required=True)
     q.add_argument("--x-grid", required=True)
-    q = pe_sub.add_parser("density", parents=[common])
+    q = pe_sub.add_parser("density", parents=[table])
     q.add_argument("--theta", required=True)
     q.add_argument("--x-grid", required=True)
     q.add_argument("--u-max", type=float, default=8.0)
-    q = pe_sub.add_parser("rearrange", parents=[common])
+    q = pe_sub.add_parser("rearrange", parents=[table])
     q.add_argument("--x", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--theta", required=True)
-    q = pe_sub.add_parser("apsum", parents=[common])
+    q = pe_sub.add_parser("apsum", parents=[table])
     q.add_argument("--x", type=int, required=True)
     q.add_argument("--p-list", required=True)
     return p
 
 
-def _run_count(cfg, args) -> int:
+def _run_count(args) -> int:
     theta = Theta.parse(args.theta)
-    cache = _cache_for(cfg, args.x)
+    cache = _cache_for(args, args.x)
     if args.counter == "t":
         print(large_factor_count(cache, args.x, theta))
     elif args.counter == "tprime":
@@ -208,14 +183,14 @@ def _run_dickman(args) -> int:
     return 0
 
 
-def _run_verify(cfg, args) -> int:
+def _run_verify(args) -> int:
     if args.check == "abel":
         theta = Theta.parse(args.theta)
         shifts = _parse_int_list(args.shifts)
         system = system_from_shifts(shifts)
         v = floor_root(args.x, args.k)  # no prime p above v enters either side
         needed = max(args.x, max(h * v + 1 for h in shifts))
-        cache = _cache_for(cfg, needed)
+        cache = _cache_for(args, needed)
         lhs = inverse_power_prime_sum(cache, args.x, args.k, theta, system)
         rhs = abel_identity_rhs(cache, args.x, args.k, theta, system)
         rel = abs(lhs - rhs) / max(lhs, 1e-30)
@@ -231,31 +206,26 @@ def _run_verify(cfg, args) -> int:
     return 0
 
 
-def _run_experiment(cfg, args) -> int:
+def _run_experiment(args) -> int:
     theta = Theta.parse(args.theta) if hasattr(args, "theta") else None
     if args.which == "ratio":
         grid = _parse_int_list(args.x_grid)
-        cache = _cache_for(cfg, max(grid))
-        records = []
-        for rec in experiments.ratio_table(cache, args.k, theta, grid):
-            print(f"ratio cell x={rec.inputs['x']} done", file=sys.stderr)
-            records.append(rec)
+        cache = _cache_for(args, max(grid))
+        records = experiments.ratio_table(cache, args.k, theta, grid)
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
-        cache = _cache_for(cfg, max(grid))
+        cache = _cache_for(args, max(grid))
         table = dickman.build_rho_table(args.u_max)
         records = experiments.density_table(cache, table, theta, grid)
-        for rec in records:
-            print(f"density cell x={rec.inputs['x']} done", file=sys.stderr)
     elif args.which == "rearrange":
-        cache = _cache_for(cfg, experiments.rearrange_sieve_limit(args.x, args.k, theta))
+        cache = _cache_for(args, experiments.rearrange_sieve_limit(args.x, args.k, theta))
         records = [experiments.rearrangement_report(cache, args.x, args.k, theta)]
     else:
-        cache = _cache_for(cfg, args.x)
+        cache = _cache_for(args, args.x)
         records = [
             experiments.ap_recip_heuristic_table(cache, args.x, _parse_int_list(args.p_list))
         ]
-    _emit(cfg, records)
+    _emit(args, records)
     return 0
 
 
@@ -266,17 +236,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code == 0 else 1
     try:
-        cfg = _config(args)
         if args.command == "sieve":
-            cache = ensure_sieve(args.limit, cfg.cache_dir)
+            cache = ensure_sieve(args.limit, args.cache_dir or None)
             print(f"sieve ready: limit={cache.limit}")
             return 0
         if args.command == "count":
-            return _run_count(cfg, args)
+            return _run_count(args)
         if args.command == "msim":
             shifts = _parse_int_list(args.shifts)
             system = system_from_shifts(shifts)
-            cache = _cache_for(cfg, max(h * args.t + 1 for h in shifts))
+            cache = _cache_for(args, max(h * args.t + 1 for h in shifts))
             print(count_simultaneous(cache, args.t, system))
             return 0
         if args.command == "wsum":
@@ -292,8 +261,8 @@ def main(argv=None) -> int:
         if args.command == "dickman":
             return _run_dickman(args)
         if args.command == "verify":
-            return _run_verify(cfg, args)
-        return _run_experiment(cfg, args)
+            return _run_verify(args)
+        return _run_experiment(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3

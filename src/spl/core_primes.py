@@ -27,8 +27,6 @@ from .errors import ArgumentError, CapacityError, RangeError
 
 __all__ = [
     "SieveCache",
-    "SpfTable",
-    "Factorization",
     "build_sieve",
     "build_spf",
     "primes_in",
@@ -47,6 +45,8 @@ __all__ = [
 ]
 
 _SEGMENT_BITS = 1 << 18  # multiple of 64 so segments pack on word boundaries
+SIEVE_CEILING = 2**40  # largest sieve limit build_sieve accepts
+SPF_CEILING = 10**7  # largest spf limit build_spf accepts (4 bytes/entry)
 
 
 def floor_root(t: int, e: int, c: int = 1) -> int:
@@ -129,7 +129,7 @@ def _simple_bool_sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def build_sieve(limit: int, *, max_limit: int = 2**40) -> SieveCache:
+def build_sieve(limit: int) -> SieveCache:
     """Segmented sieve of Eratosthenes into a packed bitset.
 
     Peak working memory beyond the output words is O(sqrt(limit)): one
@@ -137,8 +137,8 @@ def build_sieve(limit: int, *, max_limit: int = 2**40) -> SieveCache:
     """
     if limit < 2:
         raise CapacityError(f"sieve limit must be >= 2, got {limit}")
-    if limit > max_limit:
-        raise CapacityError(f"sieve limit {limit} exceeds ceiling {max_limit}")
+    if limit > SIEVE_CEILING:
+        raise CapacityError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
 
     nbits = limit + 1
     nwords = (nbits + 63) >> 6
@@ -169,20 +169,13 @@ def build_sieve(limit: int, *, max_limit: int = 2**40) -> SieveCache:
     return SieveCache(limit=limit, words=words)
 
 
-@dataclass(frozen=True, eq=False)
-class SpfTable:
-    """spf[n] = smallest prime factor of n (2 <= n <= limit); spf[0] = spf[1] = 0."""
-
-    limit: int
-    spf: np.ndarray  # uint32
-
-
-def build_spf(limit: int, *, max_limit: int = 10**7) -> SpfTable:
+def build_spf(limit: int) -> np.ndarray:
+    """uint32 array: spf[n] = smallest prime factor of n (2 <= n <= limit); spf[0] = spf[1] = 0."""
     if limit < 2:
         raise CapacityError(f"spf limit must be >= 2, got {limit}")
-    if limit > max_limit:
+    if limit > SPF_CEILING:
         raise CapacityError(
-            f"spf limit {limit} exceeds ceiling {max_limit} (4 bytes/entry)"
+            f"spf limit {limit} exceeds ceiling {SPF_CEILING} (4 bytes/entry)"
         )
     try:
         spf = np.zeros(limit + 1, dtype=np.uint32)
@@ -195,7 +188,7 @@ def build_spf(limit: int, *, max_limit: int = 10**7) -> SpfTable:
     rest = np.flatnonzero(spf == 0)  # 0, 1, and all primes
     spf[rest] = rest.astype(np.uint32)
     spf[:2] = 0
-    return SpfTable(limit=limit, spf=spf)
+    return spf
 
 
 def primes_in(cache: SieveCache, lo, hi) -> np.ndarray:
@@ -232,47 +225,27 @@ def recip_prime_sum_ap(cache: SieveCache, x, m: int, a: int) -> float:
     return fsum((1.0 / primes_in_class(cache, x, m, a)).tolist())
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ascending (prime, exponent) pairs."""
+def factorize(n: int, spf: np.ndarray | None = None) -> tuple:
+    """Ascending (prime, exponent) pairs of n >= 1: the one route from an integer to its primes.
 
-    pairs: tuple
-    value: int
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-def factorize(
-    n: int, spf: SpfTable | None = None, cache: SieveCache | None = None
-) -> Factorization:
-    """Complete factorization of n >= 1: the one route from an integer to its primes.
-
-    Walks the SPF table when it covers n. Otherwise trial division runs, by
-    the cache's primes when they reach isqrt(n), else by 2 and the odd
-    numbers. Either way the pairs come out ascending.
+    Walks the SPF table when n < len(spf), else trial-divides by 2 and the
+    odd numbers.
     """
     if n < 1:
         raise ArgumentError(f"cannot factor {n}; need n >= 1")
     pairs = []
     m = n
-    if spf is not None and n <= spf.limit:
-        table = spf.spf
+    if spf is not None and n < len(spf):
         while m > 1:
-            p = int(table[m])
+            p = int(spf[m])
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             pairs.append((p, e))
-        return Factorization(pairs=tuple(pairs), value=n)
+        return tuple(pairs)
 
-    root = isqrt(n)
-    if cache is not None and cache.limit >= root:
-        divisors = primes_in(cache, 1, root).tolist()
-    else:
-        divisors = chain((2,), range(3, root + 1, 2))
-    for d in divisors:
+    for d in chain((2,), range(3, isqrt(n) + 1, 2)):
         if d * d > m:
             break
         if m % d == 0:
@@ -283,28 +256,28 @@ def factorize(
             pairs.append((d, e))
     if m > 1:
         pairs.append((m, 1))
-    return Factorization(pairs=tuple(pairs), value=n)
+    return tuple(pairs)
 
 
-def greatest_prime_factor(n: int, spf=None, cache=None) -> int:
+def greatest_prime_factor(n: int, spf=None) -> int:
     """P+(n); the convention for n = 1 is 1."""
     if n < 1:
         raise ArgumentError(f"greatest prime factor undefined for {n}")
     if n == 1:
         return 1
-    return factorize(n, spf, cache).pairs[-1][0]
+    return factorize(n, spf)[-1][0]
 
 
-def mobius(n: int, spf=None, cache=None) -> int:
-    fac = factorize(n, spf, cache)
-    if any(e > 1 for _, e in fac.pairs):
+def mobius(n: int, spf=None) -> int:
+    pairs = factorize(n, spf)
+    if any(e > 1 for _, e in pairs):
         return 0
-    return -1 if len(fac.pairs) % 2 else 1
+    return -1 if len(pairs) % 2 else 1
 
 
-def omega(n: int, spf=None, cache=None) -> int:
+def omega(n: int, spf=None) -> int:
     """Number of distinct prime factors."""
-    return len(factorize(n, spf, cache).pairs)
+    return len(factorize(n, spf))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +330,7 @@ def load_sieve(path) -> SieveCache:
     return SieveCache(limit=int(limit), words=words.astype(np.uint64, copy=False))
 
 
-def ensure_sieve(limit: int, directory=None, *, max_limit: int = 2**40) -> SieveCache:
+def ensure_sieve(limit: int, directory=None) -> SieveCache:
     """Load the cached sieve if it covers `limit`, else build and replace it."""
     directory = Path(directory) if directory is not None else sieve_cache_dir()
     path = directory / _SIEVE_FILENAME
@@ -368,6 +341,6 @@ def ensure_sieve(limit: int, directory=None, *, max_limit: int = 2**40) -> Sieve
             cached = None
         if cached is not None and cached.limit >= limit:
             return cached
-    fresh = build_sieve(limit, max_limit=max_limit)
+    fresh = build_sieve(limit)
     save_sieve(fresh, path)
     return fresh

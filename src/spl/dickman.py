@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, PrecisionError, RangeError, SolverError
+from .errors import ArgumentError, CapacityError, DomainError, PrecisionError, RangeError, SolverError
 from .shifted_counts import Theta
 
 __all__ = [
@@ -69,6 +69,10 @@ def _full_weights(m: int, h: float) -> np.ndarray:
 
 
 def build_rho_table(u_max: float = 8.0, step: float = 2.0**-10) -> RhoTable:
+    if not (math.isfinite(u_max) and math.isfinite(step)):
+        raise ArgumentError(f"table needs a finite u_max and step, got {u_max}, {step}")
+    if step <= 0:
+        raise ArgumentError(f"table needs step > 0, got {step}")
     if u_max < 2:
         raise ArgumentError(f"table needs u_max >= 2, got {u_max}")
     if step > 2.0**-8:
@@ -80,9 +84,12 @@ def build_rho_table(u_max: float = 8.0, step: float = 2.0**-10) -> RhoTable:
         )
     per = int(round(per))
     n = int(math.floor(u_max / step + 1e-9))
+    try:
+        vals = np.ones(n + 1)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's dimension limit
+        raise CapacityError(f"cannot allocate a rho grid to u_max={u_max} at step={step}") from exc
     u_max = n * step
 
-    vals = np.ones(n + 1)
     w_full, c_full = _implicit_weights(per, step)
     for i in range(per + 1, n + 1):
         u = i * step

@@ -167,25 +167,26 @@ def rearrangement_report(cache, x: int, k: int, theta: Theta) -> ExperimentRecor
     u, v = range_bounds_exact(x, k, theta)
     ps = primes_in(cache, u, v).tolist() if u < v else []
 
-    # (ii): h < x/p, ph+1 prime
-    maj_terms = []
-    for p in ps:
-        good = _prime_shift_multipliers(cache, p, (x - 1) // p)
-        h_sum = math.fsum((1.0 / good).tolist())
-        maj_terms.append(h_sum ** (k - 1) / p**k)
-    majorant = math.fsum(maj_terms)
-
-    # (iii): sorted distinct tuples below the fixed bound 2^theta x^(1-theta)
+    # One scan per p to the fixed bound 2^theta x^(1-theta) of (iii); (ii)'s
+    # bound h < x/p never exceeds it, so its multipliers are a prefix.
     h_cap = rearrange_h_cap(x, theta)
-    sym_total = 0.0
-    if ps:
-        sym_parts = []
-        for p in ps:
-            good = _prime_shift_multipliers(cache, p, h_cap)
-            recips = 1.0 / good.astype(np.float64)
-            es = _elementary_symmetric(recips, k - 1)
-            sym_parts.append(math.fsum(es) / p**k)
-        sym_total = math.fsum(sym_parts)
+    maj_terms, sym_parts = [], []
+    for p in ps:
+        h_top = (x - 1) // p
+        if h_top > h_cap:
+            raise VerificationError(
+                f"shift bound (x-1)//p = {h_top} exceeds h_cap = {h_cap} at x={x}, p={p}"
+            )
+        good = _prime_shift_multipliers(cache, p, h_cap)
+        # (ii): h < x/p, ph+1 prime
+        below = good[: np.searchsorted(good, h_top, "right")]
+        h_sum = math.fsum((1.0 / below).tolist())
+        maj_terms.append(h_sum ** (k - 1) / p**k)
+        # (iii): sorted distinct tuples below the fixed bound
+        es = _elementary_symmetric(1.0 / good.astype(np.float64), k - 1)
+        sym_parts.append(math.fsum(es) / p**k)
+    majorant = math.fsum(maj_terms)
+    sym_total = math.fsum(sym_parts)
 
     if s_val > majorant:
         raise VerificationError(

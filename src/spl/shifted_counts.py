@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_primes import floor_root, primes_in, primes_in_class
+from .core_primes import build_spf, floor_root, greatest_prime_factor, primes_in, primes_in_class
 from .errors import ArgumentError, BudgetError
 
 __all__ = [
@@ -113,8 +113,8 @@ def _gpf_block(lo: int, hi: int, small: np.ndarray) -> np.ndarray:
 def _gpf_upto(cache, n: int) -> np.ndarray:
     """gpf[m] = largest prime factor of m for 2 <= m <= n; gpf[1] = 1, int64.
 
-    One block: the tuple routes ask for n <= isqrt(x), which costs well
-    under a millisecond to rebuild, so nothing is memoized.
+    One block: the fast tuple route asks for n <= isqrt(x), which costs
+    well under a millisecond to rebuild, so nothing is memoized.
     """
     small = primes_in(cache, 0, math.isqrt(n))
     return np.concatenate(([0], _gpf_block(1, n + 1, small)))
@@ -217,6 +217,9 @@ def smooth_shift_count(cache, x: int, theta: Theta) -> int:
 # ---------------------------------------------------------------------------
 
 
+ORACLE_NODE_BUDGET = 10**9  # tuples the oracle may visit before it gives up
+
+
 def _check_tuple_args(cache, x: int, k: int) -> None:
     if k < 2:
         raise ArgumentError(f"tuple counters need k >= 2, got {k}")
@@ -224,20 +227,16 @@ def _check_tuple_args(cache, x: int, k: int) -> None:
 
 
 def oracle_qualifying_products(
-    cache,
-    x: int,
-    k: int,
-    theta: Theta,
-    *,
-    ordered: bool = True,
-    node_budget: int = 10**9,
+    cache, x: int, k: int, theta: Theta, *, ordered: bool = True
 ) -> list:
     """Products of all qualifying tuples, one entry per tuple.
 
     Brute-force reference: enumerate every prime tuple with product <= x
     (depth-first with product pruning) and apply the threshold test to
-    P+(gcd of the shifted entries). Intended for modest x; the node budget
-    makes runaway enumerations fail loudly instead of hanging.
+    P+(gcd of the shifted entries), which it reads from its own table built
+    by the factorizer, sharing no code with the fast route's `_gpf_block`.
+    Intended for modest x; ORACLE_NODE_BUDGET makes runaway enumerations
+    fail loudly instead of hanging.
     """
     _check_tuple_args(cache, x, k)
     min_rest = 2 ** (k - 1)
@@ -246,9 +245,10 @@ def oracle_qualifying_products(
     ps = primes_in(cache, 0, x // min_rest).tolist()
     # As in the fast route: the gcd of the shifts is below the smallest
     # member, which is at most x**(1/k) <= isqrt(x).
-    gpf = _gpf_upto(cache, max(math.isqrt(x), 2))
+    spf = build_spf(max(math.isqrt(x), 2))
+    gpf = [0] + [greatest_prime_factor(n, spf) for n in range(1, len(spf))]
     out = []
-    budget = node_budget
+    budget = ORACLE_NODE_BUDGET
 
     def visit(start: int, prod: int, g: int, depth: int):
         nonlocal budget
@@ -263,7 +263,7 @@ def oracle_qualifying_products(
                 raise BudgetError("tuple enumeration exceeded the node budget")
             g_p = math.gcd(g, p - 1)
             if depth + 1 == k:
-                if threshold_test(int(gpf[g_p]), prod_p, theta):
+                if threshold_test(gpf[g_p], prod_p, theta):
                     out.append(prod_p)
             else:
                 visit(0 if ordered else i, prod_p, g_p, depth + 1)
@@ -272,21 +272,9 @@ def oracle_qualifying_products(
     return out
 
 
-def tuple_count_oracle(
-    cache,
-    x: int,
-    k: int,
-    theta: Theta,
-    *,
-    ordered: bool = True,
-    node_budget: int = 10**9,
-) -> int:
+def tuple_count_oracle(cache, x: int, k: int, theta: Theta, *, ordered: bool = True) -> int:
     """Brute-force count of qualifying k-tuples (ordered, repeats allowed)."""
-    return len(
-        oracle_qualifying_products(
-            cache, x, k, theta, ordered=ordered, node_budget=node_budget
-        )
-    )
+    return len(oracle_qualifying_products(cache, x, k, theta, ordered=ordered))
 
 
 def _fast_products_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r: int) -> list:

@@ -245,12 +245,12 @@ def test_criterion_10_primitive_cross_checks(cache):
     # full reconstruction through the factorizer
     spf = build_spf(10**6)
     for n in range(1, 10**6 + 1):
-        fac = factorize(n, spf)
+        pairs = factorize(n, spf)
         prod = 1
-        for p, e in fac.pairs:
+        for p, e in pairs:
             prod *= p**e
         if prod != n:
-            raise AssertionError(f"factorize failed to reconstruct {n}: {fac.pairs}")
+            raise AssertionError(f"factorize failed to reconstruct {n}: {pairs}")
     elapsed = time.monotonic() - start
     report(10, True, f"pi(1e6)=78498 both routes; all n<=1e6 reconstruct; elapsed={elapsed:.1f}s")
     assert elapsed < 30

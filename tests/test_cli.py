@@ -1,11 +1,33 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
-from spl.cli import main
+from spl.cli import build_parser, main
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _benchmark_commands() -> list:
+    """Every argv the cli-session benchmark runs, plus its sieve build."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.make_inputs("cli-session", 1, tiny=True)
+    cmds = [argv for _, argv in workloads.cli_commands(inputs)]
+    return cmds + [["sieve", "build", "--limit", str(inputs["limit"])]]
+
+
+BENCHMARK_COMMANDS = _benchmark_commands()
+
+
+def _leaf(argv) -> str:
+    """The subcommand path of argv, e.g. 'count t'."""
+    return " ".join(takewhile(lambda a: not a.startswith("--"), argv))
 
 
 @pytest.fixture()
@@ -140,6 +162,20 @@ class TestOutOfDomainArguments:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["dickman", "rho", "--u", "2", "--step", "0"], 1),
+            (["dickman", "rho", "--u", "2", "--step", "-0.001"], 1),
+            (["dickman", "rho", "--u", "2", "--u-max", "nan"], 1),
+            (["dickman", "theta1", "--step", "1e-300"], 2),
+        ],
+    )
+    def test_bad_rho_grid(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ""
+        assert err.startswith("error: ")
+
     def test_rearrange_k1_keeps_the_empty_sum_term(self, capsys, cache_dir):
         """At k = 1 both sides are the sum of 1/p: (empty h-sum)^0 = 1 counts."""
         code, out, _ = run(
@@ -168,6 +204,39 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1"
+
+
+class TestFlags:
+    def test_benchmark_commands_parse(self, cache_dir):
+        """Each command the benchmark runs, with the --cache-dir it appends."""
+        leaves = set()
+        for argv in BENCHMARK_COMMANDS:
+            args = build_parser().parse_args(argv + ["--cache-dir", cache_dir])
+            assert args.cache_dir == cache_dir
+            leaves.add(_leaf(argv))
+        assert len(leaves) == 17  # every leaf command of spl
+
+    @pytest.mark.parametrize("argv", BENCHMARK_COMMANDS, ids=_leaf)
+    def test_sieve_limit_rejected(self, capsys, cache_dir, argv):
+        code, out, _ = run(capsys, *argv, "--sieve-limit", "10", "--cache-dir", cache_dir)
+        assert code == 1 and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [a for a in BENCHMARK_COMMANDS if a[0] != "experiment"],
+        ids=_leaf,
+    )
+    def test_table_flags_only_on_experiments(self, capsys, cache_dir, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json", "--cache-dir", cache_dir)
+        assert code == 1 and out == ""
+        code, out, _ = run(capsys, *argv, "--output", "-", "--cache-dir", cache_dir)
+        assert code == 1 and out == ""
+
+    def test_empty_cache_dir_means_default(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPL_CACHE_DIR", str(tmp_path / "default"))
+        code, out, _ = run(capsys, "count", "t", "--x", "100", "--theta", "1/2", "--cache-dir", "")
+        assert code == 0 and out.strip() == "13"
+        assert (tmp_path / "default" / "sieve.spl").exists()
 
 
 class TestExperimentsAndCache:

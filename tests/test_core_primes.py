@@ -97,14 +97,13 @@ def test_only_core_primes_reads_the_prime_tables():
 
 class TestSpf:
     def test_examples(self):
-        t = build_spf(12)
-        assert t.spf[12] == 2 and t.spf[9] == 3 and t.spf[11] == 11
-        assert build_spf(100).spf[91] == 7
-        assert build_spf(2).spf[2] == 2
+        spf = build_spf(12)
+        assert spf[12] == 2 and spf[9] == 3 and spf[11] == 11
+        assert build_spf(100)[91] == 7
+        assert build_spf(2)[2] == 2
 
     def test_invariants_exhaustive(self, cache):
-        t = build_spf(10**4)
-        spf = t.spf
+        spf = build_spf(10**4)
         assert spf[0] == 0 and spf[1] == 0
         ns = np.arange(2, 10**4 + 1)
         vals = spf[ns].astype(np.int64)
@@ -206,48 +205,41 @@ class TestPrimeCount:
 
 
 class TestFactorize:
-    def test_examples(self, spf, cache):
-        assert factorize(12, spf).pairs == ((2, 2), (3, 1))
-        assert factorize(1).pairs == ()
-        assert factorize(8633, None, cache).pairs == ((89, 1), (97, 1))
+    def test_examples(self, spf):
+        assert factorize(12, spf) == ((2, 2), (3, 1))
+        assert factorize(1) == ()
+        assert factorize(8633) == ((89, 1), (97, 1))
 
-    def test_every_route_agrees(self, spf, cache):
-        """SPF walk, cache primes and the no-table loop all match test-side trial division."""
+    def test_every_route_agrees(self, spf):
+        """The SPF walk and the no-table loop both match test-side trial division."""
         ns = [2**k + d for k in range(1, 41) for d in (-1, 1)]
         ns += [p**e for p in (2, 3, 97, 1000003) for e in (1, 2, 5)] + [97**2 * 2]
         for n in ns:
             want = tuple(factor_trial(n))
-            if n <= spf.limit:
-                assert factorize(n, spf).pairs == want
-            if math.isqrt(n) <= cache.limit:
-                assert factorize(n, None, cache).pairs == want
-            assert factorize(n).pairs == want
+            if n < len(spf):
+                assert factorize(n, spf) == want
+            assert factorize(n) == want
 
-    def test_cache_reaching_isqrt_suffices(self):
-        # 3 = isqrt(10) < sqrt(10): trial division by 2 and 3 settles 10
-        assert factorize(10, None, build_sieve(3)).pairs == ((2, 1), (5, 1))
+    def test_trial_division_beyond_spf(self, spf):
+        n = 1000003 * 2  # 1000003 is prime and lies beyond the spf table
+        assert factorize(n, spf) == ((2, 1), (1000003, 1))
 
-    def test_trial_division_beyond_spf(self, spf, cache):
-        n = 1000003 * 2  # 1000003 is prime and exceeds spf.limit
-        fac = factorize(n, spf, cache)
-        assert fac.pairs == ((2, 1), (1000003, 1))
-
-    def test_reconstruction_random(self, spf, cache):
+    def test_reconstruction_random(self, spf):
         rng = np.random.default_rng(7)
         for n in rng.integers(1, 10**6, 300).tolist():
-            fac = factorize(n, spf, cache)
+            pairs = factorize(n, spf)
             prod = 1
-            for p, e in fac.pairs:
+            for p, e in pairs:
                 prod *= p**e
-            assert prod == n == fac.value
-            assert all(e >= 1 for _, e in fac.pairs)
-            assert list(fac.pairs) == sorted(fac.pairs)
+            assert prod == n
+            assert all(e >= 1 for _, e in pairs)
+            assert list(pairs) == sorted(pairs)
 
     def test_no_covering_table(self):
-        # neither table covers n: trial division by 2 and the odd numbers
-        assert factorize(10007 * 10009, None, build_sieve(10)).pairs == ((10007, 1), (10009, 1))
-        assert factorize(97, build_spf(10)).pairs == ((97, 1),)
-        assert factorize(97, None, None).pairs == ((97, 1),)
+        # the table does not cover n: trial division by 2 and the odd numbers
+        assert factorize(10007 * 10009) == ((10007, 1), (10009, 1))
+        assert factorize(97, build_spf(10)) == ((97, 1),)
+        assert factorize(97, None) == ((97, 1),)
 
     def test_zero_rejected(self):
         with pytest.raises(ArgumentError):
@@ -309,9 +301,9 @@ class TestDerivedArithmetic:
         assert greatest_prime_factor(12, spf) == 3
         assert greatest_prime_factor(100, spf) == 5
 
-    def test_gpf_matches_factorization(self, spf, cache):
+    def test_gpf_matches_factorization(self, spf):
         for n in range(1, 2000):
-            g = greatest_prime_factor(n, spf, cache)
+            g = greatest_prime_factor(n, spf)
             assert g == gpf_trial(n)
             assert (g == 1) == (n == 1)
 

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from spl.errors import BudgetError
+from spl import experiments
+from spl.errors import BudgetError, VerificationError
 from spl.experiments import (
     _prime_shift_multipliers,
     ap_recip_heuristic_table,
@@ -12,9 +13,11 @@ from spl.experiments import (
     rearrangement_report,
     progression_double_sum,
     ratio_table,
+    rearrange_h_cap,
     write_csv,
     write_jsonl,
 )
+from spl.linear_forms import range_bounds_exact
 from spl.shifted_counts import Theta
 
 
@@ -59,6 +62,19 @@ class TestRearrangement:
                 hs = np.arange(2, h_top + 1)
                 want = hs[flags[p * hs + 1]]
                 assert _prime_shift_multipliers(cache, p, h_top).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("theta", [Theta(1, 8), Theta(1, 6), Theta(1, 4), Theta(1, 3),
+                                       Theta(2, 5), Theta(1, 2), Theta(3, 4)])
+    def test_majorant_bound_within_h_cap(self, theta):
+        """Every p > u has (x - 1)//p <= h_cap, so (ii)'s multipliers are a prefix of (iii)'s."""
+        for x in range(1, 4000):
+            u, _ = range_bounds_exact(x, 1, theta)
+            assert (x - 1) // (u + 1) <= rearrange_h_cap(x, theta)
+
+    def test_prefix_bound_is_checked(self, cache, monkeypatch):
+        monkeypatch.setattr(experiments, "rearrange_h_cap", lambda x, theta: 1)
+        with pytest.raises(VerificationError):
+            rearrangement_report(cache, 10**3, 2, Theta(1, 4))
 
     def test_reproducible(self, cache):
         a = rearrangement_report(cache, 500, 2, Theta(1, 4))

@@ -161,9 +161,19 @@ class TestTupleCounters:
         with pytest.raises(ArgumentError):
             tuple_count_oracle(cache, 100, 1, Theta(1, 4))
 
-    def test_node_budget(self, cache):
+    def test_node_budget(self, cache, monkeypatch):
+        monkeypatch.setattr(shifted_counts, "ORACLE_NODE_BUDGET", 10)
         with pytest.raises(BudgetError):
-            tuple_count_oracle(cache, 10**5, 2, Theta(1, 4), node_budget=10)
+            tuple_count_oracle(cache, 10**5, 2, Theta(1, 4))
+
+    def test_oracle_shares_no_gpf_code_with_fast_route(self, cache, monkeypatch):
+        """A broken _gpf_block moves the fast route only, so --method both would catch it."""
+        monkeypatch.setattr(
+            shifted_counts, "_gpf_block", lambda lo, hi, small: np.ones(hi - lo, dtype=np.int64)
+        )
+        q = Theta(1, 4)
+        assert tuple_count_oracle(cache, 35, 2, q) == 3
+        assert tuple_count_fast(cache, 35, 2, q) != 3
 
     def test_two_never_qualifies(self, cache):
         # a tuple containing p = 2 forces gcd 1; all qualifying products are odd
@@ -276,11 +286,19 @@ class TestGpfTableSizing:
         tuple_count_fast(c, x, 3, Theta(1, 4))
         assert gpf_blocks and all(hi <= math.isqrt(x) + 2 for _, hi in gpf_blocks)
 
-    def test_oracle_table_stops_at_isqrt_x(self, gpf_blocks):
+    def test_oracle_table_stops_at_isqrt_x(self, monkeypatch):
+        limits = []
+        build = shifted_counts.build_spf
+
+        def spy(limit):
+            limits.append(limit)
+            return build(limit)
+
+        monkeypatch.setattr(shifted_counts, "build_spf", spy)
         c = build_sieve(10**6)
         x = 10**6
         assert tuple_count_oracle(c, x, 2, Theta(1, 4)) == 914
-        assert gpf_blocks and all(hi <= math.isqrt(x) + 2 for _, hi in gpf_blocks)
+        assert limits and all(n <= math.isqrt(x) + 1 for n in limits)
 
     def test_single_counters_share_one_shift_array(self, gpf_blocks):
         c = build_sieve(10**6)
