@@ -44,7 +44,8 @@ __all__ = [
     "sieve_cache_dir",
 ]
 
-_SEGMENT_BITS = 1 << 18  # multiple of 64 so segments pack on word boundaries
+_SEGMENT_BITS = 1 << 18  # is_prime chunk: values read per step of an array query
+_BUILD_SEGMENT_BITS = 1 << 20  # multiple of 64 so build segments pack on word boundaries
 SIEVE_CEILING = 2**40  # largest sieve limit build_sieve accepts
 SPF_CEILING = 10**7  # largest spf limit build_spf accepts (4 bytes/entry)
 
@@ -151,8 +152,8 @@ def build_sieve(limit: int) -> SieveCache:
     root = isqrt(limit)
     base_primes = [int(p) for p in np.flatnonzero(_simple_bool_sieve(max(root, 2)))]
 
-    for lo in range(0, nbits, _SEGMENT_BITS):
-        hi = min(lo + _SEGMENT_BITS, nbits)
+    for lo in range(0, nbits, _BUILD_SEGMENT_BITS):
+        hi = min(lo + _BUILD_SEGMENT_BITS, nbits)
         seg = np.ones(hi - lo, dtype=bool)
         if lo == 0:
             seg[:2] = False

@@ -86,28 +86,49 @@ _BLOCK = 1 << 17  # integers per gpf block, and entries per threshold chunk
 _SHIFT_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _gpf_block(lo: int, hi: int, small: np.ndarray) -> np.ndarray:
-    """P+(n) for lo <= n < hi (lo >= 1) as int64; P+(1) = 1.
+def _gpf_block(ns: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """P+(n) for each n of the ascending int64 array ns (ns[0] >= 1) as int64; P+(1) = 1.
 
-    `small` holds the primes up to at least isqrt(hi - 1), ascending. Each
-    such q writes itself at its multiples (ascending, so the largest wins)
-    and multiplies `smooth` by q at every power q^e < hi, leaving in
-    `smooth` the part of n made of those primes. The cofactor n // smooth
-    has no prime factor <= isqrt(n), so it is 1 or the prime P+(n). No
-    value exceeds n, so nothing overflows.
+    The block is lo <= n < hi with lo = ns[0], hi = ns[-1] + 1. `small`
+    holds the primes up to at least isqrt(hi - 1), ascending. Each such q
+    writes itself at its multiples (ascending, so the largest wins), and
+    `smooth` is multiplied by q at the multiples of every power q^e < hi,
+    leaving in it the part of n made of those primes. A power shorter than
+    the block is a strided write; a longer one has at most one multiple in
+    the block, so all of those go in one multiply.at (which, unlike a
+    fancy-indexed *=, applies two powers that hit the same n). The
+    cofactor n // smooth, taken only at ns, has no prime factor <= isqrt(n),
+    so it is 1 or the prime P+(n). No value exceeds n, so nothing overflows;
+    q <= isqrt(hi) < 2**31 below SIEVE_CEILING, so `top` fits int32.
     """
-    top = np.ones(hi - lo, dtype=np.int64)
-    smooth = np.ones(hi - lo, dtype=np.int64)
-    for q in small.tolist():
-        if q * q >= hi:
-            break
+    lo, hi = int(ns[0]), int(ns[-1]) + 1
+    size = hi - lo
+    top = np.ones(size, dtype=np.int32)
+    smooth = np.ones(size, dtype=np.int64)
+    qs = small[: np.searchsorted(small, math.isqrt(hi - 1), side="right")]
+    for q in qs.tolist():
         top[-lo % q :: q] = q
         qe = q
-        while qe < hi:
-            smooth[-lo % qe :: qe] *= q
+        while qe < size:
+            part = smooth[-lo % qe :: qe]
+            part *= q  # on the view: `smooth[...] *= q` would also copy it back
             qe *= q
-    cof = np.arange(lo, hi, dtype=np.int64) // smooth
-    return np.where(cof > 1, cof, top)
+    # every power q^e < hi, level by level in e; the long ones go in one step
+    base = qe = qs
+    bases, powers = [base], [qe]
+    while len(qe):
+        more = qe <= (hi - 1) // base  # q^(e+1) < hi
+        base = base[more]
+        qe = qe[more] * base
+        bases.append(base)
+        powers.append(qe)
+    base, qe = np.concatenate(bases), np.concatenate(powers)
+    pos = -lo % qe
+    hit = (qe >= size) & (pos < size)
+    np.multiply.at(smooth, pos[hit], base[hit])
+    at = ns - lo
+    cof = ns // smooth[at]
+    return np.where(cof > 1, cof, top[at])
 
 
 def _gpf_upto(cache, n: int) -> np.ndarray:
@@ -117,28 +138,27 @@ def _gpf_upto(cache, n: int) -> np.ndarray:
     well under a millisecond to rebuild, so nothing is memoized.
     """
     small = primes_in(cache, 0, math.isqrt(n))
-    return np.concatenate(([0], _gpf_block(1, n + 1, small)))
+    return np.concatenate(([0], _gpf_block(np.arange(1, n + 1), small)))
 
 
-def _shift_gpf_pass(cache, ps: np.ndarray) -> np.ndarray:
-    """P+(p - 1) for the ascending primes ps, by blocks of m = (p - 1) / 2.
+def _shift_gpf_pass(cache, ps: np.ndarray, out: np.ndarray) -> None:
+    """Write P+(p - 1) for the ascending primes ps into out, by blocks of m = (p - 1) / 2.
 
     For odd p, P+(p - 1) = max(2, P+(m)); p = 2 gives P+(1) = 1. Only the
-    current block and the primes up to isqrt(m) are held besides the result.
+    current block and the primes up to isqrt(m) are held besides the result;
+    a block holding no prime's m is skipped.
     """
-    out = np.ones(len(ps), dtype=np.int64)
     i = int(np.searchsorted(ps, 3))  # skip p = 2
+    out[:i] = 1
     if i == len(ps):
-        return out
+        return
     m_lo, m_hi = (int(ps[i]) - 1) // 2, (int(ps[-1]) - 1) // 2 + 1
     small = primes_in(cache, 0, math.isqrt(m_hi - 1))
     for lo in range(m_lo, m_hi, _BLOCK):
-        hi = min(lo + _BLOCK, m_hi)
-        j = int(np.searchsorted(ps, 2 * hi + 1))  # ps[i:j] have m in [lo, hi)
-        gpf = _gpf_block(lo, hi, small)
-        out[i:j] = np.maximum(gpf[(ps[i:j] >> 1) - lo], 2)
-        i = j
-    return out
+        j = int(np.searchsorted(ps, 2 * (lo + _BLOCK) + 1))  # ps[i:j] have m < lo + _BLOCK
+        if j > i:
+            out[i:j] = np.maximum(_gpf_block(ps[i:j] >> 1, small), 2)
+            i = j
 
 
 def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta, op: str) -> int:
@@ -155,10 +175,16 @@ def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta, op: str) -> i
     for lo in range(0, len(rs), _BLOCK):
         r_part = rs[lo : lo + _BLOCK]
         n_part = ns[lo : lo + _BLOCK]
-        left = theta.den * np.log(r_part.astype(np.float64))
-        right = theta.num * np.log(n_part.astype(np.float64))
-        t = left - right
-        margin = 1e-13 * (np.abs(left) + np.abs(right)) + 1e-12
+        # in place, so one chunk holds three float arrays: t (over left), right, margin
+        t = np.log(r_part.astype(np.float64))
+        t *= theta.den
+        right = np.log(n_part.astype(np.float64))
+        right *= theta.num
+        margin = np.abs(t)
+        margin += np.abs(right)
+        margin *= 1e-13
+        margin += 1e-12
+        t -= right
         if op == "ge":
             count += int(np.count_nonzero(t > margin))
         else:
@@ -176,15 +202,16 @@ def _shift_gpfs(cache, x):
     """(primes <= x, P+(p-1) for each) as aligned arrays.
 
     The P+(p - 1) array is memoized per cache, aligned with the ascending
-    primes: a smaller x takes a prefix of it and a larger x extends it.
+    primes: a smaller x takes a prefix of it and a larger x extends it, the
+    pass writing straight into the grown array (no second copy of it).
     """
     ps = primes_in(cache, 0, x)
-    done = _SHIFT_MEMO.get(cache)
-    if done is None:
-        done = _SHIFT_MEMO[cache] = _shift_gpf_pass(cache, ps)
-    elif len(done) < len(ps):
-        fresh = _shift_gpf_pass(cache, ps[len(done) :])
-        done = _SHIFT_MEMO[cache] = np.concatenate((done, fresh))
+    done = _SHIFT_MEMO.get(cache, np.ones(0, dtype=np.int64))
+    if len(done) < len(ps):
+        grown = np.empty(len(ps), dtype=np.int64)
+        grown[: len(done)] = done
+        _shift_gpf_pass(cache, ps[len(done) :], grown[len(done) :])
+        done = _SHIFT_MEMO[cache] = grown
     return ps, done[: len(ps)]
 
 

@@ -54,11 +54,24 @@ class TestBuildSieve:
         assert np.array_equal(c.flags, np.frombuffer(bytes(ref), dtype=np.uint8).astype(bool))
 
     def test_segment_boundaries(self):
-        # limits straddling the segment size must not lose edge bits
-        for limit in (2**18 - 1, 2**18, 2**18 + 1):
+        # limits straddling the build segment size must not lose edge bits
+        seg = core_primes._BUILD_SEGMENT_BITS
+        for limit in (seg - 1, seg, seg + 1):
             c = build_sieve(limit)
             ref = reference_flags(limit)
             assert int(c.flags.sum()) == sum(ref)
+
+    def test_build_segments_of_64_bits(self, monkeypatch):
+        """Segment edges inside small sieves leave the words as the default build has them."""
+        assert core_primes._BUILD_SEGMENT_BITS % 64 == 0
+        limits = (2, 63, 64, 65, 127, 128, 1000, 4097)
+        default = {n: build_sieve(n).words for n in limits}
+        monkeypatch.setattr(core_primes, "_BUILD_SEGMENT_BITS", 64)
+        for n in limits:
+            c = build_sieve(n)
+            assert np.array_equal(c.words, default[n])
+            ref = np.frombuffer(bytes(reference_flags(n)), dtype=np.uint8).astype(bool)
+            assert np.array_equal(c.flags, ref)
 
     def test_is_prime_range_checked(self):
         c = build_sieve(50)

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gpf_trial, reference_flags
-from spl.core_primes import build_sieve, prime_count
+from spl.core_primes import SIEVE_CEILING, build_sieve, prime_count, primes_in
 from spl import shifted_counts
 from spl.errors import ArgumentError, BudgetError
 from spl.shifted_counts import (
     _SHIFT_MEMO,
     Theta,
     _count_threshold,
+    _gpf_block,
     _gpf_upto,
     _shift_gpfs,
     fast_qualifying_products,
@@ -169,7 +170,7 @@ class TestTupleCounters:
     def test_oracle_shares_no_gpf_code_with_fast_route(self, cache, monkeypatch):
         """A broken _gpf_block moves the fast route only, so --method both would catch it."""
         monkeypatch.setattr(
-            shifted_counts, "_gpf_block", lambda lo, hi, small: np.ones(hi - lo, dtype=np.int64)
+            shifted_counts, "_gpf_block", lambda ns, small: np.ones(len(ns), dtype=np.int64)
         )
         q = Theta(1, 4)
         assert tuple_count_oracle(cache, 35, 2, q) == 3
@@ -267,13 +268,13 @@ class TestTupleCounters:
 
 @pytest.fixture()
 def gpf_blocks(monkeypatch):
-    """The (lo, hi) of every _gpf_block call."""
+    """The block (ns[0], ns[-1] + 1) of every _gpf_block call."""
     calls = []
     block = shifted_counts._gpf_block
 
-    def spy(lo, hi, small):
-        calls.append((lo, hi))
-        return block(lo, hi, small)
+    def spy(ns, small):
+        calls.append((int(ns[0]), int(ns[-1]) + 1))
+        return block(ns, small)
 
     monkeypatch.setattr(shifted_counts, "_gpf_block", spy)
     return calls
@@ -369,6 +370,45 @@ class TestSegmentedShiftPass:
             assert large_factor_count(c, x, Theta(1, 2)) == 0
             assert smooth_shift_count(c, x, Theta(1, 2)) == 0
         assert large_factor_count_fixed(c, 0, Theta(1, 2)) == 0
+
+
+class TestGpfBlock:
+    """The kernel on the inputs the pass hands it: sparse ns and powers longer than a block."""
+
+    def test_long_powers_hitting_one_n(self, monkeypatch):
+        # below 8 blocks, 8 and 9 both span a block and both divide n = 72, 144, ...
+        monkeypatch.setattr(shifted_counts, "_BLOCK", 7)
+        c = build_sieve(6000)
+        ps, rs = _shift_gpfs(c, 6000)
+        assert sum(p % 144 == 1 for p in ps.tolist()) >= 5  # primes whose m is a multiple of 72
+        assert rs.tolist() == [gpf_trial(p - 1) for p in ps.tolist()]
+        small = primes_in(c, 0, 100)
+        for lo in (70, 140, 212, 284, 644, 2590):  # blocks of 5 holding a multiple of 72
+            ns = np.arange(lo, lo + 5)
+            assert _gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
+
+    def test_sparse_and_single_inputs(self):
+        c = build_sieve(20000)
+        small = primes_in(c, 0, 150)
+        for ns in (np.arange(1, 20000, 3), np.arange(4001, 19000, 3)):
+            assert _gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
+        ms = primes_in(c, 2, 20000) >> 1  # the m = (p - 1) / 2 of the odd primes
+        assert _gpf_block(ms, small).tolist() == [gpf_trial(m) for m in ms.tolist()]
+        for n in (1, 2, 3, 72, 128, 143, 9973, 10201, 19998):
+            assert _gpf_block(np.array([n]), small).tolist() == [gpf_trial(n)]
+
+    def test_exact_at_the_largest_m(self):
+        """p <= SIEVE_CEILING gives m < 2**39: int32 `top`, int64 `smooth` and cofactor there."""
+        m_end = SIEVE_CEILING // 2
+        root = math.isqrt(m_end)
+        small = primes_in(build_sieve(root + 1), 0, root)
+        q = int(small[-1])  # largest prime with q^2 < m_end
+        for ns in (
+            np.arange(m_end - 64, m_end),
+            np.arange(m_end - 300, m_end, 3),
+            np.arange(q * q - 8, q * q + 9),
+        ):
+            assert _gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
 
 
 class TestCountThresholdChunks:
