@@ -15,6 +15,7 @@ from .errors import ArgumentError, SplError, VerificationError
 from .linear_forms import (
     abel_identity_rhs,
     count_simultaneous,
+    form_sieve_limit,
     inverse_power_prime_sum,
     system_from_shifts,
 )
@@ -186,11 +187,9 @@ def _run_dickman(args) -> int:
 def _run_verify(args) -> int:
     if args.check == "abel":
         theta = Theta.parse(args.theta)
-        shifts = _parse_int_list(args.shifts)
-        system = system_from_shifts(shifts)
-        v = floor_root(args.x, args.k)  # no prime p above v enters either side
-        needed = max(args.x, max(h * v + 1 for h in shifts))
-        cache = _cache_for(args, needed)
+        system = system_from_shifts(_parse_int_list(args.shifts))
+        # no prime above x^(1/k) enters either side
+        cache = _cache_for(args, form_sieve_limit(floor_root(args.x, args.k), system))
         lhs = inverse_power_prime_sum(cache, args.x, args.k, theta, system)
         rhs = abel_identity_rhs(cache, args.x, args.k, theta, system)
         rel = abs(lhs - rhs) / max(lhs, 1e-30)
@@ -243,9 +242,8 @@ def main(argv=None) -> int:
         if args.command == "count":
             return _run_count(args)
         if args.command == "msim":
-            shifts = _parse_int_list(args.shifts)
-            system = system_from_shifts(shifts)
-            cache = _cache_for(args, max(h * args.t + 1 for h in shifts))
+            system = system_from_shifts(_parse_int_list(args.shifts))
+            cache = _cache_for(args, form_sieve_limit(args.t, system))
             print(count_simultaneous(cache, args.t, system))
             return 0
         if args.command == "wsum":

@@ -182,10 +182,9 @@ def build_spf(limit: int) -> np.ndarray:
         spf = np.zeros(limit + 1, dtype=np.uint32)
     except MemoryError as exc:
         raise CapacityError(f"cannot allocate spf table for limit {limit}") from exc
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
+    # descending, so the smallest prime dividing n writes spf[n] last
+    for p in np.flatnonzero(_simple_bool_sieve(isqrt(limit)))[::-1].tolist():
+        spf[p * p :: p] = p
     rest = np.flatnonzero(spf == 0)  # 0, 1, and all primes
     spf[rest] = rest.astype(np.uint32)
     spf[:2] = 0

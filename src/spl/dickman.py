@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, DomainError, PrecisionError, RangeError, SolverError
-from .shifted_counts import Theta
 
 __all__ = [
     "RhoTable",
@@ -60,12 +59,6 @@ def _implicit_weights(m: int, h: float):
             w *= h / 3.0
         w[m - 3 :] += (3.0 * h / 8.0) * np.array([1.0, 3.0, 3.0, 1.0])
     return w[:m], float(w[m])
-
-
-def _full_weights(m: int, h: float) -> np.ndarray:
-    """Composite quadrature weights over m intervals, all nodes known."""
-    known, last = _implicit_weights(m, h)
-    return np.append(known, last)
 
 
 def build_rho_table(u_max: float = 8.0, step: float = 2.0**-10) -> RhoTable:
@@ -139,11 +132,8 @@ def rho(table: RhoTable, u) -> float:
 
 
 def limiting_density(table: RhoTable, theta) -> float:
-    """1 - rho(1/theta): the conjectured limiting density of T'_theta / pi."""
-    th = theta.as_real if isinstance(theta, Theta) else float(theta)
-    if not 0 < th <= 1:
-        raise ArgumentError(f"theta must lie in (0, 1], got {theta}")
-    u = 1.0 / th
+    """1 - rho(1/theta) for a Theta: the conjectured limiting density of T'_theta / pi."""
+    u = 1.0 / theta.as_real
     if u > table.u_max * (1 + 1e-12):
         raise RangeError(f"1/theta = {u} beyond table range {table.u_max}")
     return 1.0 - rho(table, u)
@@ -171,7 +161,8 @@ def rho_over_t_integral(table: RhoTable, a, b) -> float:
         return (b - a) / 6.0 * (f(a) + 4.0 * f(mid) + f(b))
     ts = np.arange(ja, jb + 1) * h
     ys = table.values[ja : jb + 1] / ts
-    total = float(np.dot(_full_weights(jb - ja, h), ys))
+    known, last = _implicit_weights(jb - ja, h)  # all jb - ja + 1 nodes are known
+    total = float(np.dot(np.append(known, last), ys))
     for lo, hi in ((a, ja * h), (jb * h, b)):
         if hi > lo:
             mid = 0.5 * (lo + hi)

@@ -218,7 +218,7 @@ def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
         if ratio > 0:
             run_max = max(run_max, ratio)
             run_min = min(run_min, ratio)
-        band = (run_max / run_min) if run_min < math.inf and run_min > 0 else 0.0
+        band = (run_max / run_min) if run_min < math.inf else 0.0
         out.append(
             ExperimentRecord(
                 experiment="ratio",
@@ -226,7 +226,7 @@ def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
                 raw=[("tuple_count", count)],
                 derived=[
                     ("ratio", ratio),
-                    ("ratio_running_max", run_max if run_max > 0 else 0.0),
+                    ("ratio_running_max", run_max),
                     ("ratio_running_min", run_min if run_min < math.inf else 0.0),
                     ("band", band),
                 ],

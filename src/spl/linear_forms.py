@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core_primes
 from .core_primes import SieveCache, factorize, floor_root, primes_in
 from .errors import ArgumentError, DegeneracyError, DomainError
 from .shifted_counts import Theta
@@ -26,6 +27,7 @@ __all__ = [
     "make_system",
     "system_from_shifts",
     "local_rho",
+    "form_sieve_limit",
     "count_simultaneous",
     "as_step_function",
     "sieve_bound_value",
@@ -42,9 +44,6 @@ class ShiftSystem:
 
     The discriminant is stored signed; every product over its prime
     divisors uses the absolute value.
-    The sign depends on the construction route (raw forms use the pairwise
-    determinants a_r*b_s - a_s*b_r, ascending shifts use h_j - h_i), which
-    is immaterial downstream.
     """
 
     forms: tuple
@@ -80,19 +79,15 @@ def make_system(forms) -> ShiftSystem:
 
 
 def system_from_shifts(shifts) -> ShiftSystem:
-    """System h_i*p + 1 for ascending shifts; discriminant prod(h) * prod(h_j - h_i)."""
-    hs = tuple(sorted(int(h) for h in shifts))
+    """System h_i*p + 1 for the shifts; discriminant prod(h) * prod over i < j of (h_j - h_i).
+
+    The forms are kept in descending h, so each pairwise determinant
+    h_r*1 - h_s*1 of make_system is h_r - h_s > 0.
+    """
+    hs = [int(h) for h in shifts]
     if not hs or any(h < 1 for h in hs):
         raise ArgumentError(f"shifts must be positive integers, got {shifts}")
-    e = 1
-    for h in hs:
-        e *= h
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            e *= hs[j] - hs[i]
-    if e == 0:
-        raise DegeneracyError(f"repeated shifts give a zero discriminant: {shifts}")
-    return ShiftSystem(forms=tuple((h, 1) for h in hs), discriminant=e)
+    return make_system((h, 1) for h in sorted(hs, reverse=True))
 
 
 def local_rho(system: ShiftSystem, p: int) -> int:
@@ -119,30 +114,38 @@ class StepCountFunction:
         return 0 if idx == 0 else int(self.values[idx - 1])
 
 
-def _qualifying_mask(cache: SieveCache, ps: np.ndarray, system: ShiftSystem) -> np.ndarray:
-    ok = np.ones(len(ps), dtype=bool)
-    for a, b in system.forms:
-        ok &= cache.is_prime(a * ps + b)
-    return ok
+def form_sieve_limit(t, system: ShiftSystem):
+    """The sieve limit that decides p and every a_i*p + b_i for all p <= t."""
+    return max(t, *(a * t + b for a, b in system.forms))
 
 
-def _check_form_range(cache: SieveCache, t, system: ShiftSystem) -> None:
-    top = max(a * t + b for a, b in system.forms)
-    cache._check(max(top, t))
+def _qualifying_primes(cache: SieveCache, lo, hi, system: ShiftSystem) -> np.ndarray:
+    """Primes lo < p <= hi at which every form is prime, ascending.
+
+    The forms are evaluated one core_primes._SEGMENT_BITS chunk of primes at
+    a time, and each form only at the primes the earlier forms kept, so no
+    a*p + b array outgrows a chunk.
+    """
+    cache._check(form_sieve_limit(hi, system))
+    ps = primes_in(cache, lo, hi)
+    step = core_primes._SEGMENT_BITS
+    kept = [ps[:0]]
+    for i in range(0, len(ps), step):
+        part = ps[i : i + step]
+        for a, b in system.forms:
+            part = part[cache.is_prime(a * part + b)]
+        kept.append(part)
+    return np.concatenate(kept)
 
 
 def count_simultaneous(cache: SieveCache, t: int, system: ShiftSystem) -> int:
     """M(t) = #{p <= t : a_i*p + b_i prime for every i}."""
-    _check_form_range(cache, t, system)
-    ps = primes_in(cache, 0, t)
-    return int(np.count_nonzero(_qualifying_mask(cache, ps, system)))
+    return len(_qualifying_primes(cache, 0, t, system))
 
 
 def as_step_function(cache: SieveCache, t_max: int, system: ShiftSystem) -> StepCountFunction:
     """M on [0, t_max] as its jump sequence."""
-    _check_form_range(cache, t_max, system)
-    ps = primes_in(cache, 0, t_max)
-    bp = ps[_qualifying_mask(cache, ps, system)]
+    bp = _qualifying_primes(cache, 0, t_max, system)
     return StepCountFunction(breakpoints=bp, values=np.arange(1, len(bp) + 1))
 
 
@@ -191,13 +194,15 @@ def _range_primes(cache, x, k, theta, system) -> list:
     u_int, v_int = range_bounds_exact(x, k, theta)
     if u_int >= v_int:
         return []
-    _check_form_range(cache, v_int, system)
-    ps = primes_in(cache, u_int, v_int)
-    return ps[_qualifying_mask(cache, ps, system)].tolist()
+    return _qualifying_primes(cache, u_int, v_int, system).tolist()
 
 
 def inverse_power_prime_sum(cache, x: int, k: int, theta: Theta, system: ShiftSystem) -> float:
-    """Sum of p^(-k) over (x/2)^theta < p <= x^(1/k) with all forms prime."""
+    """Sum of p^(-k) over (x/2)^theta < p <= x^(1/k) with all forms prime.
+
+    No prime above floor_root(x, k) enters, so a sieve reaching
+    form_sieve_limit(floor_root(x, k), system) covers both Abel sides.
+    """
     qs = _range_primes(cache, x, k, theta, system)
     return math.fsum(1.0 / (q**k) for q in qs)
 

@@ -346,6 +346,8 @@ def fast_qualifying_products(
     gcd, so each qualifying tuple is produced exactly once.
     """
     _check_tuple_args(cache, x, k)
+    if x < 2**k:  # no k primes have a product below 2^k, as in the oracle
+        return []
     # The gcd of a tuple's shifts is below its smallest member, which is at
     # most x**(1/k) <= isqrt(x): a table that far covers every lookup.
     gpf = _gpf_upto(cache, max(math.isqrt(x), 1))

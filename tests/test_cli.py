@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from itertools import takewhile
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spl.cli import build_parser, main
+from spl.core_primes import load_sieve
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -83,6 +85,14 @@ class TestCountCommands:
         assert code == 1
         assert "theta" in err
 
+    def test_tk_both_below_two_to_the_k(self, capsys, cache_dir):
+        code, out, _ = run(
+            capsys, "count", "tk", "--x", "-10", "--k", "2", "--theta", "1/4",
+            "--method", "both", "--cache-dir", cache_dir,
+        )
+        assert code == 0
+        assert out.strip() == "oracle=0 fast=0"
+
     def test_capacity_exit_code(self, capsys, cache_dir):
         code, _, err = run(
             capsys, "count", "t", "--x", str(2**41), "--theta", "1/2", "--cache-dir", cache_dir
@@ -142,6 +152,18 @@ class TestVerify:
         )
         assert code == 0
         assert "rel=" in out
+
+    def test_abel_sieve_reaches_only_the_forms_at_the_kth_root(self, capsys, cache_dir):
+        """x = 1e13 is past the sieve ceiling, but both sides need only 2 * isqrt(x) + 1."""
+        x = 10**13
+        code, out, err = run(
+            capsys, "verify", "abel", "--x", str(x), "--k", "2", "--theta", "1/4",
+            "--shifts", "2", "--cache-dir", cache_dir,
+        )
+        assert code == 0, err
+        fields = dict(tok.split("=") for tok in out.split())
+        assert fields["lhs"] == fields["rhs"]
+        assert load_sieve(Path(cache_dir) / "sieve.spl").limit <= 2 * math.isqrt(x) + 1
 
 
 class TestOutOfDomainArguments:

@@ -89,15 +89,16 @@ class TestBuild:
 class TestDensity:
     def test_examples(self, rho_table):
         assert limiting_density(rho_table, Theta(1, 2)) == pytest.approx(math.log(2), abs=1e-7)
-        assert limiting_density(rho_table, 1) == 0.0
+        # 1/theta = 8/7 lies in (1, 2], where rho(u) = 1 - ln u
+        assert limiting_density(rho_table, Theta(7, 8)) == pytest.approx(math.log(8 / 7), abs=1e-7)
         assert limiting_density(rho_table, Theta(1, 3)) == pytest.approx(1 - RHO3, abs=1e-6)
         assert limiting_density(rho_table, Theta(1, 3)) == pytest.approx(0.9513916, abs=1e-6)
 
     def test_range(self, rho_table):
         with pytest.raises(RangeError):
             limiting_density(rho_table, Theta(1, 9))
-        with pytest.raises(ArgumentError):
-            limiting_density(rho_table, 0)
+        with pytest.raises(ArgumentError):  # the domain check on theta is Theta's own
+            limiting_density(rho_table, Theta(0, 1))
 
 
 class TestIntegral:

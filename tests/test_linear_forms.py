@@ -1,15 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import reference_flags
-from spl.core_primes import prime_count
+from spl import core_primes
+from spl.core_primes import build_sieve, prime_count
 from spl.errors import ArgumentError, DegeneracyError, DomainError, RangeError
 from spl.linear_forms import (
     abel_identity_rhs,
     as_step_function,
     count_simultaneous,
+    form_sieve_limit,
     inverse_power_prime_sum,
     local_factor_pos,
     local_rho,
@@ -30,6 +33,14 @@ class TestMakeSystem:
     def test_shifts_example(self):
         assert system_from_shifts([2, 3]).discriminant == 6
         assert system_from_shifts([3, 2]).discriminant == 6  # order-insensitive
+
+    def test_shifts_discriminant_formula(self):
+        """prod(h) * prod over i < j of (h_j - h_i), ascending h, for every 2- and 3-subset of 1..8."""
+        for g in (2, 3):
+            for hs in itertools.combinations(range(1, 9), g):
+                want = math.prod(hs) * math.prod(hj - hi for hi, hj in itertools.combinations(hs, 2))
+                assert system_from_shifts(hs).discriminant == want
+                assert system_from_shifts(hs[::-1]).discriminant == want
 
     def test_degenerate(self):
         with pytest.raises(DegeneracyError):
@@ -108,6 +119,20 @@ class TestCountSimultaneous:
     def test_range_error(self, cache):
         with pytest.raises(RangeError):
             count_simultaneous(cache, cache.limit, system_from_shifts([2]))
+
+    def test_sieve_limit_is_the_forms_reach(self):
+        """A sieve of exactly form_sieve_limit(t) serves M(t); one entry less is refused."""
+        t = 1000
+        for s, limit in (
+            (system_from_shifts([2, 6]), 6001),
+            (make_system([(3, 2), (1, -5)]), 3002),
+            (make_system([(1, -5)]), 1000),  # p itself reaches past every form
+        ):
+            assert form_sieve_limit(t, s) == limit
+            exact = build_sieve(limit)
+            assert count_simultaneous(exact, t, s) == count_simultaneous(build_sieve(limit + 50), t, s)
+            with pytest.raises(RangeError):
+                count_simultaneous(build_sieve(limit - 1), t, s)
 
     def test_step_function_consistency(self, cache):
         s = system_from_shifts([2, 6])
@@ -220,3 +245,52 @@ class TestAbelIdentity:
         s = system_from_shifts([3])
         with pytest.raises(RangeError):
             inverse_power_prime_sum(cache, cache.limit**2, 2, Theta(1, 4), s)
+
+
+class TestChunkedScan:
+    """The forms are evaluated a chunk of primes at a time; the chunk size changes nothing."""
+
+    SYSTEMS = (
+        ((2,), None),
+        ((2, 6), None),
+        ((4, 6, 10), None),
+        (None, ((3, 2), (1, -5))),
+        (None, ((3, 2), (5, 4))),
+    )
+    TS = (1, 2, 10, 977, 3000)
+    ABEL_CASES = ((10**7, 2, Theta(1, 4)), (10**9, 3, Theta(1, 6)))  # p <= 3162 and p <= 1000
+
+    @staticmethod
+    def _brute(flags, s, lo, hi) -> list:
+        def prime(n):
+            return n >= 2 and bool(flags[n])
+
+        return [
+            p for p in range(max(lo + 1, 2), hi + 1)
+            if prime(p) and all(prime(a * p + b) for a, b in s.forms)
+        ]
+
+    def _values(self, cache, s):
+        m = as_step_function(cache, self.TS[-1], s)
+        counts = [count_simultaneous(cache, t, s) for t in self.TS]
+        abel = [
+            (inverse_power_prime_sum(cache, x, k, th, s), abel_identity_rhs(cache, x, k, th, s))
+            for x, k, th in self.ABEL_CASES
+        ]
+        return m.breakpoints.tolist(), counts, abel
+
+    @pytest.mark.parametrize("shifts, forms", SYSTEMS)
+    def test_tiny_chunks_match_default_and_brute_force(self, cache, monkeypatch, shifts, forms):
+        s = system_from_shifts(shifts) if forms is None else make_system(forms)
+        default = self._values(cache, s)
+        for chunk in (1, 3, 7):
+            monkeypatch.setattr(core_primes, "_SEGMENT_BITS", chunk)
+            assert self._values(cache, s) == default
+        flags = reference_flags(10 * 3162 + 4)  # every form at every p tested below
+        bps, counts, abel = default
+        assert bps == self._brute(flags, s, 0, self.TS[-1])
+        assert counts == [len(self._brute(flags, s, 0, t)) for t in self.TS]
+        for (lhs, rhs), (x, k, th) in zip(abel, self.ABEL_CASES):
+            u, v = range_bounds_exact(x, k, th)
+            assert lhs == math.fsum(1.0 / p**k for p in self._brute(flags, s, u, v))
+            assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1e-30)

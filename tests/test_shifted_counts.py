@@ -158,6 +158,13 @@ class TestTupleCounters:
     def test_fast_examples(self, cache):
         assert tuple_count_fast(cache, 35, 2, Theta(1, 4)) == 3
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_empty_below_two_to_the_k(self, cache, k):
+        """No k primes have a product below 2^k: both routes return 0, negative x included."""
+        for x in (-10, -1, 0, 1, 2**k - 1):
+            assert tuple_count_fast(cache, x, k, Theta(1, 4)) == 0
+            assert tuple_count_oracle(cache, x, k, Theta(1, 4)) == 0
+
     def test_k_below_two_rejected(self, cache):
         with pytest.raises(ArgumentError):
             tuple_count_oracle(cache, 100, 1, Theta(1, 4))
