@@ -190,11 +190,22 @@ def range_bounds_exact(x: int, k: int, theta: Theta):
     return floor_root(x**theta.num, theta.den, 2**theta.num), floor_root(x, k)
 
 
-def _range_primes(cache, x, k, theta, system) -> list:
+def _range_primes(cache, x, k, theta, system) -> np.ndarray:
     u_int, v_int = range_bounds_exact(x, k, theta)
     if u_int >= v_int:
-        return []
-    return _qualifying_primes(cache, u_int, v_int, system).tolist()
+        return np.zeros(0, np.int64)
+    return _qualifying_primes(cache, u_int, v_int, system)
+
+
+def _inverse_powers(qs: np.ndarray, k: int) -> np.ndarray:
+    """1.0 / (q**k) for each q of the ascending qs, rounded exactly as the int route rounds it.
+
+    While q^k < 2^53 it is an exact float64, so one float division gives
+    the same correctly rounded quotient; larger q^k keep the int route.
+    """
+    exact = int(np.searchsorted(qs, floor_root(2**53 - 1, k), side="right"))
+    tail = [1.0 / (q**k) for q in qs[exact:].tolist()]
+    return np.concatenate([1.0 / (qs[:exact] ** k).astype(np.float64), tail])
 
 
 def inverse_power_prime_sum(cache, x: int, k: int, theta: Theta, system: ShiftSystem) -> float:
@@ -203,8 +214,7 @@ def inverse_power_prime_sum(cache, x: int, k: int, theta: Theta, system: ShiftSy
     No prime above floor_root(x, k) enters, so a sieve reaching
     form_sieve_limit(floor_root(x, k), system) covers both Abel sides.
     """
-    qs = _range_primes(cache, x, k, theta, system)
-    return math.fsum(1.0 / (q**k) for q in qs)
+    return math.fsum(_inverse_powers(_range_primes(cache, x, k, theta, system), k))
 
 
 def abel_identity_rhs(cache, x: int, k: int, theta: Theta, system: ShiftSystem) -> float:
@@ -218,11 +228,10 @@ def abel_identity_rhs(cache, x: int, k: int, theta: Theta, system: ShiftSystem) 
     only integer powers of primes and of x, since v = x^(1/k) has v^k = x.
     """
     qs = _range_primes(cache, x, k, theta, system)
-    if not qs:
-        return 0.0
     n = len(qs)
-    inv = [1.0 / (q**k) for q in qs]
-    inv.append(1.0 / x)
-    # fsum is exactly rounded in any order, so the pieces stream in unstored
-    pieces = (i * (inv[i - 1] - inv[i]) for i in range(1, n + 1))
+    if not n:
+        return 0.0
+    inv = np.append(_inverse_powers(qs, k), 1.0 / x)
+    # fsum is exactly rounded in any order, so the pieces need no list
+    pieces = np.arange(1, n + 1) * (inv[:-1] - inv[1:])
     return math.fsum(itertools.chain(pieces, [n * inv[n]]))

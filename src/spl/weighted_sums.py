@@ -6,9 +6,17 @@ p dividing E = h_1...h_g * prod_{i<j}(h_j - h_i). Alongside it live the
 moment sums that bound it through the Hoelder inequality, and the exact
 Mobius-expansion identity used to sum the single-variable weights.
 
-A per-integer table makes each tuple cheap: F[h] = prod_{p|h}(1 + 1/p).
-The factor for a union of prime sets is assembled from F with the primes
-already counted divided out, never by refactoring E.
+Per-integer tables make each tuple cheap: F[h] = prod_{p|h}(1 + 1/p), a
+12-bit mask of the primes <= 37 dividing h, and the primes > 37 dividing h.
+One scan serves every sum: it loops over the outer prefixes
+(h_1, ..., h_{g-2}) and covers the last two coordinates (a, b) as blocks.
+There the small primes come from one table lookup on the OR of three
+masks, the larger primes from a rank-1 product of row and column factors
+times a Toeplitz factor in b - a, and a sparse correction removes the few
+larger primes that product counts twice; `_scan_grid` carries the
+argument. The factor for a union of prime sets is assembled from these
+tables with the primes already counted divided out, never by refactoring
+E, and no element of E or table index reaches 2 z, so nothing overflows.
 """
 
 from __future__ import annotations
@@ -21,8 +29,9 @@ from math import comb
 from typing import List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_primes import _simple_bool_sieve, build_spf, factorize
+from .core_primes import _simple_bool_sieve, factorize
 from .errors import ArgumentError, BudgetError, VerificationError
 
 __all__ = [
@@ -37,6 +46,8 @@ __all__ = [
 ]
 
 TUPLE_BUDGET = 10**9
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # one mask bit each
+_BLOCK = 1 << 15  # entries per row block of the (h_{g-1}, h_g) scan
 
 
 def tuple_budget(g: int, z: int) -> int:
@@ -77,6 +88,31 @@ def _without_primes(f: np.ndarray, ps) -> tuple:
     return f_ps, f_rest
 
 
+def _expand(cnt: np.ndarray) -> tuple:
+    """(owner, rank) over groups of cnt[k] entries: entry i is number rank[i], from 0, of group owner[i]."""
+    owner = np.repeat(np.arange(len(cnt)), cnt)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
+def _prime_tables(z: int) -> tuple:
+    """(mask, indptr, large): the primes of every 0 <= n < z, built with numpy.
+
+    Bit i of mask[n] is set iff SMALL_PRIMES[i] divides n; the primes > 37
+    dividing n are large[indptr[n]:indptr[n + 1]], ascending (CSR).
+    """
+    z = max(z, 2)
+    mask = np.zeros(z, dtype=np.intp)
+    for bit, p in enumerate(SMALL_PRIMES):
+        mask[p::p] |= 1 << bit
+    ps = np.flatnonzero(_simple_bool_sieve(z - 1))
+    ps = ps[ps > SMALL_PRIMES[-1]]
+    which, rank = _expand((z - 1) // ps)  # the multiples of each p in 1..z - 1
+    p_rep = ps[which]
+    n = p_rep * (rank + 1)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(n, minlength=z))])
+    return mask, indptr, p_rep[np.argsort(n, kind="stable")]
+
+
 def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     """One enumeration of all tuples with h_g < z_max, binned by h_g.
 
@@ -87,41 +123,157 @@ def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     Moment weights use the exponent ell * G with G = comb(g + 1, 2). With
     moments=False the moment bins stay zero.
 
-    The loop runs over prefixes (h_1, ..., h_{g-1}) and is vectorised over
-    h_g. A prime dividing two of the new elements h_g and h_g - h_s also
-    divides h_s or a difference of two h_s, so F(E) is F over the prefix's
-    primes times, for each new element, F with those primes divided out.
-    No kernel product is formed, so every array value stays below z_max.
+    The loop runs over outer prefixes O = (h_1, ..., h_{g-2}) (one empty O
+    when g = 2; g = 1 is one vector line) and covers the pairs
+    (a, b) = (h_{g-1}, h_g) in row blocks of about _BLOCK entries. With
+    X = (0, *O), the elements of E are O's own elements, the row elements
+    a - x, the column elements b - x (x in X) and b - a. F(E) factors as:
+
+    - primes <= 37: W[mask_row[a] | mask_col[b] | mask[b - a]] from a
+      2^12-entry table, where the row mask also carries O's small primes;
+    - O's primes > 37: a constant, divided out of fy = F over the primes
+      > 37 by `_without_primes`, leaving fyr;
+    - every other prime > 37: the rank-1 product rowfac[a] * colfac[b],
+      rowfac[a] = prod_x fyr[a - x] and colfac[b] = prod_x fyr[b - x],
+      times the Toeplitz factor fyr[b - a];
+    - a sparse correction for the primes that product counts twice.
+
+    Completeness of the correction: let p > 37 divide no element of O. It
+    divides at most one a - x (else p | x - x', an element of O), at most
+    one b - x, and p | b - a together with one of p | a - x, p | b - x
+    forces the other. So the elements p divides are {a - x}, {b - x'},
+    {b - a}, {a - x, b - x'} with x != x' (p does not divide
+    b - a = (x' - x) mod p), or {a - x, b - x, b - a}. The rank-1 product
+    counts each once except the last two, counted 2 and 3 times; both are
+    exactly the pairs with a = x (mod p) and b = x' (mod p), which are
+    enumerated per O by index arithmetic and divided by (1 + 1/p) once,
+    or twice when x = x'. A prime dividing O and a new element is counted
+    once, in O's constant, because it was divided out of fyr, including its
+    Toeplitz view.
+
+    w_bins is one matvec inv_a @ fac**ell per block. Each moment row
+    depends on O alone, on a, on b, or on b - a, so it is a cumulative sum
+    over a or one convolution; no per-tuple gather is made. No kernel
+    product is formed: every element of E is below z_max, every table index
+    below 2 z_max and every block offset below max(_BLOCK, z_max), so
+    nothing can overflow int64.
     """
-    f = _factor_table(z_max)
-    f_ellg = f ** (ell * comb(g + 1, 2))
-    hs = np.arange(z_max)
-    inv_h = 1.0 / np.maximum(hs, 1)
+    z = z_max
+    f_ellg = _factor_table(z) ** (ell * comb(g + 1, 2))
+    inv_h = 1.0 / np.maximum(np.arange(z), 1)
     # the elements of E as x[hi] - x[lo] with x = (0, h_1, ..., h_g): the g
     # coordinates, then the differences in lexicographic (s, r) order; one
     # moment row each
     pairs = [(r + 1, s + 1) for s, r in combinations(range(g), 2)]
     hi, lo = np.array([(j + 1, 0) for j in range(g)] + pairs).T
-    new = hi == g
-    # the prefix's elements lie in 1..z_max - 1; a g = 1 scan has no prefix
-    if g >= 2:
-        spf = build_spf(z_max)
-        primes_of = [()] + [tuple(p for p, _ in factorize(n, spf)) for n in range(1, z_max)]
-    w_bins = np.zeros(z_max)
-    m_bins = np.zeros((len(hi), z_max))
-    for prefix in combinations(range(2, z_max - 1), g - 1):
-        start = prefix[-1] + 1 if prefix else 2
-        x = np.array((0, *prefix, 0))
-        base = x[hi] - x[lo]  # the prefix's elements, and -h_s for the new ones
-        ps = sorted(set().union(*(primes_of[n] for n in base[~new].tolist())))
-        fac, f_rest = _without_primes(f, ps)
-        for h in (0, *prefix):
-            fac = fac * f_rest[start - h : z_max - h]
-        inv = inv_h[start:] / math.prod(prefix)
-        w_bins[start:] += fac**ell * inv
+    w_bins = np.zeros(z)
+    m_bins = np.zeros((len(hi), z))
+    if g == 1:  # G = 1: w and the one moment row are the same line
+        w_bins[2:] = f_ellg[2:] * inv_h[2:]
         if moments:
-            m_bins[:, start:] += f_ellg[base[:, None] + new[:, None] * hs[start:]] * inv
+            m_bins[0] = w_bins
+        return w_bins, m_bins[:1], m_bins[1:]
+    mask, indptr, large = _prime_tables(z)
+    fy = np.ones(z)
+    np.multiply.at(fy, np.repeat(np.arange(z), np.diff(indptr)), 1.0 + 1.0 / large)
+    bits = np.arange(1 << len(SMALL_PRIMES))
+    w_small = np.ones(len(bits))
+    for bit, p in enumerate(SMALL_PRIMES):
+        w_small[(bits >> bit) & 1 == 1] *= 1.0 + 1.0 / p
+    w_small **= ell
+    # Toeplitz sources: entry z + d holds the value at d = b - a; d <= 0 reads
+    # the zero padding, so block entries with b <= a add nothing
+    mask_toe = sliding_window_view(np.concatenate([np.zeros(z + 1, np.intp), mask[1:]]), z - 1)
+    fyr_ell = np.zeros(2 * z)
+    toe = sliding_window_view(fyr_ell, z - 1)
+    # one pair of buffers serves every block: rows * width <= max(_BLOCK, z)
+    mask_buf, blk_buf = np.empty(max(_BLOCK, z), np.intp), np.empty(max(_BLOCK, z))
+    # moment rows by what they read: O's elements, a - x, b - x; b - a is last
+    o_rows = np.flatnonzero(hi <= g - 2)
+    a_rows = np.flatnonzero(hi == g - 1)
+    b_rows = np.flatnonzero((hi == g) & (lo <= g - 2))
+    for outer in combinations(range(2, z - 2), g - 2):
+        xs = np.array((0, *outer))
+        c = outer[-1] if outer else 1  # a runs over c < a < z - 1, b over a < b < z
+        if c + 2 >= z:  # g = 2 and z <= 3: no pair
+            continue
+        o_elems = (xs[hi[o_rows]] - xs[lo[o_rows]]).tolist()
+        ps_o = sorted({p for e in o_elems for p in large[indptr[e] : indptr[e + 1]].tolist()})
+        f_o, fyr = _without_primes(fy, ps_o)
+        # line i holds the elements a - xs[i] for a = c + 1 .. z - 2; plus 1,
+        # they are the elements b - xs[i] for b = a + 1
+        elems = np.arange(c + 1, z - 1) - xs[:, None]
+        mask_row = np.bitwise_or.reduce(mask[elems], axis=0) | np.bitwise_or.reduce(mask[o_elems])
+        mask_col = np.bitwise_or.reduce(mask[elems + 1], axis=0)
+        vec = inv_h[c + 1 : z - 1] * fyr[elems].prod(axis=0) ** ell
+        fyr_ell[z + 1 :] = fyr[1:] ** ell
+        corr = _corrections(xs, elems, z, ell, indptr, large, ps_o)
+        acc = np.zeros(z)
+        a0 = c + 1
+        while a0 < z - 1:
+            # row i <-> a = a0 + i, column j <-> b = a0 + 1 + j, b - a = 1 + j - i
+            width = z - 1 - a0
+            a1 = min(a0 + max(_BLOCK // width, 1), z - 1)
+            diag = slice(z + 2 - (a1 - a0), z + 2)
+            m = mask_buf[: (a1 - a0) * width].reshape(-1, width)
+            np.bitwise_or(mask_toe[diag, :width][::-1], mask_col[a0 - c - 1 :], out=m)
+            m |= mask_row[a0 - c - 1 : a1 - c - 1, None]
+            blk = np.take(w_small, m, out=blk_buf[: m.size].reshape(m.shape), mode="clip")
+            blk *= toe[diag, :width][::-1]
+            _correct(blk, a0, corr)
+            acc[a0 + 1 :] += vec[a0 - c - 1 : a1 - c - 1] @ blk
+            a0 = a1
+        scale = inv_h[c + 2 :] / math.prod(outer)
+        w_bins[c + 2 :] += acc[c + 2 :] * fyr[elems + 1].prod(axis=0) ** ell * scale * f_o**ell
+        if moments:
+            inv_a = inv_h[c + 1 : z - 1]
+            below = np.cumsum(inv_a) * scale  # at b: the sum of 1/a over c < a < b
+            m_bins[o_rows, c + 2 :] += np.outer(f_ellg[o_elems], below)
+            m_bins[a_rows, c + 2 :] += np.cumsum(f_ellg[elems[lo[a_rows]]] * inv_a, axis=1) * scale
+            m_bins[b_rows, c + 2 :] += f_ellg[elems[lo[b_rows]] + 1] * below
+            m_bins[-1, c + 2 :] += np.convolve(inv_a, f_ellg[1 : z - c - 1])[: z - c - 2] * scale
     return w_bins, m_bins[:g], m_bins[g:]
+
+
+def _corrections(xs, elems, z, ell, indptr, large, ps_o) -> tuple:
+    """The pairs one outer prefix must correct, as progressions sorted by row.
+
+    elems[i] holds the row elements a - xs[i]. Entry k covers row a[k] and
+    the columns b = first[k] + j * step[k], 0 <= j < count[k], each to be
+    multiplied by factor[k]. Together they are the pairs a < b < z with a
+    prime p > 37 outside ps_o dividing some a - x and some b - x'
+    (x, x' in xs): step p, factor (1 + 1/p)^-ell, squared when x = x'.
+    """
+    n = elems.ravel()
+    at, rank = _expand(indptr[n + 1] - indptr[n])
+    p = large[indptr[n][at] + rank]
+    if ps_o:
+        keep = ~np.isin(p, ps_o)
+        at, p = at[keep], p[keep]
+    if not len(at):
+        return (at,) * 5
+    line, col = np.divmod(at, elems.shape[1])
+    order = np.argsort(col, kind="stable")
+    # xs[0] = 0, so elems[0] holds the rows a themselves
+    a, p, x = (np.repeat(v[order], len(xs)) for v in (elems[0][col], p, xs[line]))
+    x_col = np.tile(xs, len(order))
+    first = x_col + ((a - x_col) // p + 1) * p  # the least b > a with b = x' (mod p)
+    count = np.maximum((z - 1 - first) // p + 1, 0)
+    factor = (p / (p + 1.0)) ** (ell * np.where(x == x_col, 2, 1))
+    return a, first, p, count, factor
+
+
+def _correct(blk: np.ndarray, a0: int, corr: tuple) -> None:
+    """Apply the corrections of rows a0 .. a0 + len(blk) - 1 to a block whose
+    column j is b = a0 + 1 + j."""
+    a, first, step, count, factor = corr
+    k0, k1 = np.searchsorted(a, (a0, a0 + len(blk)))
+    if k0 == k1:
+        return
+    k, j = _expand(count[k0:k1])
+    k += k0
+    b = first[k] + step[k] * j
+    np.multiply.at(blk.ravel(), (a[k] - a0) * blk.shape[1] + b - a0 - 1, factor[k])
 
 
 def weighted_tuple_sum(g: int, ell: int, z: int) -> float:

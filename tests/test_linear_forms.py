@@ -6,7 +6,7 @@ import pytest
 
 from conftest import reference_flags
 from spl import core_primes
-from spl.core_primes import build_sieve, prime_count
+from spl.core_primes import build_sieve, floor_root, prime_count
 from spl.errors import ArgumentError, DegeneracyError, DomainError, RangeError
 from spl.linear_forms import (
     abel_identity_rhs,
@@ -245,6 +245,40 @@ class TestAbelIdentity:
         s = system_from_shifts([3])
         with pytest.raises(RangeError):
             inverse_power_prime_sum(cache, cache.limit**2, 2, Theta(1, 4), s)
+
+
+class TestAbelArrays:
+    """The float64-array Abel sides equal the list expressions they replaced, bit for bit."""
+
+    # (x, k): all q^k < 2^53 at 2e12 and 2e15; at 1e17 the q^k past 2^53
+    # (q > 9741 for k = 4) take the int route
+    CASES = ((2 * 10**12, 3), (2 * 10**15, 3), (2 * 10**15, 4), (10**17, 4))
+
+    @staticmethod
+    def _list_sides(qs: list, x: int, k: int):
+        lhs = math.fsum(1.0 / (q**k) for q in qs)
+        if not qs:
+            return lhs, 0.0
+        n = len(qs)
+        inv = [1.0 / (q**k) for q in qs]
+        inv.append(1.0 / x)
+        pieces = (i * (inv[i - 1] - inv[i]) for i in range(1, n + 1))
+        return lhs, math.fsum(itertools.chain(pieces, [n * inv[n]]))
+
+    @pytest.mark.parametrize("x, k", CASES)
+    @pytest.mark.parametrize("shifts", [[2], [2, 6]])
+    def test_bit_identical_to_list_route(self, cache, x, k, shifts):
+        s = system_from_shifts(shifts)
+        th = Theta(1, 2 * k)
+        u, v = range_bounds_exact(x, k, th)
+        qs = [q for q in as_step_function(cache, v, s).breakpoints.tolist() if q > u]
+        assert len(qs) > 10
+        lhs, rhs = self._list_sides(qs, x, k)
+        assert inverse_power_prime_sum(cache, x, k, th, s) == lhs
+        assert abel_identity_rhs(cache, x, k, th, s) == rhs
+
+    def test_int_route_is_exercised(self):
+        assert floor_root(2**53 - 1, 4) == 9741 < floor_root(10**17, 4)
 
 
 class TestChunkedScan:

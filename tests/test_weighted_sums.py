@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import factor_trial
+from spl.core_primes import build_spf, factorize
 from spl.errors import ArgumentError, BudgetError
 from spl.weighted_sums import (
+    _BLOCK,
+    SMALL_PRIMES,
     _factor_table,
+    _prime_tables,
     _without_primes,
     holder_grid,
     holder_verify,
@@ -229,3 +233,131 @@ class TestKernelPrefix:
         for n in range(1, z):
             want = one_plus_inv_primes(n) / one_plus_inv_primes(math.gcd(rad(n), kernel))
             assert f_rest[n] == pytest.approx(want, rel=1e-14)
+
+
+def elementwise_oracle(g: int, ell: int, z: int):
+    """w, aj and ars by trial division of each element of E: the union of their primes.
+
+    No kernel product is formed; rows are ordered as in moments_oracle.
+    """
+    G = math.comb(g + 1, 2)
+    pairs = [(s, r) for s in range(g) for r in range(s + 1, g)]
+    primes = [frozenset()] + [frozenset(p for p, _ in factor_trial(n)) for n in range(1, z)]
+    fac = [0.0] + [one_plus_inv_primes(n) ** (ell * G) for n in range(1, z)]
+    w, aj, ars = 0.0, [0.0] * g, [0.0] * len(pairs)
+    for tup in combinations(range(2, z), g):
+        diffs = [tup[r] - tup[s] for s, r in pairs]
+        union = frozenset().union(*(primes[e] for e in (*tup, *diffs)))
+        inv = 1 / math.prod(tup)
+        w += math.prod(1 + 1 / p for p in union) ** ell * inv
+        for j, e in enumerate(tup):
+            aj[j] += fac[e] * inv
+        for idx, e in enumerate(diffs):
+            ars[idx] += fac[e] * inv
+    return w, aj, ars
+
+
+class TestCorrectionPath:
+    """z > 41, so primes on both sides of the 37 mask boundary divide two elements."""
+
+    # Witness tuples, each a case the scan must get right: 37 is a mask bit,
+    # 41 and 43 go through the rank-1 product and its sparse correction.
+    CASES = {
+        (2, 2, 160): [
+            (37, 74),  # 37 | a, b and b - a
+            (41, 82),  # 41 | a, b and b - a: counted three times before correction
+            (43, 129),  # 43 | a, b and b - a
+        ],
+        (3, 1, 96): [
+            (10, 51, 82),  # 41 | a - h_1 and b: the x != x' class
+            (41, 50, 91),  # 41 | O and b - a
+            (5, 48, 91),  # 43 | a - h_1, b - h_1 and b - a
+            (37, 47, 84),  # 37 | O and b - a
+        ],
+        (3, 1, 124): [
+            (41, 82, 123),  # 41 | O, a, b and every difference: O's constant alone counts it
+            (37, 74, 111),  # the same on the mask side
+        ],
+        (4, 1, 48): [
+            (2, 3, 43, 44),  # 41 | a - h_1 and b - h_2
+            (2, 4, 41, 45),  # 41 | a and b - h_2
+            (3, 5, 40, 42),  # 37 | a - h_1 and b - h_2
+        ],
+    }
+
+    @staticmethod
+    def _shared(tup, p) -> int:
+        g = len(tup)
+        elems = [*tup, *(tup[r] - tup[s] for s in range(g) for r in range(s + 1, g))]
+        return sum(e % p == 0 for e in elems)
+
+    def test_witnesses_cover_both_sides(self):
+        for (g, _, z), tuples in self.CASES.items():
+            assert all(len(t) == g and 1 < t[0] and list(t) == sorted(set(t)) and t[-1] < z for t in tuples)
+            assert any(self._shared(t, 37) >= 2 for t in tuples)
+            assert any(self._shared(t, 41) >= 2 or self._shared(t, 43) >= 2 for t in tuples)
+
+    @pytest.mark.parametrize("g,ell,z", list(CASES))
+    def test_w_and_every_moment_row_match(self, g, ell, z):
+        w, aj, ars = elementwise_oracle(g, ell, z)
+        d = holder_verify(g, ell, z)
+        assert d.w_value == pytest.approx(w, rel=1e-12)
+        assert d.aj_moments == pytest.approx(aj, rel=1e-12)
+        assert d.ars_moments == pytest.approx(ars, rel=1e-12)
+        assert weighted_tuple_sum(g, ell, z) == pytest.approx(w, rel=1e-12)
+
+
+def _row_block_edges(g: int, z: int) -> list:
+    """The rows a where the scan of the first outer prefix, (2, ..., g - 1), starts a new block."""
+    a0, edges = g, []
+    while a0 < z - 1:
+        a0 += max(_BLOCK // (z - 1 - a0), 1)
+        edges.append(a0)
+    return edges[:-1]
+
+
+class TestBlockBoundaries:
+    """Grid entries on both sides of a row-block edge equal their pointwise values."""
+
+    @pytest.mark.parametrize("g,ell,z_max", [(2, 2, 700), (3, 1, 300)])
+    def test_grid_matches_pointwise_across_edges(self, g, ell, z_max):
+        edges = _row_block_edges(g, z_max)
+        assert len(edges) >= 2  # several blocks
+        grid = weighted_tuple_sum_grid(g, ell, z_max)
+        zs = sorted({z for e in edges[:3] for z in (e, e + 1, e + 2)} | {z_max})
+        for z in zs:
+            assert grid[z] == pytest.approx(weighted_tuple_sum(g, ell, z), rel=1e-13)
+
+    @pytest.mark.parametrize("g,ell,z_max", [(2, 1, 650), (3, 2, 300)])
+    def test_holder_grid_matches_verify_across_edges(self, g, ell, z_max):
+        edges = _row_block_edges(g, z_max)
+        assert len(edges) >= 2
+        diags = holder_grid(g, ell, z_max)
+        for z in sorted({z for e in edges[:2] for z in (e, e + 1, e + 2)} | {z_max}):
+            direct = holder_verify(g, ell, z)
+            grid = diags[z - 2]
+            assert grid.z == z
+            assert grid.w_value == pytest.approx(direct.w_value, rel=1e-13)
+            assert grid.aj_moments == pytest.approx(direct.aj_moments, rel=1e-12)
+            assert grid.ars_moments == pytest.approx(direct.ars_moments, rel=1e-12)
+            assert grid.holder_bound == pytest.approx(direct.holder_bound, rel=1e-12)
+
+    def test_g1_vector_line(self):
+        grid = weighted_tuple_sum_grid(1, 2, 3000)
+        diags = holder_grid(1, 2, 3000)
+        for z in (2, 3, 4, 1000, 2999, 3000):
+            assert grid[z] == pytest.approx(weighted_tuple_sum(1, 2, z), rel=1e-13, abs=1e-300)
+            assert diags[z - 2].aj_moments == pytest.approx(holder_verify(1, 2, z).aj_moments, rel=1e-12)
+
+
+class TestPrimeTables:
+    def test_every_n_below_2_14_matches_factorize(self):
+        z = 2**14
+        mask, indptr, large = _prime_tables(z)
+        spf = build_spf(z)
+        assert len(mask) == z and len(indptr) == z + 1
+        for n in range(1, z):
+            ps = [p for p, _ in factorize(n, spf)]
+            small = [p for bit, p in enumerate(SMALL_PRIMES) if mask[n] >> bit & 1]
+            assert small == [p for p in ps if p <= 37]
+            assert large[indptr[n] : indptr[n + 1]].tolist() == [p for p in ps if p > 37]
