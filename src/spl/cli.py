@@ -103,16 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     pd_sub = pd.add_subparsers(dest="what", required=True)
     q = pd_sub.add_parser("rho", parents=[common])
     q.add_argument("--u", type=float, required=True)
-    q.add_argument("--u-max", type=float, default=8.0)
-    q.add_argument("--step", type=float, default=2.0**-10)
     for name in ("theta1", "theta2"):
-        q = pd_sub.add_parser(name, parents=[common])
-        q.add_argument("--u-max", type=float, default=8.0)
-        q.add_argument("--step", type=float, default=2.0**-10)
+        pd_sub.add_parser(name, parents=[common])
     q = pd_sub.add_parser("density", parents=[common])
     q.add_argument("--theta", required=True)
-    q.add_argument("--u-max", type=float, default=8.0)
-    q.add_argument("--step", type=float, default=2.0**-10)
 
     pv = sub.add_parser("verify", help="identity checks (exit 3 on failure)")
     pv_sub = pv.add_subparsers(dest="check", required=True)
@@ -134,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = pe_sub.add_parser("density", parents=[table])
     q.add_argument("--theta", required=True)
     q.add_argument("--x-grid", required=True)
-    q.add_argument("--u-max", type=float, default=8.0)
     q = pe_sub.add_parser("rearrange", parents=[table])
     q.add_argument("--x", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
@@ -171,16 +164,15 @@ def _run_count(args) -> int:
 
 
 def _run_dickman(args) -> int:
-    table = dickman.build_rho_table(args.u_max, args.step)
     if args.what == "rho":
-        print(f"{dickman.rho(table, args.u):.12g}")
-    elif args.what == "theta1":
-        print(f"{dickman.solve_theta1(table):.12g}")
-    elif args.what == "theta2":
-        print(f"{dickman.solve_theta2(table):.12g}")
-    else:
+        value = dickman.rho(dickman.table_for(args.u), args.u)
+    elif args.what == "density":
         theta = Theta.parse(args.theta)
-        print(f"{dickman.limiting_density(table, theta):.12g}")
+        value = dickman.limiting_density(dickman.table_for(1.0 / theta.as_real), theta)
+    else:
+        solve = dickman.solve_theta1 if args.what == "theta1" else dickman.solve_theta2
+        value = solve(dickman.table_for(dickman.SOLVER_U))
+    print(f"{value:.12g}")
     return 0
 
 
@@ -213,8 +205,8 @@ def _run_experiment(args) -> int:
         records = experiments.ratio_table(cache, args.k, theta, grid)
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
+        table = dickman.table_for(1.0 / theta.as_real)
         cache = _cache_for(args, max(grid))
-        table = dickman.build_rho_table(args.u_max)
         records = experiments.density_table(cache, table, theta, grid)
     elif args.which == "rearrange":
         cache = _cache_for(args, experiments.rearrange_sieve_limit(args.x, args.k, theta))

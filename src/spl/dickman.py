@@ -21,12 +21,22 @@ from .errors import ArgumentError, CapacityError, DomainError, PrecisionError, R
 __all__ = [
     "RhoTable",
     "build_rho_table",
+    "table_for",
+    "U_CEILING",
+    "SOLVER_U",
     "rho",
     "limiting_density",
     "rho_over_t_integral",
     "solve_theta1",
     "solve_theta2",
 ]
+
+
+# rho is exactly 0.0 in float64 from u ~ 132.65 at the default step, so no
+# query past here needs a table
+U_CEILING = 133.0
+THETA_BRACKET = (0.25, 0.45)
+SOLVER_U = 1.0 / THETA_BRACKET[0]  # the largest u either threshold solver reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +110,28 @@ def build_rho_table(u_max: float = 8.0, step: float = 2.0**-10) -> RhoTable:
     return RhoTable(u_max=u_max, step=step, values=vals)
 
 
+def table_for(u: float) -> RhoTable:
+    """The default-step table for a query at u, reaching floor(u) + 1 (at least 2).
+
+    One unit past u keeps rho's stencil off the table's end. The table is
+    filled forward, so its values equal those of any longer default-step
+    table, and so does every rho, density or root read from it.
+    """
+    if not math.isfinite(u):
+        raise ArgumentError(f"u must be finite, got {u}")
+    if u > U_CEILING:
+        raise RangeError(f"u={u} is past {U_CEILING}, beyond which rho underflows to 0")
+    return build_rho_table(max(math.floor(u) + 1, 2))
+
+
 def rho(table: RhoTable, u) -> float:
     """Cubic interpolation on the grid; exactly 1 for u <= 1.
 
     The 4-point stencil is kept inside the unit interval containing u, so
     it never spans the non-smooth points of rho at small integers.
     """
+    if not math.isfinite(u):
+        raise ArgumentError(f"u must be finite, got {u}")
     if u < 0 or u > table.u_max * (1 + 1e-12):
         raise RangeError(f"u={u} outside table range [0, {table.u_max}]")
     if u <= 1:
@@ -133,10 +159,7 @@ def rho(table: RhoTable, u) -> float:
 
 def limiting_density(table: RhoTable, theta) -> float:
     """1 - rho(1/theta) for a Theta: the conjectured limiting density of T'_theta / pi."""
-    u = 1.0 / theta.as_real
-    if u > table.u_max * (1 + 1e-12):
-        raise RangeError(f"1/theta = {u} beyond table range {table.u_max}")
-    return 1.0 - rho(table, u)
+    return 1.0 - rho(table, 1.0 / theta.as_real)
 
 
 def rho_over_t_integral(table: RhoTable, a, b) -> float:
@@ -192,19 +215,19 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 300) ->
 
 
 def solve_theta2(table: RhoTable) -> float:
-    """Root of theta - 4*rho(1/theta) on [0.25, 0.45], to |f| <= 1e-10."""
-    if table.u_max < 4:
-        raise RangeError("table must cover u_max >= 4 to bracket the root")
-    return _bisect(lambda th: th - 4.0 * rho(table, 1.0 / th), 0.25, 0.45)
+    """Root of theta - 4*rho(1/theta) on THETA_BRACKET, to |f| <= 1e-10."""
+    if table.u_max < SOLVER_U:
+        raise RangeError(f"table must cover u_max >= {SOLVER_U} to bracket the root")
+    return _bisect(lambda th: th - 4.0 * rho(table, 1.0 / th), *THETA_BRACKET)
 
 
 def solve_theta1(table: RhoTable) -> float:
-    """Root of theta - 4*int_{1/theta-1}^{1/theta} rho(t)/t dt on [0.25, 0.45]."""
-    if table.u_max < 4:
-        raise RangeError("table must cover u_max >= 4 to bracket the root")
+    """Root of theta - 4*int_{1/theta-1}^{1/theta} rho(t)/t dt on THETA_BRACKET."""
+    if table.u_max < SOLVER_U:
+        raise RangeError(f"table must cover u_max >= {SOLVER_U} to bracket the root")
 
     def objective(th):
         u = 1.0 / th
         return th - 4.0 * rho_over_t_integral(table, u - 1.0, u)
 
-    return _bisect(objective, 0.25, 0.45)
+    return _bisect(objective, *THETA_BRACKET)

@@ -159,7 +159,6 @@ def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     nothing can overflow int64.
     """
     z = z_max
-    f_ellg = _factor_table(z) ** (ell * comb(g + 1, 2))
     inv_h = 1.0 / np.maximum(np.arange(z), 1)
     # the elements of E as x[hi] - x[lo] with x = (0, h_1, ..., h_g): the g
     # coordinates, then the differences in lexicographic (s, r) order; one
@@ -169,10 +168,12 @@ def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     w_bins = np.zeros(z)
     m_bins = np.zeros((len(hi), z))
     if g == 1:  # G = 1: w and the one moment row are the same line
-        w_bins[2:] = f_ellg[2:] * inv_h[2:]
+        w_bins[2:] = _factor_table(z)[2:] ** ell * inv_h[2:]
         if moments:
             m_bins[0] = w_bins
         return w_bins, m_bins[:1], m_bins[1:]
+    if moments:
+        f_ellg = _factor_table(z) ** (ell * comb(g + 1, 2))
     mask, indptr, large = _prime_tables(z)
     fy = np.ones(z)
     np.multiply.at(fy, np.repeat(np.arange(z), np.diff(indptr)), 1.0 + 1.0 / large)

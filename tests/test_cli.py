@@ -1,4 +1,6 @@
+import argparse
 import importlib.util
+import io
 import json
 import math
 import subprocess
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import spl.dickman as dickman
+from spl import experiments
 from spl.cli import build_parser, main
-from spl.core_primes import load_sieve
+from spl.core_primes import ensure_sieve, load_sieve
+from spl.shifted_counts import Theta
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -25,6 +30,20 @@ def _benchmark_commands() -> list:
 
 
 BENCHMARK_COMMANDS = _benchmark_commands()
+
+
+def _leaf_options(parser, path=()):
+    """Yield (leaf command, its option strings but -h/--help) under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        opts = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        yield " ".join(path), opts
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_options(child, path + (name,))
+
+
+LEAF_OPTIONS = dict(_leaf_options(build_parser()))
 
 
 def _leaf(argv) -> str:
@@ -138,6 +157,24 @@ class TestOtherCommands:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.6931471805, abs=1e-7)
 
+    def test_dickman_past_eight(self, capsys, cache_dir):
+        """1/theta past 8, as for every k >= 5 in the paper's window."""
+        wide = dickman.build_rho_table(11.0)
+        code, out, _ = run(capsys, "dickman", "rho", "--u", "9")
+        assert code == 0 and out == f"{dickman.rho(wide, 9.0):.12g}\n"
+        theta = Theta(1, 10)
+        code, out, _ = run(capsys, "dickman", "density", "--theta", "1/10")
+        assert code == 0 and out == f"{dickman.limiting_density(wide, theta):.12g}\n"
+        code, out, _ = run(
+            capsys, "experiment", "density", "--theta", "1/10", "--x-grid", "1000",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 0
+        buf = io.StringIO()
+        records = experiments.density_table(ensure_sieve(1000, cache_dir), wide, theta, [1000])
+        experiments.write_csv(records, buf)
+        assert out == buf.getvalue()
+
 
 class TestVerify:
     def test_mobius_ok(self, capsys):
@@ -187,16 +224,31 @@ class TestOutOfDomainArguments:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            (["dickman", "rho", "--u", "2", "--step", "0"], 1),
-            (["dickman", "rho", "--u", "2", "--step", "-0.001"], 1),
-            (["dickman", "rho", "--u", "2", "--u-max", "nan"], 1),
-            (["dickman", "theta1", "--step", "1e-300"], 2),
+            (["dickman", "rho", "--u", "nan"], 1),
+            (["dickman", "rho", "--u", "inf"], 1),
+            (["dickman", "rho", "--u", "134"], 2),
+            (["dickman", "density", "--theta", "1/134"], 2),
+            (["experiment", "density", "--theta", "1/134", "--x-grid", "1000"], 2),
         ],
     )
-    def test_bad_rho_grid(self, capsys, argv, code):
+    def test_bad_rho_query(self, capsys, monkeypatch, argv, code):
+        """Non-finite u exits 1; a u past the ceiling exits 2 before any table or sieve."""
+        import spl.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("built a table or sieve")
+
+        monkeypatch.setattr(dickman, "build_rho_table", refuse)
+        monkeypatch.setattr(cli_mod, "ensure_sieve", refuse)
         got, out, err = run(capsys, *argv)
         assert got == code and out == ""
         assert err.startswith("error: ")
+
+    def test_table_flags_removed(self, capsys):
+        """A Dickman table is sized from the query; --u-max and --step are gone."""
+        code, out, err = run(capsys, "dickman", "rho", "--u", "2", "--u-max", "8")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --u-max" in err
 
     def test_rearrange_k1_keeps_the_empty_sum_term(self, capsys, cache_dir):
         """At k = 1 both sides are the sum of 1/p: (empty h-sum)^0 = 1 counts."""
@@ -237,6 +289,38 @@ class TestFlags:
             assert args.cache_dir == cache_dir
             leaves.add(_leaf(argv))
         assert len(leaves) == 17  # every leaf command of spl
+
+    def test_leaf_options_pinned(self):
+        """Every settable option of every leaf; a new one has to be added here."""
+        table = {"--cache-dir", "--output", "--format"}
+        assert LEAF_OPTIONS == {
+            "sieve build": {"--cache-dir", "--limit"},
+            "count t": {"--cache-dir", "--x", "--theta"},
+            "count tprime": {"--cache-dir", "--x", "--theta"},
+            "count tc": {"--cache-dir", "--x", "--theta"},
+            "count tk": {"--cache-dir", "--x", "--k", "--theta", "--method", "--unordered"},
+            "msim": {"--cache-dir", "--t", "--shifts"},
+            "wsum": {"--cache-dir", "--g", "--ell", "--z", "--holder"},
+            "dickman rho": {"--cache-dir", "--u"},
+            "dickman theta1": {"--cache-dir"},
+            "dickman theta2": {"--cache-dir"},
+            "dickman density": {"--cache-dir", "--theta"},
+            "verify abel": {"--cache-dir", "--x", "--k", "--theta", "--shifts"},
+            "verify mobius": {"--cache-dir", "--hmax", "--L"},
+            "experiment ratio": table | {"--k", "--theta", "--x-grid"},
+            "experiment density": table | {"--theta", "--x-grid"},
+            "experiment rearrange": table | {"--x", "--k", "--theta"},
+            "experiment apsum": table | {"--x", "--p-list"},
+        }
+
+    def test_benchmark_options_present(self):
+        # perfbench/run.py appends --cache-dir to every command it runs
+        assert all("--cache-dir" in opts for opts in LEAF_OPTIONS.values())
+        assert all(
+            "--format" in opts for leaf, opts in LEAF_OPTIONS.items() if leaf.startswith("experiment ")
+        )
+        assert "--method" in LEAF_OPTIONS["count tk"]
+        assert "--holder" in LEAF_OPTIONS["wsum"]
 
     @pytest.mark.parametrize("argv", BENCHMARK_COMMANDS, ids=_leaf)
     def test_sieve_limit_rejected(self, capsys, cache_dir, argv):

@@ -3,15 +3,26 @@ import math
 import numpy as np
 import pytest
 
+import spl.dickman as dickman
 from spl.dickman import (
+    SOLVER_U,
+    U_CEILING,
     build_rho_table,
     limiting_density,
     rho,
     rho_over_t_integral,
     solve_theta1,
     solve_theta2,
+    table_for,
 )
-from spl.errors import ArgumentError, DomainError, PrecisionError, RangeError, SolverError
+from spl.errors import (
+    ArgumentError,
+    CapacityError,
+    DomainError,
+    PrecisionError,
+    RangeError,
+    SolverError,
+)
 from spl.shifted_counts import Theta
 
 # frozen values from a one-off step-2^-14 forward-quadrature run
@@ -58,6 +69,19 @@ class TestBuild:
         with pytest.raises(ArgumentError):
             build_rho_table(1.5)
 
+    @pytest.mark.parametrize(
+        "u_max, step",
+        [(8.0, 0.0), (8.0, -0.001), (math.nan, 2.0**-10)],
+        ids=["step-0", "step-negative", "u_max-nan"],
+    )
+    def test_bad_grid_arguments(self, u_max, step):
+        with pytest.raises(ArgumentError):
+            build_rho_table(u_max, step)
+
+    def test_grid_too_fine_to_allocate(self):
+        with pytest.raises(CapacityError):
+            build_rho_table(8.0, 1e-300)
+
     def test_convergence_under_refinement(self):
         coarse = build_rho_table(4.5, 2.0**-10)
         fine = build_rho_table(4.5, 2.0**-11)
@@ -84,6 +108,52 @@ class TestBuild:
             rho(rho_table, 8.5)
         with pytest.raises(RangeError):
             rho(rho_table, -0.1)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_u(self, rho_table, u):
+        with pytest.raises(ArgumentError):
+            rho(rho_table, u)
+        with pytest.raises(ArgumentError):
+            table_for(u)
+
+
+class TestTableFor:
+    """A table sized from its query gives the bits of the 8-unit table."""
+
+    @pytest.mark.parametrize("u, reach", [(-1.0, 2), (0.5, 2), (2.0, 3), (3.7, 4), (8.0, 9)])
+    def test_reach_and_prefix(self, rho_table, u, reach):
+        table = table_for(u)
+        assert table.u_max == reach and table.step == rho_table.step
+        n = min(len(table.values), len(rho_table.values))
+        assert np.array_equal(table.values[:n], rho_table.values[:n])
+
+    def test_rho_on_a_grid(self, rho_table):
+        tables = {}  # table_for(u) depends on floor(u) alone
+        for u in np.arange(3201) / 400:  # [0, 8], every integer exactly
+            if math.floor(u) not in tables:
+                tables[math.floor(u)] = table_for(u)
+            assert rho(tables[math.floor(u)], u) == rho(rho_table, u), u
+
+    def test_solvers(self, rho_table):
+        table = table_for(SOLVER_U)
+        assert solve_theta1(table) == solve_theta1(rho_table)
+        assert solve_theta2(table) == solve_theta2(rho_table)
+
+    @pytest.mark.parametrize("theta", [Theta(7, 8), Theta(1, 2), Theta(1, 3), Theta(1, 8)])
+    def test_density(self, rho_table, theta):
+        table = table_for(1 / theta.as_real)
+        assert limiting_density(table, theta) == limiting_density(rho_table, theta)
+
+    def test_ceiling(self, monkeypatch):
+        # the ceiling refuses no u where rho is nonzero in float64
+        assert rho(table_for(U_CEILING), U_CEILING) == 0.0
+
+        def no_build(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(dickman, "build_rho_table", no_build)
+        with pytest.raises(RangeError):
+            table_for(math.nextafter(U_CEILING, math.inf))
 
 
 class TestDensity:
