@@ -45,7 +45,6 @@ from .weighted_sums import (
 from .dickman import (
     RhoTable,
     build_rho_table,
-    table_for,
     rho,
     limiting_density,
     rho_over_t_integral,

@@ -165,13 +165,13 @@ def _run_count(args) -> int:
 
 def _run_dickman(args) -> int:
     if args.what == "rho":
-        value = dickman.rho(dickman.table_for(args.u), args.u)
+        value = dickman.rho(dickman.build_rho_table(args.u), args.u)
     elif args.what == "density":
         theta = Theta.parse(args.theta)
-        value = dickman.limiting_density(dickman.table_for(1.0 / theta.as_real), theta)
+        value = dickman.limiting_density(dickman.build_rho_table(1.0 / theta.as_real), theta)
     else:
         solve = dickman.solve_theta1 if args.what == "theta1" else dickman.solve_theta2
-        value = solve(dickman.table_for(dickman.SOLVER_U))
+        value = solve(dickman.build_rho_table(dickman.SOLVER_U))
     print(f"{value:.12g}")
     return 0
 
@@ -205,7 +205,7 @@ def _run_experiment(args) -> int:
         records = experiments.ratio_table(cache, args.k, theta, grid)
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
-        table = dickman.table_for(1.0 / theta.as_real)
+        table = dickman.build_rho_table(1.0 / theta.as_real)
         cache = _cache_for(args, max(grid))
         records = experiments.density_table(cache, table, theta, grid)
     elif args.which == "rearrange":

@@ -3,10 +3,10 @@
 The defining delay equation u*rho'(u) = -rho(u-1) integrates once into
 rho(u) = (1/u) * integral_{u-1}^{u} rho(t) dt, which is stable to advance
 forward on a uniform grid: each new value closes a quadrature window over
-already-computed values, with the new point appearing linearly. Windows are
-grid-aligned (1/step must be an integer), so quadrature nodes always sit on
-the grid and the kink of rho at u = 1 is split off exactly (rho is
-identically 1 below 1).
+already-computed values, with the new point appearing linearly. The step is
+2^-10, so each unit window spans exactly 1024 intervals, its quadrature
+nodes sit on the grid, and the kink of rho at u = 1 is split off exactly
+(rho is identically 1 below 1).
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, DomainError, PrecisionError, RangeError, SolverError
+from .errors import ArgumentError, DomainError, RangeError, SolverError
 
 __all__ = [
     "RhoTable",
     "build_rho_table",
-    "table_for",
+    "STEP",
     "U_CEILING",
     "SOLVER_U",
     "rho",
@@ -32,8 +32,10 @@ __all__ = [
 ]
 
 
-# rho is exactly 0.0 in float64 from u ~ 132.65 at the default step, so no
-# query past here needs a table
+STEP = 2.0**-10
+_PER = 1024  # grid intervals per unit of u, 1 / STEP
+# rho is exactly 0.0 in float64 from u ~ 132.65 at this step, so no query
+# past here needs a table
 U_CEILING = 133.0
 THETA_BRACKET = (0.25, 0.45)
 SOLVER_U = 1.0 / THETA_BRACKET[0]  # the largest u either threshold solver reads
@@ -42,8 +44,7 @@ SOLVER_U = 1.0 / THETA_BRACKET[0]  # the largest u either threshold solver reads
 @dataclass(frozen=True, eq=False)
 class RhoTable:
     u_max: float
-    step: float
-    values: np.ndarray  # rho at 0, step, 2*step, ..., u_max
+    values: np.ndarray  # rho at 0, STEP, 2*STEP, ..., u_max
 
 
 def _implicit_weights(m: int, h: float):
@@ -71,57 +72,36 @@ def _implicit_weights(m: int, h: float):
     return w[:m], float(w[m])
 
 
-def build_rho_table(u_max: float = 8.0, step: float = 2.0**-10) -> RhoTable:
-    if not (math.isfinite(u_max) and math.isfinite(step)):
-        raise ArgumentError(f"table needs a finite u_max and step, got {u_max}, {step}")
-    if step <= 0:
-        raise ArgumentError(f"table needs step > 0, got {step}")
-    if u_max < 2:
-        raise ArgumentError(f"table needs u_max >= 2, got {u_max}")
-    if step > 2.0**-8:
-        raise PrecisionError(f"step {step} too coarse; need step <= 2^-8")
-    per = 1.0 / step
-    if abs(per - round(per)) > 1e-9:
-        raise PrecisionError(
-            f"1/step must be an integer so windows stay grid-aligned, got step={step}"
-        )
-    per = int(round(per))
-    n = int(math.floor(u_max / step + 1e-9))
-    try:
-        vals = np.ones(n + 1)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's dimension limit
-        raise CapacityError(f"cannot allocate a rho grid to u_max={u_max} at step={step}") from exc
-    u_max = n * step
-
-    w_full, c_full = _implicit_weights(per, step)
-    for i in range(per + 1, n + 1):
-        u = i * step
-        if i <= 2 * per:
-            # window [u-1, u] crosses the kink at 1; the part below 1 is
-            # exactly 2 - u since rho = 1 there
-            m = i - per
-            base = (2 * per - i) * step
-            w, c = _implicit_weights(m, step) if m != per else (w_full, c_full)
-            s = float(np.dot(w, vals[per:i]))
-            vals[i] = (base + s) / (u - c)
-        else:
-            s = float(np.dot(w_full, vals[i - per : i]))
-            vals[i] = s / (u - c_full)
-    return RhoTable(u_max=u_max, step=step, values=vals)
-
-
-def table_for(u: float) -> RhoTable:
-    """The default-step table for a query at u, reaching floor(u) + 1 (at least 2).
+def build_rho_table(u: float) -> RhoTable:
+    """The table for a query at u, reaching floor(u) + 1 (at least 2).
 
     One unit past u keeps rho's stencil off the table's end. The table is
-    filled forward, so its values equal those of any longer default-step
-    table, and so does every rho, density or root read from it.
+    filled forward, so its values equal those of any longer table, and so
+    does every rho, density or root read from it.
     """
     if not math.isfinite(u):
         raise ArgumentError(f"u must be finite, got {u}")
     if u > U_CEILING:
         raise RangeError(f"u={u} is past {U_CEILING}, beyond which rho underflows to 0")
-    return build_rho_table(max(math.floor(u) + 1, 2))
+    reach = max(math.floor(u) + 1, 2)
+    n = reach * _PER
+    vals = np.ones(n + 1)
+
+    w_full, c_full = _implicit_weights(_PER, STEP)
+    for i in range(_PER + 1, n + 1):
+        t = i * STEP
+        if i <= 2 * _PER:
+            # window [t-1, t] crosses the kink at 1; the part below 1 is
+            # exactly 2 - t since rho = 1 there
+            m = i - _PER
+            base = (2 * _PER - i) * STEP
+            w, c = _implicit_weights(m, STEP) if m != _PER else (w_full, c_full)
+            s = float(np.dot(w, vals[_PER:i]))
+            vals[i] = (base + s) / (t - c)
+        else:
+            s = float(np.dot(w_full, vals[i - _PER : i]))
+            vals[i] = s / (t - c_full)
+    return RhoTable(u_max=float(reach), values=vals)
 
 
 def rho(table: RhoTable, u) -> float:
@@ -132,20 +112,20 @@ def rho(table: RhoTable, u) -> float:
     """
     if not math.isfinite(u):
         raise ArgumentError(f"u must be finite, got {u}")
-    if u < 0 or u > table.u_max * (1 + 1e-12):
+    if u < 0:
+        raise DomainError(f"rho is defined for u >= 0, got u={u}")
+    if u > table.u_max * (1 + 1e-12):
         raise RangeError(f"u={u} outside table range [0, {table.u_max}]")
     if u <= 1:
         return 1.0
-    h = table.step
-    per = int(round(1.0 / h))
     n = len(table.values) - 1
-    lo = per * int(math.floor(u))
-    hi = lo + per
+    lo = _PER * int(math.floor(u))
+    hi = lo + _PER
     if hi > n:
         hi = n
-        lo = max(hi - per, 0)
-    s = max(lo, min(int(u / h) - 1, hi - 3))
-    pts = (np.arange(s, s + 4)) * h
+        lo = max(hi - _PER, 0)
+    s = max(lo, min(int(u / STEP) - 1, hi - 3))
+    pts = (np.arange(s, s + 4)) * STEP
     ys = table.values[s : s + 4]
     total = 0.0
     for a in range(4):
@@ -164,6 +144,8 @@ def limiting_density(table: RhoTable, theta) -> float:
 
 def rho_over_t_integral(table: RhoTable, a, b) -> float:
     """Simpson quadrature of rho(t)/t over [a, b] at the table resolution."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ArgumentError(f"need finite a and b, got a={a}, b={b}")
     if a < 0 or b < a:
         raise ArgumentError(f"need 0 <= a <= b, got a={a}, b={b}")
     if b > table.u_max * (1 + 1e-12):
@@ -172,40 +154,43 @@ def rho_over_t_integral(table: RhoTable, a, b) -> float:
         return 0.0
     if a == 0:
         raise DomainError("integrand 1/t is singular at 0; need a > 0")
-    h = table.step
 
     def f(t):
         return rho(table, t) / t
 
-    ja = int(math.ceil(a / h - 1e-12))
-    jb = int(math.floor(b / h + 1e-12))
+    ja = int(math.ceil(a / STEP - 1e-12))
+    jb = int(math.floor(b / STEP + 1e-12))
     if ja >= jb:
         mid = 0.5 * (a + b)
         return (b - a) / 6.0 * (f(a) + 4.0 * f(mid) + f(b))
-    ts = np.arange(ja, jb + 1) * h
+    ts = np.arange(ja, jb + 1) * STEP
     ys = table.values[ja : jb + 1] / ts
-    known, last = _implicit_weights(jb - ja, h)  # all jb - ja + 1 nodes are known
+    known, last = _implicit_weights(jb - ja, STEP)  # all jb - ja + 1 nodes are known
     total = float(np.dot(np.append(known, last), ys))
-    for lo, hi in ((a, ja * h), (jb * h, b)):
+    for lo, hi in ((a, ja * STEP), (jb * STEP, b)):
         if hi > lo:
             mid = 0.5 * (lo + hi)
             total += (hi - lo) / 6.0 * (f(lo) + 4.0 * f(mid) + f(hi))
     return total
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 300) -> float:
+_TOL = 1e-10
+_MAX_ITER = 300
+
+
+def _bisect(f, lo: float, hi: float) -> float:
     flo, fhi = f(lo), f(hi)
-    if abs(flo) <= tol:
+    if abs(flo) <= _TOL:
         return lo
-    if abs(fhi) <= tol:
+    if abs(fhi) <= _TOL:
         return hi
     if (flo > 0) == (fhi > 0):
         raise SolverError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     mid = lo
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) <= tol:
+        if abs(fm) <= _TOL:
             return mid
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm

@@ -33,10 +33,6 @@ class BudgetError(RangeError):
     """Enumeration would exceed the configured node budget."""
 
 
-class PrecisionError(SplError):
-    """Grid too coarse for the requested accuracy (CLI exit 2)."""
-
-
 class SolverError(SplError):
     """Root bracketing or iteration failed (CLI exit 2)."""
 

@@ -23,7 +23,7 @@ def spf():
 
 @pytest.fixture(scope="session")
 def rho_table():
-    return build_rho_table(8.0, 2.0**-10)
+    return build_rho_table(7.0)  # reaches u = 8
 
 
 def reference_flags(n: int) -> bytearray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from conftest import reference_flags
 from spl.core_primes import build_spf, factorize, prime_count
-from spl.dickman import rho
+from spl.dickman import STEP, rho
 from spl.experiments import ratio_table
 from spl.linear_forms import (
     abel_identity_rhs,
@@ -63,12 +63,12 @@ def test_criterion_01_threshold_constants():
 
 def test_criterion_02_dickman_quality(rho_table):
     start = time.monotonic()
-    per = int(round(1 / rho_table.step))
-    us = np.arange(per, 2 * per + 1) * rho_table.step
+    per = int(round(1 / STEP))
+    us = np.arange(per, 2 * per + 1) * STEP
     closed_form_err = float(
         np.abs(rho_table.values[per : 2 * per + 1] - (1 - np.log(us))).max()
     )
-    delta = 2 * rho_table.step
+    delta = 2 * STEP
     worst = 0.0
     for u in np.arange(1.05, 7.95, 0.01):
         if abs(u - round(u)) <= 0.02:

@@ -17,6 +17,8 @@ from spl.core_primes import ensure_sieve, load_sieve
 from spl.shifted_counts import Theta
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# frozen stdout bytes of the Dickman-reading commands; any change to a real they print shows here
+DICKMAN_GOLDEN = json.loads((Path(__file__).parent / "golden_dickman.json").read_text())
 
 
 def _benchmark_commands() -> list:
@@ -159,7 +161,7 @@ class TestOtherCommands:
 
     def test_dickman_past_eight(self, capsys, cache_dir):
         """1/theta past 8, as for every k >= 5 in the paper's window."""
-        wide = dickman.build_rho_table(11.0)
+        wide = dickman.build_rho_table(10.0)  # reaches u = 11
         code, out, _ = run(capsys, "dickman", "rho", "--u", "9")
         assert code == 0 and out == f"{dickman.rho(wide, 9.0):.12g}\n"
         theta = Theta(1, 10)
@@ -174,6 +176,13 @@ class TestOtherCommands:
         records = experiments.density_table(ensure_sieve(1000, cache_dir), wide, theta, [1000])
         experiments.write_csv(records, buf)
         assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(DICKMAN_GOLDEN))
+def test_dickman_golden_bytes(capsys, cache_dir, command):
+    code, out, err = run(capsys, *command.split(), "--cache-dir", cache_dir)
+    assert code == 0, err
+    assert out == DICKMAN_GOLDEN[command]
 
 
 class TestVerify:
@@ -214,6 +223,7 @@ class TestOutOfDomainArguments:
             ["experiment", "apsum", "--x", "1000", "--p-list", "1,3"],
             ["experiment", "ratio", "--k", "2", "--theta", "1/4", "--x-grid", "0"],
             ["experiment", "density", "--theta", "1/2", "--x-grid", ","],
+            ["dickman", "rho", "--u", "-1"],  # below rho's domain, not past a table
         ],
     )
     def test_exit_one_with_message(self, capsys, cache_dir, argv):
@@ -238,7 +248,7 @@ class TestOutOfDomainArguments:
         def refuse(*args):
             raise AssertionError("built a table or sieve")
 
-        monkeypatch.setattr(dickman, "build_rho_table", refuse)
+        monkeypatch.setattr(dickman.np, "ones", refuse)
         monkeypatch.setattr(cli_mod, "ensure_sieve", refuse)
         got, out, err = run(capsys, *argv)
         assert got == code and out == ""

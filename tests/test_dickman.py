@@ -6,6 +6,7 @@ import pytest
 import spl.dickman as dickman
 from spl.dickman import (
     SOLVER_U,
+    STEP,
     U_CEILING,
     build_rho_table,
     limiting_density,
@@ -13,34 +14,29 @@ from spl.dickman import (
     rho_over_t_integral,
     solve_theta1,
     solve_theta2,
-    table_for,
 )
-from spl.errors import (
-    ArgumentError,
-    CapacityError,
-    DomainError,
-    PrecisionError,
-    RangeError,
-    SolverError,
-)
+from spl.errors import ArgumentError, DomainError, RangeError, SolverError
 from spl.shifted_counts import Theta
 
 # frozen values from a one-off step-2^-14 forward-quadrature run
 RHO3 = 0.04860838829113157
 RHO4 = 0.004910925647760832
 INT23 = 0.06261150051729455
+# frozen values of this module's quadrature run at step 2^-12
+RHO5_FINE = 3.547247004560e-4
+RHO6_FINE = 1.964969635396e-5
 
 
 class TestBuild:
     def test_plateau_exact(self, rho_table):
         for u in (0.0, 0.25, 0.5, 1.0):
             assert rho(rho_table, u) == 1.0
-        per = int(round(1 / rho_table.step))
+        per = int(round(1 / STEP))
         assert np.all(rho_table.values[: per + 1] == 1.0)
 
     def test_closed_form_on_1_2(self, rho_table):
-        per = int(round(1 / rho_table.step))
-        us = np.arange(per, 2 * per + 1) * rho_table.step
+        per = int(round(1 / STEP))
+        us = np.arange(per, 2 * per + 1) * STEP
         errs = np.abs(rho_table.values[per : 2 * per + 1] - (1 - np.log(us)))
         assert errs.max() <= 1e-9
 
@@ -48,9 +44,12 @@ class TestBuild:
         assert rho(rho_table, 2.0) == pytest.approx(1 - math.log(2), abs=1e-8)
         assert rho(rho_table, 3.0) == pytest.approx(RHO3, abs=1e-6)
         assert rho(rho_table, 4.0) == pytest.approx(RHO4, abs=1e-6)
+        # against the same quadrature at step 2^-12
+        assert rho(rho_table, 5.0) == pytest.approx(RHO5_FINE, rel=1e-9)
+        assert rho(rho_table, 6.0) == pytest.approx(RHO6_FINE, rel=1e-9)
 
     def test_decreasing_and_positive(self, rho_table):
-        per = int(round(1 / rho_table.step))
+        per = int(round(1 / STEP))
         tail = rho_table.values[per:]
         assert np.all(np.diff(tail) < 0)
         assert np.all(tail > 0)
@@ -61,36 +60,8 @@ class TestBuild:
         for u in (1.5, 2.0, 3.3, 6.0):
             assert rho(rho_table, u) < rho(rho_table, u - 1)
 
-    def test_step_validation(self):
-        with pytest.raises(PrecisionError):
-            build_rho_table(8.0, 2.0**-7)
-        with pytest.raises(PrecisionError):
-            build_rho_table(8.0, 1 / 300.5)
-        with pytest.raises(ArgumentError):
-            build_rho_table(1.5)
-
-    @pytest.mark.parametrize(
-        "u_max, step",
-        [(8.0, 0.0), (8.0, -0.001), (math.nan, 2.0**-10)],
-        ids=["step-0", "step-negative", "u_max-nan"],
-    )
-    def test_bad_grid_arguments(self, u_max, step):
-        with pytest.raises(ArgumentError):
-            build_rho_table(u_max, step)
-
-    def test_grid_too_fine_to_allocate(self):
-        with pytest.raises(CapacityError):
-            build_rho_table(8.0, 1e-300)
-
-    def test_convergence_under_refinement(self):
-        coarse = build_rho_table(4.5, 2.0**-10)
-        fine = build_rho_table(4.5, 2.0**-11)
-        for u in (2.0, 3.0, 4.0):
-            assert abs(rho(coarse, u) - rho(fine, u)) <= 1e-8
-
     def test_delay_equation_residual(self, rho_table):
-        h = rho_table.step
-        delta = 2 * h
+        delta = 2 * STEP
         # keep the finite-difference stencil away from the lattice kinks
         us = [u for u in np.arange(1.05, 7.95, 0.01) if abs(u - round(u)) > 0.02]
         worst = 0.0
@@ -106,7 +77,7 @@ class TestBuild:
     def test_out_of_range(self, rho_table):
         with pytest.raises(RangeError):
             rho(rho_table, 8.5)
-        with pytest.raises(RangeError):
+        with pytest.raises(DomainError):  # below rho's domain, not past the table
             rho(rho_table, -0.1)
 
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
@@ -114,46 +85,46 @@ class TestBuild:
         with pytest.raises(ArgumentError):
             rho(rho_table, u)
         with pytest.raises(ArgumentError):
-            table_for(u)
+            build_rho_table(u)
 
 
 class TestTableFor:
-    """A table sized from its query gives the bits of the 8-unit table."""
+    """A table built for its query gives the bits of the 8-unit table."""
 
     @pytest.mark.parametrize("u, reach", [(-1.0, 2), (0.5, 2), (2.0, 3), (3.7, 4), (8.0, 9)])
     def test_reach_and_prefix(self, rho_table, u, reach):
-        table = table_for(u)
-        assert table.u_max == reach and table.step == rho_table.step
+        table = build_rho_table(u)
+        assert table.u_max == reach and len(table.values) == reach * round(1 / STEP) + 1
         n = min(len(table.values), len(rho_table.values))
         assert np.array_equal(table.values[:n], rho_table.values[:n])
 
     def test_rho_on_a_grid(self, rho_table):
-        tables = {}  # table_for(u) depends on floor(u) alone
+        tables = {}  # build_rho_table(u) depends on floor(u) alone
         for u in np.arange(3201) / 400:  # [0, 8], every integer exactly
             if math.floor(u) not in tables:
-                tables[math.floor(u)] = table_for(u)
+                tables[math.floor(u)] = build_rho_table(u)
             assert rho(tables[math.floor(u)], u) == rho(rho_table, u), u
 
     def test_solvers(self, rho_table):
-        table = table_for(SOLVER_U)
+        table = build_rho_table(SOLVER_U)
         assert solve_theta1(table) == solve_theta1(rho_table)
         assert solve_theta2(table) == solve_theta2(rho_table)
 
     @pytest.mark.parametrize("theta", [Theta(7, 8), Theta(1, 2), Theta(1, 3), Theta(1, 8)])
     def test_density(self, rho_table, theta):
-        table = table_for(1 / theta.as_real)
+        table = build_rho_table(1 / theta.as_real)
         assert limiting_density(table, theta) == limiting_density(rho_table, theta)
 
     def test_ceiling(self, monkeypatch):
         # the ceiling refuses no u where rho is nonzero in float64
-        assert rho(table_for(U_CEILING), U_CEILING) == 0.0
+        assert rho(build_rho_table(U_CEILING), U_CEILING) == 0.0
 
-        def no_build(*args):
-            raise AssertionError("a table was built")
+        def no_alloc(*args):
+            raise AssertionError("a table was allocated")
 
-        monkeypatch.setattr(dickman, "build_rho_table", no_build)
+        monkeypatch.setattr(dickman.np, "ones", no_alloc)
         with pytest.raises(RangeError):
-            table_for(math.nextafter(U_CEILING, math.inf))
+            build_rho_table(math.nextafter(U_CEILING, math.inf))
 
 
 class TestDensity:
@@ -197,6 +168,11 @@ class TestIntegral:
         with pytest.raises(RangeError):
             rho_over_t_integral(rho_table, 1.0, 9.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 2.0), (1.0, math.nan)], ids=["a-nan", "b-nan"])
+    def test_nan_bounds(self, rho_table, a, b):
+        with pytest.raises(ArgumentError):
+            rho_over_t_integral(rho_table, a, b)
+
 
 class TestThresholds:
     def test_theta2(self, rho_table):
@@ -219,7 +195,7 @@ class TestThresholds:
         assert f(0.25) > 0 > f(0.45)
 
     def test_requires_coverage(self):
-        small = build_rho_table(3.0, 2.0**-10)
+        small = build_rho_table(2.0)  # reaches u = 3
         with pytest.raises(RangeError):
             solve_theta2(small)
 
