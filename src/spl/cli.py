@@ -26,6 +26,7 @@ from .shifted_counts import (
     smooth_shift_count,
     tuple_count_fast,
     tuple_count_oracle,
+    tuple_sieve_limit,
 )
 
 ABEL_REL_TOL = 1e-10
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_count(args) -> int:
     theta = Theta.parse(args.theta)
-    cache = _cache_for(args, args.x)
+    cache = _cache_for(args, tuple_sieve_limit(args.x, args.k) if args.counter == "tk" else args.x)
     if args.counter == "t":
         print(large_factor_count(cache, args.x, theta))
     elif args.counter == "tprime":
@@ -201,7 +202,7 @@ def _run_experiment(args) -> int:
     theta = Theta.parse(args.theta) if hasattr(args, "theta") else None
     if args.which == "ratio":
         grid = _parse_int_list(args.x_grid)
-        cache = _cache_for(args, max(grid))
+        cache = _cache_for(args, experiments.ratio_sieve_limit(args.k, grid))
         records = experiments.ratio_table(cache, args.k, theta, grid)
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
@@ -212,10 +213,9 @@ def _run_experiment(args) -> int:
         cache = _cache_for(args, experiments.rearrange_sieve_limit(args.x, args.k, theta))
         records = [experiments.rearrangement_report(cache, args.x, args.k, theta)]
     else:
-        cache = _cache_for(args, args.x)
-        records = [
-            experiments.ap_recip_heuristic_table(cache, args.x, _parse_int_list(args.p_list))
-        ]
+        p_list = _parse_int_list(args.p_list)
+        cache = _cache_for(args, experiments.apsum_sieve_limit(args.x, p_list))
+        records = [experiments.ap_recip_heuristic_table(cache, args.x, p_list)]
     _emit(args, records)
     return 0
 

@@ -23,7 +23,13 @@ from .core_primes import (
 from .dickman import limiting_density
 from .errors import ArgumentError, BudgetError, VerificationError
 from .linear_forms import range_bounds_exact
-from .shifted_counts import Theta, tuple_count_fast, large_factor_count_fixed, large_factor_count
+from .shifted_counts import (
+    Theta,
+    large_factor_count,
+    large_factor_count_fixed,
+    tuple_count_fast,
+    tuple_sieve_limit,
+)
 
 __all__ = [
     "ExperimentRecord",
@@ -31,8 +37,10 @@ __all__ = [
     "rearrange_h_cap",
     "rearrange_sieve_limit",
     "rearrangement_report",
+    "ratio_sieve_limit",
     "ratio_table",
     "density_table",
+    "apsum_sieve_limit",
     "ap_recip_heuristic_table",
     "write_csv",
     "write_jsonl",
@@ -143,9 +151,12 @@ def rearrange_h_cap(x: int, theta: Theta) -> int:
 def rearrange_sieve_limit(x: int, k: int, theta: Theta) -> int:
     """The sieve limit rearrangement_report needs at (x, k, theta).
 
-    Raises BudgetError for x above REARRANGE_X_BUDGET before anything is
-    sized, so no sieve is built for a report that would be refused.
+    Raises ArgumentError for k < 2 and BudgetError for x above
+    REARRANGE_X_BUDGET before anything is sized, so no sieve is built for a
+    report that would be refused.
     """
+    if k < 2:
+        raise ArgumentError(f"rearrangement needs k >= 2, got {k}")
     if x > REARRANGE_X_BUDGET:
         raise BudgetError(f"direct tuple sums capped at x <= {REARRANGE_X_BUDGET}, got {x}")
     v = floor_root(x, k)  # no prime p above v enters the report
@@ -204,15 +215,23 @@ def rearrangement_report(cache, x: int, k: int, theta: Theta) -> ExperimentRecor
     )
 
 
+def ratio_sieve_limit(k: int, x_grid) -> int:
+    """The sieve limit ratio_table needs; a k or x it refuses raises ArgumentError here."""
+    for x in x_grid:
+        if x < 1:
+            raise ArgumentError(f"ratio needs x >= 1, got {x}")
+        tuple_sieve_limit(x, k)
+    return max(x_grid, default=1)
+
+
 def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
     """Per x: the tuple count and its ratio to x^(1-theta(k-1))/(log x)^2."""
+    ratio_sieve_limit(k, x_grid)
     out = []
     exponent = 1.0 - theta.as_real * (k - 1)
     run_max = 0.0
     run_min = math.inf
     for x in x_grid:
-        if x < 1:
-            raise ArgumentError(f"ratio needs x >= 1, got {x}")
         count = tuple_count_fast(cache, x, k, theta)
         ratio = count * math.log(x) ** 2 / x**exponent
         if ratio > 0:
@@ -258,12 +277,17 @@ def density_table(cache, rho_table, theta: Theta, x_grid) -> List[ExperimentReco
     return out
 
 
+def apsum_sieve_limit(x: int, p_list) -> int:
+    """The sieve limit ap_recip_heuristic_table needs; an x or p it refuses raises here."""
+    if x < 2 or any(p < 2 for p in p_list):
+        raise ArgumentError(f"apsum needs x >= 2 and moduli >= 2, got x={x}, p={list(p_list)}")
+    return x
+
+
 def ap_recip_heuristic_table(cache, x: int, p_list) -> ExperimentRecord:
     """Exact progression sums against the even-distribution window and the
     crude (log log x)/p reference, per modulus p."""
-    if x < 2 or any(p < 2 for p in p_list):
-        raise ArgumentError(f"apsum needs x >= 2 and moduli >= 2, got x={x}, p={list(p_list)}")
-    cache._check(x)
+    cache._check(apsum_sieve_limit(x, p_list))
     raw = []
     derived = []
     llx = math.log(math.log(x))

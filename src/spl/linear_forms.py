@@ -104,14 +104,12 @@ def local_rho(system: ShiftSystem, p: int) -> int:
 
 @dataclass(frozen=True)
 class StepCountFunction:
-    """Right-continuous step form of M(t): jumps at qualifying primes."""
+    """Right-continuous step form of M(t): a jump of 1 at each qualifying prime."""
 
     breakpoints: np.ndarray
-    values: np.ndarray
 
     def at(self, t) -> int:
-        idx = int(np.searchsorted(self.breakpoints, t, side="right"))
-        return 0 if idx == 0 else int(self.values[idx - 1])
+        return int(np.searchsorted(self.breakpoints, t, side="right"))
 
 
 def form_sieve_limit(t, system: ShiftSystem):
@@ -145,8 +143,7 @@ def count_simultaneous(cache: SieveCache, t: int, system: ShiftSystem) -> int:
 
 def as_step_function(cache: SieveCache, t_max: int, system: ShiftSystem) -> StepCountFunction:
     """M on [0, t_max] as its jump sequence."""
-    bp = _qualifying_primes(cache, 0, t_max, system)
-    return StepCountFunction(breakpoints=bp, values=np.arange(1, len(bp) + 1))
+    return StepCountFunction(breakpoints=_qualifying_primes(cache, 0, t_max, system))
 
 
 def sieve_bound_value(y, system: ShiftSystem) -> float:

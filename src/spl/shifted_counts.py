@@ -32,6 +32,7 @@ __all__ = [
     "smooth_shift_count",
     "tuple_count_oracle",
     "tuple_count_fast",
+    "tuple_sieve_limit",
     "oracle_qualifying_products",
     "fast_qualifying_products",
 ]
@@ -247,10 +248,14 @@ def smooth_shift_count(cache, x: int, theta: Theta) -> int:
 ORACLE_NODE_BUDGET = 10**9  # tuples the oracle may visit before it gives up
 
 
-def _check_tuple_args(cache, x: int, k: int) -> None:
+def tuple_sieve_limit(x: int, k: int) -> int:
+    """The sieve limit the tuple counters need at (x, k).
+
+    Raises ArgumentError for k < 2 before anything is sized.
+    """
     if k < 2:
         raise ArgumentError(f"tuple counters need k >= 2, got {k}")
-    cache._check(x)
+    return x
 
 
 def oracle_qualifying_products(
@@ -265,7 +270,7 @@ def oracle_qualifying_products(
     Intended for modest x; ORACLE_NODE_BUDGET makes runaway enumerations
     fail loudly instead of hanging.
     """
-    _check_tuple_args(cache, x, k)
+    cache._check(tuple_sieve_limit(x, k))
     min_rest = 2 ** (k - 1)
     if x < 2 * min_rest:
         return []
@@ -345,7 +350,7 @@ def fast_qualifying_products(
     is kept only when r is exactly the largest prime factor of the shifted
     gcd, so each qualifying tuple is produced exactly once.
     """
-    _check_tuple_args(cache, x, k)
+    cache._check(tuple_sieve_limit(x, k))
     if x < 2**k:  # no k primes have a product below 2^k, as in the oracle
         return []
     # The gcd of a tuple's shifts is below its smallest member, which is at

@@ -19,6 +19,8 @@ from spl.shifted_counts import Theta
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # frozen stdout bytes of the Dickman-reading commands; any change to a real they print shows here
 DICKMAN_GOLDEN = json.loads((Path(__file__).parent / "golden_dickman.json").read_text())
+# frozen stdout bytes of the other README commands, on small inputs
+README_GOLDEN = json.loads((Path(__file__).parent / "golden_readme.json").read_text())
 
 
 def _benchmark_commands() -> list:
@@ -185,6 +187,13 @@ def test_dickman_golden_bytes(capsys, cache_dir, command):
     assert out == DICKMAN_GOLDEN[command]
 
 
+@pytest.mark.parametrize("command", sorted(README_GOLDEN))
+def test_readme_golden_bytes(capsys, cache_dir, command):
+    code, out, err = run(capsys, *command.split(), "--cache-dir", cache_dir)
+    assert code == 0, err
+    assert out == README_GOLDEN[command]
+
+
 class TestVerify:
     def test_mobius_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "mobius", "--hmax", "100", "--L", "2")
@@ -224,12 +233,28 @@ class TestOutOfDomainArguments:
             ["experiment", "ratio", "--k", "2", "--theta", "1/4", "--x-grid", "0"],
             ["experiment", "density", "--theta", "1/2", "--x-grid", ","],
             ["dickman", "rho", "--u", "-1"],  # below rho's domain, not past a table
+            ["count", "tk", "--x", "50000", "--k", "1", "--theta", "1/4"],
+            ["experiment", "ratio", "--k", "1", "--theta", "1/4", "--x-grid", "50000"],
+            ["experiment", "ratio", "--k", "2", "--theta", "1/4", "--x-grid", "50000,0"],
+            ["experiment", "apsum", "--x", "50000", "--p-list", "1"],
         ],
     )
     def test_exit_one_with_message(self, capsys, cache_dir, argv):
+        """Refused before any sieve is sized or saved."""
         code, out, err = run(capsys, *argv, "--cache-dir", cache_dir)
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+        assert not (Path(cache_dir) / "sieve.spl").exists()
+
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_rearrange_refuses_k_below_two(self, capsys, cache_dir, k):
+        code, out, err = run(
+            capsys, "experiment", "rearrange", "--x", "1000", "--k", k, "--theta", "1/4",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: rearrangement needs k >= 2, got {k}\n"
+        assert not (Path(cache_dir) / "sieve.spl").exists()
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -259,16 +284,6 @@ class TestOutOfDomainArguments:
         code, out, err = run(capsys, "dickman", "rho", "--u", "2", "--u-max", "8")
         assert code == 1 and out == ""
         assert "unrecognized arguments: --u-max" in err
-
-    def test_rearrange_k1_keeps_the_empty_sum_term(self, capsys, cache_dir):
-        """At k = 1 both sides are the sum of 1/p: (empty h-sum)^0 = 1 counts."""
-        code, out, _ = run(
-            capsys, "experiment", "rearrange", "--x", "1000", "--k", "1",
-            "--theta", "1/4", "--format", "json", "--cache-dir", cache_dir,
-        )
-        assert code == 0
-        raw = json.loads(out)["raw"]
-        assert raw["double_sum"] == raw["substitution_majorant"] > 0
 
 
 class TestUsage:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spl import experiments
-from spl.errors import BudgetError, VerificationError
+from spl.core_primes import build_sieve
+from spl.errors import ArgumentError, BudgetError, VerificationError
 from spl.experiments import (
     _prime_shift_multipliers,
     ap_recip_heuristic_table,
@@ -19,6 +20,21 @@ from spl.experiments import (
 )
 from spl.linear_forms import range_bounds_exact
 from spl.shifted_counts import Theta
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda c: ratio_table(c, 1, Theta(1, 4), [100]), id="ratio-k1"),
+        pytest.param(lambda c: ratio_table(c, 2, Theta(1, 4), [100, 0]), id="ratio-x0"),
+        pytest.param(lambda c: rearrangement_report(c, 1000, 1, Theta(1, 4)), id="rearrange-k1"),
+        pytest.param(lambda c: ap_recip_heuristic_table(c, 1000, [1]), id="apsum-p1"),
+    ],
+)
+def test_arguments_checked_before_the_cache(call):
+    """A malformed argument raises ArgumentError, not the short cache's RangeError."""
+    with pytest.raises(ArgumentError):
+        call(build_sieve(10))
 
 
 class TestSOfX:

@@ -141,7 +141,6 @@ class TestCountSimultaneous:
             assert m.at(t) == count_simultaneous(cache, t, s)
         assert m.at(1) == 0
         assert np.all(np.diff(m.breakpoints) > 0)
-        assert np.array_equal(m.values, np.arange(1, len(m.breakpoints) + 1))
 
 
 class TestSieveBound:
