@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 argument error, 2 range/capacity error, 3 failed
-verification (an identity or inequality assertion did not hold).
+Exit codes: 0 success, 1 ArgumentError, 2 RangeError (a ceiling, budget or
+table range), 3 VerificationError (an identity or inequality did not hold).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 
 from . import dickman, experiments, weighted_sums
 from .core_primes import ensure_sieve, floor_root
-from .errors import ArgumentError, SplError, VerificationError
+from .errors import ArgumentError, RangeError, VerificationError
 from .linear_forms import (
     abel_identity_rhs,
     count_simultaneous,
@@ -206,8 +206,9 @@ def _run_experiment(args) -> int:
         records = experiments.ratio_table(cache, args.k, theta, grid)
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
+        limit = experiments.density_sieve_limit(grid)
         table = dickman.build_rho_table(1.0 / theta.as_real)
-        cache = _cache_for(args, max(grid))
+        cache = _cache_for(args, limit)
         records = experiments.density_table(cache, table, theta, grid)
     elif args.which == "rearrange":
         cache = _cache_for(args, experiments.rearrange_sieve_limit(args.x, args.k, theta))
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SplError as exc:
+    except RangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

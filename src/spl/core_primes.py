@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, RangeError
+from .errors import ArgumentError, RangeError
 
 __all__ = [
     "SieveCache",
@@ -130,23 +130,26 @@ def _simple_bool_sieve(limit: int) -> np.ndarray:
     return flags
 
 
+def _check_sieve_limit(limit: int) -> None:
+    if limit < 2:
+        raise ArgumentError(f"sieve limit must be >= 2, got {limit}")
+    if limit > SIEVE_CEILING:
+        raise RangeError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
+
+
 def build_sieve(limit: int) -> SieveCache:
     """Segmented sieve of Eratosthenes into a packed bitset.
 
     Peak working memory beyond the output words is O(sqrt(limit)): one
     base sieve up to sqrt(limit) plus one fixed-size segment buffer.
     """
-    if limit < 2:
-        raise CapacityError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SIEVE_CEILING:
-        raise CapacityError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
-
+    _check_sieve_limit(limit)
     nbits = limit + 1
     nwords = (nbits + 63) >> 6
     try:
         words = np.zeros(nwords, dtype=np.uint64)
     except MemoryError as exc:
-        raise CapacityError(f"cannot allocate bitset for limit {limit}") from exc
+        raise RangeError(f"cannot allocate bitset for limit {limit}") from exc
     byte_view = words.view(np.uint8)
 
     root = isqrt(limit)
@@ -173,15 +176,15 @@ def build_sieve(limit: int) -> SieveCache:
 def build_spf(limit: int) -> np.ndarray:
     """uint32 array: spf[n] = smallest prime factor of n (2 <= n <= limit); spf[0] = spf[1] = 0."""
     if limit < 2:
-        raise CapacityError(f"spf limit must be >= 2, got {limit}")
+        raise ArgumentError(f"spf limit must be >= 2, got {limit}")
     if limit > SPF_CEILING:
-        raise CapacityError(
+        raise RangeError(
             f"spf limit {limit} exceeds ceiling {SPF_CEILING} (4 bytes/entry)"
         )
     try:
         spf = np.zeros(limit + 1, dtype=np.uint32)
     except MemoryError as exc:
-        raise CapacityError(f"cannot allocate spf table for limit {limit}") from exc
+        raise RangeError(f"cannot allocate spf table for limit {limit}") from exc
     # descending, so the smallest prime dividing n writes spf[n] last
     for p in np.flatnonzero(_simple_bool_sieve(isqrt(limit)))[::-1].tolist():
         spf[p * p :: p] = p
@@ -331,7 +334,11 @@ def load_sieve(path) -> SieveCache:
 
 
 def ensure_sieve(limit: int, directory=None) -> SieveCache:
-    """Load the cached sieve if it covers `limit`, else build and replace it."""
+    """Load the cached sieve if it covers `limit`, else build and replace it.
+
+    A limit build_sieve refuses is refused before the cache is read.
+    """
+    _check_sieve_limit(limit)
     directory = Path(directory) if directory is not None else sieve_cache_dir()
     path = directory / _SIEVE_FILENAME
     if path.exists():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, RangeError, SolverError
+from .errors import ArgumentError, RangeError
 
 __all__ = [
     "RhoTable",
@@ -113,7 +113,7 @@ def rho(table: RhoTable, u) -> float:
     if not math.isfinite(u):
         raise ArgumentError(f"u must be finite, got {u}")
     if u < 0:
-        raise DomainError(f"rho is defined for u >= 0, got u={u}")
+        raise ArgumentError(f"rho is defined for u >= 0, got u={u}")
     if u > table.u_max * (1 + 1e-12):
         raise RangeError(f"u={u} outside table range [0, {table.u_max}]")
     if u <= 1:
@@ -153,7 +153,7 @@ def rho_over_t_integral(table: RhoTable, a, b) -> float:
     if a == b:
         return 0.0
     if a == 0:
-        raise DomainError("integrand 1/t is singular at 0; need a > 0")
+        raise ArgumentError("integrand 1/t is singular at 0; need a > 0")
 
     def f(t):
         return rho(table, t) / t
@@ -185,7 +185,7 @@ def _bisect(f, lo: float, hi: float) -> float:
     if abs(fhi) <= _TOL:
         return hi
     if (flo > 0) == (fhi > 0):
-        raise SolverError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+        raise RangeError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     mid = lo
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -196,7 +196,7 @@ def _bisect(f, lo: float, hi: float) -> float:
             lo, flo = mid, fm
         else:
             hi = mid
-    raise SolverError(f"bisection stalled at {mid}")
+    raise RangeError(f"bisection stalled at {mid}")
 
 
 def solve_theta2(table: RhoTable) -> float:

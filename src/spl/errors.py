@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per CLI exit code.
 
-The CLI maps these onto exit codes: argument-shaped problems exit 1,
-resource/range problems exit 2, failed verifications exit 3.
+`ArgumentError` (exit 1) is a malformed or out-of-domain argument,
+`RangeError` (exit 2) a query past a ceiling, budget or built table, and
+`VerificationError` (exit 3) an identity or inequality that did not hold.
 """
 
 
@@ -13,28 +14,8 @@ class ArgumentError(SplError):
     """Malformed or out-of-domain argument (CLI exit 1)."""
 
 
-class DegeneracyError(ArgumentError):
-    """A shift system with vanishing invariant E."""
-
-
-class DomainError(ArgumentError):
-    """Numeric input outside the meaningful domain of a formula."""
-
-
-class CapacityError(SplError):
-    """Requested table exceeds the configured memory ceiling (CLI exit 2)."""
-
-
 class RangeError(SplError):
-    """Query beyond the coverage of a built table (CLI exit 2)."""
-
-
-class BudgetError(RangeError):
-    """Enumeration would exceed the configured node budget."""
-
-
-class SolverError(SplError):
-    """Root bracketing or iteration failed (CLI exit 2)."""
+    """Query past a ceiling, budget or table coverage (CLI exit 2)."""
 
 
 class VerificationError(SplError):

@@ -21,7 +21,7 @@ from .core_primes import (
     recip_prime_sum_ap,
 )
 from .dickman import limiting_density
-from .errors import ArgumentError, BudgetError, VerificationError
+from .errors import ArgumentError, RangeError, VerificationError
 from .linear_forms import range_bounds_exact
 from .shifted_counts import (
     Theta,
@@ -39,6 +39,7 @@ __all__ = [
     "rearrangement_report",
     "ratio_sieve_limit",
     "ratio_table",
+    "density_sieve_limit",
     "density_table",
     "apsum_sieve_limit",
     "ap_recip_heuristic_table",
@@ -151,14 +152,14 @@ def rearrange_h_cap(x: int, theta: Theta) -> int:
 def rearrange_sieve_limit(x: int, k: int, theta: Theta) -> int:
     """The sieve limit rearrangement_report needs at (x, k, theta).
 
-    Raises ArgumentError for k < 2 and BudgetError for x above
+    Raises ArgumentError for k < 2 and RangeError for x above
     REARRANGE_X_BUDGET before anything is sized, so no sieve is built for a
     report that would be refused.
     """
     if k < 2:
         raise ArgumentError(f"rearrangement needs k >= 2, got {k}")
     if x > REARRANGE_X_BUDGET:
-        raise BudgetError(f"direct tuple sums capped at x <= {REARRANGE_X_BUDGET}, got {x}")
+        raise RangeError(f"direct tuple sums capped at x <= {REARRANGE_X_BUDGET}, got {x}")
     v = floor_root(x, k)  # no prime p above v enters the report
     return max(x, v * rearrange_h_cap(x, theta) + 1)
 
@@ -254,8 +255,17 @@ def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
     return out
 
 
+def density_sieve_limit(x_grid) -> int:
+    """The sieve limit density_table needs; an x below 2, where pi(x) = 0, raises here."""
+    for x in x_grid:
+        if x < 2:
+            raise ArgumentError(f"density needs x >= 2, got {x}")
+    return max(x_grid, default=2)
+
+
 def density_table(cache, rho_table, theta: Theta, x_grid) -> List[ExperimentRecord]:
     """Per x: T/pi and T'/pi next to the reference density 1 - rho(1/theta)."""
+    cache._check(density_sieve_limit(x_grid))
     reference = limiting_density(rho_table, theta)
     out = []
     for x in x_grid:
@@ -268,8 +278,8 @@ def density_table(cache, rho_table, theta: Theta, x_grid) -> List[ExperimentReco
                 inputs={"x": int(x), "theta": str(theta)},
                 raw=[("pi", pi_x), ("count_self", t_val), ("count_fixed", tp_val)],
                 derived=[
-                    ("self_ratio", t_val / pi_x if pi_x else 0.0),
-                    ("fixed_ratio", tp_val / pi_x if pi_x else 0.0),
+                    ("self_ratio", t_val / pi_x),
+                    ("fixed_ratio", tp_val / pi_x),
                     ("reference_density", reference),
                 ],
             )

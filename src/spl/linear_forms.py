@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core_primes
 from .core_primes import SieveCache, factorize, floor_root, primes_in
-from .errors import ArgumentError, DegeneracyError, DomainError
+from .errors import ArgumentError
 from .shifted_counts import Theta
 
 __all__ = [
@@ -74,7 +74,7 @@ def make_system(forms) -> ShiftSystem:
             as_, bs = forms[s]
             e *= ar * bs - as_ * br
     if e == 0:
-        raise DegeneracyError(f"degenerate system (zero discriminant): {forms}")
+        raise ArgumentError(f"degenerate system (zero discriminant): {forms}")
     return ShiftSystem(forms=forms, discriminant=e)
 
 
@@ -153,7 +153,7 @@ def sieve_bound_value(y, system: ShiftSystem) -> float:
     (1 - 1/q)^(rho(q) - g), times y / (log y)^(g + 1).
     """
     if y < 3:
-        raise DomainError(f"majorant needs y >= 3, got {y}")
+        raise ArgumentError(f"majorant needs y >= 3, got {y}")
     g = system.g
     prod = 1.0
     for p in system.distinct_prime_divisors:
@@ -164,7 +164,7 @@ def sieve_bound_value(y, system: ShiftSystem) -> float:
 def local_factor_pos(e: int, ell: int) -> float:
     """prod over distinct primes p | |e| of (1 + 1/p)^ell."""
     if e == 0:
-        raise DegeneracyError("local factor undefined for a zero discriminant")
+        raise ArgumentError("local factor undefined for a zero discriminant")
     if ell < 1:
         raise ArgumentError(f"exponent must be >= 1, got {ell}")
     prod = 1.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_primes import build_spf, floor_root, greatest_prime_factor, primes_in, primes_in_class
-from .errors import ArgumentError, BudgetError
+from .errors import ArgumentError, RangeError
 
 __all__ = [
     "Theta",
@@ -292,7 +292,7 @@ def oracle_qualifying_products(
                 break
             budget -= 1
             if budget < 0:
-                raise BudgetError("tuple enumeration exceeded the node budget")
+                raise RangeError("tuple enumeration exceeded the node budget")
             g_p = math.gcd(g, p - 1)
             if depth + 1 == k:
                 if threshold_test(gpf[g_p], prod_p, theta):

@@ -32,13 +32,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_primes import _simple_bool_sieve, factorize
-from .errors import ArgumentError, BudgetError, VerificationError
+from .errors import ArgumentError, RangeError, VerificationError
 
 __all__ = [
     "HolderDiagnostics",
     "weighted_tuple_sum",
     "weighted_tuple_sum_grid",
-    "single_weighted_sum",
     "mobius_expansion_check",
     "holder_verify",
     "holder_grid",
@@ -46,6 +45,7 @@ __all__ = [
 ]
 
 TUPLE_BUDGET = 10**9
+Z_CEILING = 10**7  # largest z the scan accepts: its per-integer tables are O(z)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # one mask bit each
 _BLOCK = 1 << 15  # entries per row block of the (h_{g-1}, h_g) scan
 
@@ -53,13 +53,6 @@ _BLOCK = 1 << 15  # entries per row block of the (h_{g-1}, h_g) scan
 def tuple_budget(g: int, z: int) -> int:
     """Number of increasing g-tuples drawn from 1 < h < z."""
     return comb(max(z - 2, 0), g)
-
-
-def _check_budget(g: int, z: int) -> None:
-    if tuple_budget(g, z) > TUPLE_BUDGET:
-        raise BudgetError(
-            f"(g={g}, z={z}) needs {tuple_budget(g, z):.3g} tuple visits; budget {TUPLE_BUDGET:.0e}"
-        )
 
 
 def _factor_table(z: int) -> np.ndarray:
@@ -75,7 +68,12 @@ def _validate(g: int, ell: int, z: int) -> None:
         raise ArgumentError(f"need g >= 1 and ell >= 1, got g={g}, ell={ell}")
     if z < 2:
         raise ArgumentError(f"need z >= 2, got z={z}")
-    _check_budget(g, z)
+    if tuple_budget(g, z) > TUPLE_BUDGET:
+        raise RangeError(
+            f"(g={g}, z={z}) needs {tuple_budget(g, z):.3g} tuple visits; budget {TUPLE_BUDGET:.0e}"
+        )
+    if z > Z_CEILING:
+        raise RangeError(f"z={z} exceeds ceiling {Z_CEILING}")
 
 
 def _without_primes(f: np.ndarray, ps) -> tuple:
@@ -292,16 +290,6 @@ def weighted_tuple_sum_grid(g: int, ell: int, z_max: int) -> np.ndarray:
     _validate(g, ell, z_max)
     w_bins, _, _ = _scan_grid(g, ell, z_max, moments=False)
     return np.concatenate([[0.0], np.cumsum(w_bins)[: z_max]])
-
-
-def single_weighted_sum(z: int, e: int) -> float:
-    """Sum over 1 < h < z of (1/h) prod_{p|h}(1+1/p)^e, exactly rounded."""
-    if z < 2:
-        raise ArgumentError(f"need z >= 2, got {z}")
-    if e < 1:
-        raise ArgumentError(f"need e >= 1, got {e}")
-    f = _factor_table(z)
-    return math.fsum((f[h] ** e) / h for h in range(2, z))
 
 
 def mobius_expansion_check(h: int, l_param: int):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spl.dickman as dickman
-from spl import experiments
+from spl import experiments, weighted_sums
 from spl.cli import build_parser, main
 from spl.core_primes import ensure_sieve, load_sieve
 from spl.shifted_counts import Theta
@@ -237,6 +237,9 @@ class TestOutOfDomainArguments:
             ["experiment", "ratio", "--k", "1", "--theta", "1/4", "--x-grid", "50000"],
             ["experiment", "ratio", "--k", "2", "--theta", "1/4", "--x-grid", "50000,0"],
             ["experiment", "apsum", "--x", "50000", "--p-list", "1"],
+            ["experiment", "density", "--theta", "1/2", "--x-grid", "0,-5"],
+            ["experiment", "density", "--theta", "1/2", "--x-grid", "1"],
+            ["sieve", "build", "--limit", "1"],
         ],
     )
     def test_exit_one_with_message(self, capsys, cache_dir, argv):
@@ -264,16 +267,19 @@ class TestOutOfDomainArguments:
             (["dickman", "rho", "--u", "134"], 2),
             (["dickman", "density", "--theta", "1/134"], 2),
             (["experiment", "density", "--theta", "1/134", "--x-grid", "1000"], 2),
+            (["wsum", "--g", "1", "--ell", "1", "--z", "1000000000"], 2),
         ],
     )
     def test_bad_rho_query(self, capsys, monkeypatch, argv, code):
-        """Non-finite u exits 1; a u past the ceiling exits 2 before any table or sieve."""
+        """Non-finite u exits 1; a u or z past its ceiling exits 2 before any table or sieve."""
         import spl.cli as cli_mod
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("built a table or sieve")
 
         monkeypatch.setattr(dickman.np, "ones", refuse)
+        for name in ("arange", "zeros"):
+            monkeypatch.setattr(weighted_sums.np, name, refuse)
         monkeypatch.setattr(cli_mod, "ensure_sieve", refuse)
         got, out, err = run(capsys, *argv)
         assert got == code and out == ""
@@ -419,3 +425,5 @@ class TestExperimentsAndCache:
         assert code == 0
         code, out, _ = run(capsys, "sieve", "build", "--limit", "100", "--cache-dir", cache_dir)
         assert "limit=2000" in out  # reused the larger cache
+        code, out, _ = run(capsys, "sieve", "build", "--limit", "1", "--cache-dir", cache_dir)
+        assert code == 1 and out == ""  # refused before the cache is read

@@ -28,7 +28,7 @@ from spl.core_primes import (
     recip_prime_sum_ap,
     save_sieve,
 )
-from spl.errors import ArgumentError, CapacityError, RangeError
+from spl.errors import ArgumentError, RangeError
 
 
 class TestBuildSieve:
@@ -40,11 +40,11 @@ class TestBuildSieve:
         assert int(build_sieve(100).flags.sum()) == 25
 
     def test_limit_below_two_rejected(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ArgumentError, match="sieve limit must be >= 2"):
             build_sieve(1)
 
     def test_ceiling_rejected(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(RangeError, match="sieve limit .* exceeds ceiling"):
             build_sieve(2**41)
 
     def test_matches_reference_sieve(self):
@@ -126,9 +126,9 @@ class TestSpf:
         assert np.array_equal(spf[ps].astype(np.int64), ps)
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(RangeError, match="spf limit .* exceeds ceiling"):
             build_spf(10**7 + 1)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ArgumentError, match="spf limit must be >= 2"):
             build_spf(1)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from spl import experiments
 from spl.core_primes import build_sieve
-from spl.errors import ArgumentError, BudgetError, VerificationError
+from spl.dickman import build_rho_table
+from spl.errors import ArgumentError, RangeError, VerificationError
 from spl.experiments import (
     _prime_shift_multipliers,
     ap_recip_heuristic_table,
@@ -29,6 +30,9 @@ from spl.shifted_counts import Theta
         pytest.param(lambda c: ratio_table(c, 2, Theta(1, 4), [100, 0]), id="ratio-x0"),
         pytest.param(lambda c: rearrangement_report(c, 1000, 1, Theta(1, 4)), id="rearrange-k1"),
         pytest.param(lambda c: ap_recip_heuristic_table(c, 1000, [1]), id="apsum-p1"),
+        pytest.param(
+            lambda c: density_table(c, build_rho_table(2.0), Theta(1, 2), [100, 1]), id="density-x1"
+        ),
     ],
 )
 def test_arguments_checked_before_the_cache(call):
@@ -68,7 +72,7 @@ class TestRearrangement:
         assert derived["ordering_constant"] <= 2.0
 
     def test_budget_guard(self, cache):
-        with pytest.raises(BudgetError):
+        with pytest.raises(RangeError, match="capped at x <= 100000"):
             rearrangement_report(cache, 2 * 10**5, 2, Theta(1, 4))
 
     def test_shift_multipliers_match_flag_scan(self, cache):

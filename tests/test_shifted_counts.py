@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import gpf_trial, reference_flags
 from spl.core_primes import SIEVE_CEILING, build_sieve, prime_count, primes_in
 from spl import shifted_counts
-from spl.errors import ArgumentError, BudgetError
+from spl.errors import ArgumentError, RangeError
 from spl.shifted_counts import (
     _SHIFT_MEMO,
     Theta,
@@ -171,7 +171,7 @@ class TestTupleCounters:
 
     def test_node_budget(self, cache, monkeypatch):
         monkeypatch.setattr(shifted_counts, "ORACLE_NODE_BUDGET", 10)
-        with pytest.raises(BudgetError):
+        with pytest.raises(RangeError, match="node budget"):
             tuple_count_oracle(cache, 10**5, 2, Theta(1, 4))
 
     def test_oracle_shares_no_gpf_code_with_fast_route(self, cache, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import factor_trial
 from spl.core_primes import build_spf, factorize
-from spl.errors import ArgumentError, BudgetError
+from spl.errors import ArgumentError, RangeError
 from spl.weighted_sums import (
     _BLOCK,
     SMALL_PRIMES,
@@ -18,7 +18,6 @@ from spl.weighted_sums import (
     holder_grid,
     holder_verify,
     mobius_expansion_check,
-    single_weighted_sum,
     tuple_budget,
     weighted_tuple_sum,
     weighted_tuple_sum_grid,
@@ -76,7 +75,7 @@ class TestWSum:
 
     def test_budget(self):
         assert tuple_budget(2, 100) == math.comb(98, 2)
-        with pytest.raises(BudgetError):
+        with pytest.raises(RangeError, match="tuple visits; budget"):
             weighted_tuple_sum(2, 1, 10**6)
 
     def test_validation(self):
@@ -94,17 +93,19 @@ class TestWSum:
 
 
 class TestSingleWeightedSum:
+    """g = 1: the sum over 1 < h < z of (1/h) prod_{p|h}(1+1/p)^e."""
+
     def test_examples(self):
-        assert single_weighted_sum(4, 1) == pytest.approx(1.19444444, abs=1e-8)
-        assert single_weighted_sum(3, 5) == pytest.approx((1 / 2) * (3 / 2) ** 5, rel=1e-12)
-        assert single_weighted_sum(2, 1) == 0.0
+        assert weighted_tuple_sum(1, 1, 4) == pytest.approx(1.19444444, abs=1e-8)
+        assert weighted_tuple_sum(1, 5, 3) == pytest.approx((1 / 2) * (3 / 2) ** 5, rel=1e-12)
+        assert weighted_tuple_sum(1, 1, 2) == 0.0
 
     def test_log_normalized_bounded(self):
         # frozen regression ceilings; the e = 9 constant is large but finite
         caps = {1: 1.5, 3: 4.5, 9: 240.0}
         for e, cap in caps.items():
             for j in (6, 8, 10, 12, 14):
-                assert single_weighted_sum(2**j, e) / (j * math.log(2)) <= cap
+                assert weighted_tuple_sum(1, e, 2**j) / (j * math.log(2)) <= cap
 
 
 class TestMobiusExpansion:
@@ -153,7 +154,7 @@ class TestMoments:
     def test_g1_collapses_to_single_sum(self):
         for z in (5, 20, 100):
             d = holder_verify(1, 3, z)
-            assert d.aj_moments[0] == pytest.approx(single_weighted_sum(z, 3), rel=1e-12, abs=1e-300)
+            assert d.aj_moments[0] == pytest.approx(w_sum_oracle(1, 3, z), rel=1e-12, abs=1e-300)
 
     def test_one_tuple_examples(self):
         d = holder_verify(2, 1, 4)
