@@ -2,9 +2,9 @@
 
 Everything here is plain multiplicative-number-theory plumbing: a packed
 primality bitset built by a segmented sieve, a smallest-prime-factor table,
-the one factorizer `factorize` and what derives from it (greatest prime
-factor, Mobius, omega), counts of primes in arithmetic progressions, and
-exactly rounded reciprocal sums.
+the one factorizer `factorize` and the greatest prime factor it gives,
+counts of primes in arithmetic progressions, and exactly rounded
+reciprocal sums.
 All tables are immutable after construction. Only this module reads the
 storage behind a sieve: everything else asks `SieveCache.is_prime` or
 `primes_in`.
@@ -34,8 +34,6 @@ __all__ = [
     "prime_count",
     "factorize",
     "greatest_prime_factor",
-    "mobius",
-    "omega",
     "recip_prime_sum_ap",
     "floor_root",
     "save_sieve",
@@ -269,18 +267,6 @@ def greatest_prime_factor(n: int, spf=None) -> int:
     if n == 1:
         return 1
     return factorize(n, spf)[-1][0]
-
-
-def mobius(n: int, spf=None) -> int:
-    pairs = factorize(n, spf)
-    if any(e > 1 for _, e in pairs):
-        return 0
-    return -1 if len(pairs) % 2 else 1
-
-
-def omega(n: int, spf=None) -> int:
-    """Number of distinct prime factors."""
-    return len(factorize(n, spf))
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,8 @@ def apsum_sieve_limit(x: int, p_list) -> int:
     """The sieve limit ap_recip_heuristic_table needs; an x or p it refuses raises here."""
     if x < 2 or any(p < 2 for p in p_list):
         raise ArgumentError(f"apsum needs x >= 2 and moduli >= 2, got x={x}, p={list(p_list)}")
+    if len(set(p_list)) < len(p_list):
+        raise ArgumentError(f"apsum moduli must be distinct, got p={list(p_list)}")
     return x
 
 

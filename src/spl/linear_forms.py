@@ -23,15 +23,12 @@ from .shifted_counts import Theta
 
 __all__ = [
     "ShiftSystem",
-    "StepCountFunction",
     "make_system",
     "system_from_shifts",
     "local_rho",
     "form_sieve_limit",
     "count_simultaneous",
-    "as_step_function",
     "sieve_bound_value",
-    "local_factor_pos",
     "inverse_power_prime_sum",
     "abel_identity_rhs",
     "range_bounds_exact",
@@ -102,16 +99,6 @@ def local_rho(system: ShiftSystem, p: int) -> int:
     return len(roots)
 
 
-@dataclass(frozen=True)
-class StepCountFunction:
-    """Right-continuous step form of M(t): a jump of 1 at each qualifying prime."""
-
-    breakpoints: np.ndarray
-
-    def at(self, t) -> int:
-        return int(np.searchsorted(self.breakpoints, t, side="right"))
-
-
 def form_sieve_limit(t, system: ShiftSystem):
     """The sieve limit that decides p and every a_i*p + b_i for all p <= t."""
     return max(t, *(a * t + b for a, b in system.forms))
@@ -141,11 +128,6 @@ def count_simultaneous(cache: SieveCache, t: int, system: ShiftSystem) -> int:
     return len(_qualifying_primes(cache, 0, t, system))
 
 
-def as_step_function(cache: SieveCache, t_max: int, system: ShiftSystem) -> StepCountFunction:
-    """M on [0, t_max] as its jump sequence."""
-    return StepCountFunction(breakpoints=_qualifying_primes(cache, 0, t_max, system))
-
-
 def sieve_bound_value(y, system: ShiftSystem) -> float:
     """The sieve majorant without its implied constant.
 
@@ -159,18 +141,6 @@ def sieve_bound_value(y, system: ShiftSystem) -> float:
     for p in system.distinct_prime_divisors:
         prod *= (1.0 - 1.0 / p) ** (local_rho(system, p) - g)
     return prod * y / math.log(y) ** (g + 1)
-
-
-def local_factor_pos(e: int, ell: int) -> float:
-    """prod over distinct primes p | |e| of (1 + 1/p)^ell."""
-    if e == 0:
-        raise ArgumentError("local factor undefined for a zero discriminant")
-    if ell < 1:
-        raise ArgumentError(f"exponent must be >= 1, got {ell}")
-    prod = 1.0
-    for p, _ in factorize(abs(e)):
-        prod *= (1.0 + 1.0 / p) ** ell
-    return prod
 
 
 # ---------------------------------------------------------------------------

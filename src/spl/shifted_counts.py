@@ -38,11 +38,12 @@ __all__ = [
 ]
 
 _THETA_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*\Z")
+THETA_DEN_CEILING = 10**4  # exact thresholds raise to the power den: cost grows with it
 
 
 @dataclass(frozen=True)
 class Theta:
-    """A rational exponent theta = num/den with 0 < theta < 1, kept reduced."""
+    """A rational exponent theta = num/den in (0, 1), kept reduced, den <= THETA_DEN_CEILING."""
 
     num: int
     den: int
@@ -57,6 +58,8 @@ class Theta:
         object.__setattr__(self, "den", self.den // g)
         if self.num >= self.den:
             raise ArgumentError(f"theta must lie in (0, 1), got {self.num}/{self.den}")
+        if self.den > THETA_DEN_CEILING:
+            raise RangeError(f"theta denominator {self.den} exceeds ceiling {THETA_DEN_CEILING}")
 
     @property
     def as_real(self) -> float:

@@ -63,7 +63,13 @@ def _factor_table(z: int) -> np.ndarray:
     return f
 
 
-def _validate(g: int, ell: int, z: int) -> None:
+def _scan(g: int, ell: int, z: int, *, moments: bool = True):
+    """_scan_grid's bins, once the arguments pass and if F^ell stays inside float64.
+
+    Past float64 a factor, sum or moment turns inf or nan, and a nan passes
+    no comparison, so such a query raises RangeError. The Hoelder bound is a
+    product of G G-th roots of the G moments, so it stays finite with them.
+    """
     if g < 1 or ell < 1:
         raise ArgumentError(f"need g >= 1 and ell >= 1, got g={g}, ell={ell}")
     if z < 2:
@@ -74,6 +80,15 @@ def _validate(g: int, ell: int, z: int) -> None:
         )
     if z > Z_CEILING:
         raise RangeError(f"z={z} exceeds ceiling {Z_CEILING}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bins = _scan_grid(g, ell, z, moments=moments)
+            finite = all(np.isfinite(np.sum(b, axis=-1)).all() for b in bins)
+    except OverflowError:  # a Python float power past float64
+        finite = False
+    if not finite:
+        raise RangeError(f"(g={g}, ell={ell}, z={z}): the sum or a moment overflows float64")
+    return bins
 
 
 def _without_primes(f: np.ndarray, ps) -> tuple:
@@ -277,8 +292,7 @@ def _correct(blk: np.ndarray, a0: int, corr: tuple) -> None:
 
 def weighted_tuple_sum(g: int, ell: int, z: int) -> float:
     """Sum over 1 < h_1 < ... < h_g < z of (h_1...h_g)^-1 prod_{p|E}(1+1/p)^ell."""
-    _validate(g, ell, z)
-    w_bins, _, _ = _scan_grid(g, ell, z, moments=False)
+    w_bins, _, _ = _scan(g, ell, z, moments=False)
     return math.fsum(w_bins.tolist())
 
 
@@ -287,8 +301,7 @@ def weighted_tuple_sum_grid(g: int, ell: int, z_max: int) -> np.ndarray:
 
     Entry z holds the sum over tuples with h_g < z (entries 0..2 are 0).
     """
-    _validate(g, ell, z_max)
-    w_bins, _, _ = _scan_grid(g, ell, z_max, moments=False)
+    w_bins, _, _ = _scan(g, ell, z_max, moments=False)
     return np.concatenate([[0.0], np.cumsum(w_bins)[: z_max]])
 
 
@@ -331,7 +344,7 @@ class HolderDiagnostics:
     holder_bound: float
 
     def __post_init__(self):
-        if self.w_value > self.holder_bound * (1.0 + 1e-9):
+        if not self.w_value <= self.holder_bound * (1.0 + 1e-9):  # a nan fails too
             raise VerificationError(
                 f"Hoelder inequality violated at g={self.g}, ell={self.ell}, "
                 f"z={self.z}: w={self.w_value!r} > bound={self.holder_bound!r}"
@@ -358,8 +371,7 @@ def _diag_from_values(g, ell, z, w_val, aj_vals, ars_vals) -> HolderDiagnostics:
 
 def holder_verify(g: int, ell: int, z: int) -> HolderDiagnostics:
     """Evaluate the sum and every moment at z and check the Hoelder bound."""
-    _validate(g, ell, z)
-    w_bins, aj_bins, ars_bins = _scan_grid(g, ell, z)
+    w_bins, aj_bins, ars_bins = _scan(g, ell, z)
     return _diag_from_values(
         g,
         ell,
@@ -376,8 +388,7 @@ def holder_grid(g: int, ell: int, z_max: int) -> List[HolderDiagnostics]:
     Tuples are binned by their largest coordinate, so prefix sums of one
     scan give the whole z grid; values match per-z evaluation to rounding.
     """
-    _validate(g, ell, z_max)
-    w_bins, aj_bins, ars_bins = _scan_grid(g, ell, z_max)
+    w_bins, aj_bins, ars_bins = _scan(g, ell, z_max)
     w_cum = np.cumsum(w_bins)
     aj_cum = np.cumsum(aj_bins, axis=1)
     ars_cum = np.cumsum(ars_bins, axis=1)

@@ -2,13 +2,15 @@
 
 A module's `__all__` is the list of its public names, so it must name
 every public function and class the module defines and nothing it lacks;
-the package itself re-exports none of them. `spl.errors` has one class
-per CLI exit code.
+the package itself re-exports none of them, and each has a caller in the
+package or the benchmark. `spl.errors` has one class per CLI exit code.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,9 @@ from spl import cli, errors, weighted_sums
 
 MODULES = [importlib.import_module(f"spl.{m.name}") for m in pkgutil.iter_modules(spl.__path__)]
 WITH_ALL = [mod for mod in MODULES if hasattr(mod, "__all__")]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the paper's sieve majorant, kept to be reported beside M(t) (ROADMAP item 6)
+NO_CALLER_YET = {"spl.linear_forms.sieve_bound_value"}
 
 
 def test_modules_with_all():
@@ -43,6 +48,25 @@ def test_all_lists_every_public_function_and_class():
         and n not in mod.__all__
     ]
     assert unlisted == []
+
+
+def test_every_public_name_has_a_caller():
+    """Every `__all__` name is read by the package or the benchmark, not only by tests.
+
+    A reference is a Name, an Attribute or an import alias anywhere in
+    the package's modules or in perfbench/*.py but its tests.
+    """
+    paths = [*Path(spl.__file__).parent.glob("*.py"), *PERFBENCH.glob("*.py")]
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    referenced = {
+        getattr(node, field[type(node)])
+        for path in paths
+        if not path.name.startswith("test_")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if type(node) in field
+    }
+    uncalled = {f"{mod.__name__}.{n}" for mod in WITH_ALL for n in mod.__all__ if n not in referenced}
+    assert uncalled == NO_CALLER_YET
 
 
 def test_package_reexports_nothing():

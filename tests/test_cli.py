@@ -108,6 +108,23 @@ class TestCountCommands:
         assert code == 1
         assert "theta" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "tk", "--x", "35", "--k", "2", "--method", "both"],
+            ["count", "tprime", "--x", "1000"],
+            ["verify", "abel", "--x", "10000", "--k", "2", "--shifts", "2"],
+            ["experiment", "rearrange", "--x", "1000", "--k", "3"],
+        ],
+        ids=_leaf,
+    )
+    def test_theta_denominator_ceiling(self, capsys, cache_dir, argv):
+        """A huge denominator would build huge powers; it exits 2 before any sieve."""
+        code, out, err = run(capsys, *argv, "--theta", "1/3000000000", "--cache-dir", cache_dir)
+        assert code == 2 and out == ""
+        assert err == "error: theta denominator 3000000000 exceeds ceiling 10000\n"
+        assert not (Path(cache_dir) / "sieve.spl").exists()
+
     def test_tk_both_below_two_to_the_k(self, capsys, cache_dir):
         code, out, _ = run(
             capsys, "count", "tk", "--x", "-10", "--k", "2", "--theta", "1/4",
@@ -145,6 +162,18 @@ class TestOtherCommands:
     def test_wsum_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "wsum", "--g", "2", "--ell", "1", "--z", "1000000")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--g", "2", "--ell", "1000", "--z", "100", "--holder"],
+            ["--g", "1", "--ell", "704", "--z", "1000"],
+        ],
+    )
+    def test_wsum_float_overflow_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, "wsum", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: (g=") and "overflows float64" in err
 
     def test_dickman_theta2(self, capsys):
         code, out, _ = run(capsys, "dickman", "theta2")
@@ -240,6 +269,7 @@ class TestOutOfDomainArguments:
             ["experiment", "density", "--theta", "1/2", "--x-grid", "0,-5"],
             ["experiment", "density", "--theta", "1/2", "--x-grid", "1"],
             ["sieve", "build", "--limit", "1"],
+            ["experiment", "apsum", "--x", "1000", "--p-list", "3,3"],
         ],
     )
     def test_exit_one_with_message(self, capsys, cache_dir, argv):

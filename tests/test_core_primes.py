@@ -20,8 +20,6 @@ from spl.core_primes import (
     floor_root,
     greatest_prime_factor,
     load_sieve,
-    mobius,
-    omega,
     prime_count,
     primes_in,
     primes_in_class,
@@ -319,11 +317,6 @@ class TestDerivedArithmetic:
             g = greatest_prime_factor(n, spf)
             assert g == gpf_trial(n)
             assert (g == 1) == (n == 1)
-
-    def test_mobius_omega_examples(self, spf):
-        assert mobius(1, spf) == 1 and omega(1, spf) == 0
-        assert mobius(30, spf) == -1 and omega(30, spf) == 3
-        assert mobius(12, spf) == 0 and omega(12, spf) == 2
 
     def test_gpf_zero(self):
         with pytest.raises(ArgumentError):

@@ -9,12 +9,11 @@ from spl import core_primes
 from spl.core_primes import build_sieve, floor_root, prime_count
 from spl.errors import ArgumentError, RangeError
 from spl.linear_forms import (
+    _qualifying_primes,
     abel_identity_rhs,
-    as_step_function,
     count_simultaneous,
     form_sieve_limit,
     inverse_power_prime_sum,
-    local_factor_pos,
     local_rho,
     make_system,
     range_bounds_exact,
@@ -134,14 +133,6 @@ class TestCountSimultaneous:
             with pytest.raises(RangeError):
                 count_simultaneous(build_sieve(limit - 1), t, s)
 
-    def test_step_function_consistency(self, cache):
-        s = system_from_shifts([2, 6])
-        m = as_step_function(cache, 3000, s)
-        for t in (2, 3, 17, 100, 999, 3000):
-            assert m.at(t) == count_simultaneous(cache, t, s)
-        assert m.at(1) == 0
-        assert np.all(np.diff(m.breakpoints) > 0)
-
 
 class TestSieveBound:
     def test_example(self):
@@ -167,8 +158,8 @@ class TestSieveBound:
         ts = np.unique(np.logspace(3, 7, 50).astype(np.int64))
         for shifts, cap in frozen.items():
             s = system_from_shifts(shifts)
-            m = as_step_function(big_cache, 10**7, s)
-            ratios = [m.at(int(t)) / sieve_bound_value(int(t), s) for t in ts]
+            qs = _qualifying_primes(big_cache, 0, 10**7, s)
+            ratios = [int(np.searchsorted(qs, t, side="right")) / sieve_bound_value(int(t), s) for t in ts]
             assert max(ratios) <= cap
 
     def test_local_factor_chain(self):
@@ -191,20 +182,6 @@ class TestSieveBound:
                 rhs_prod *= rhs
             zeta2 = math.pi**2 / 6
             assert lhs_prod <= zeta2**g * rhs_prod * (1 + 1e-12)
-
-
-class TestLocalFactorPos:
-    def test_examples(self):
-        assert local_factor_pos(6, 2) == pytest.approx(4.0, rel=1e-12)
-        assert local_factor_pos(1, 5) == 1.0
-        assert local_factor_pos(2, 1) == 1.5
-        assert local_factor_pos(-6, 1) == pytest.approx(2.0, rel=1e-12)
-
-    def test_degenerate(self):
-        with pytest.raises(ArgumentError, match="local factor undefined"):
-            local_factor_pos(0, 1)
-        with pytest.raises(ArgumentError):
-            local_factor_pos(6, 0)
 
 
 class TestAbelIdentity:
@@ -270,7 +247,7 @@ class TestAbelArrays:
         s = system_from_shifts(shifts)
         th = Theta(1, 2 * k)
         u, v = range_bounds_exact(x, k, th)
-        qs = [q for q in as_step_function(cache, v, s).breakpoints.tolist() if q > u]
+        qs = [q for q in _qualifying_primes(cache, 0, v, s).tolist() if q > u]
         assert len(qs) > 10
         lhs, rhs = self._list_sides(qs, x, k)
         assert inverse_power_prime_sum(cache, x, k, th, s) == lhs
@@ -304,13 +281,13 @@ class TestChunkedScan:
         ]
 
     def _values(self, cache, s):
-        m = as_step_function(cache, self.TS[-1], s)
+        qs = _qualifying_primes(cache, 0, self.TS[-1], s)
         counts = [count_simultaneous(cache, t, s) for t in self.TS]
         abel = [
             (inverse_power_prime_sum(cache, x, k, th, s), abel_identity_rhs(cache, x, k, th, s))
             for x, k, th in self.ABEL_CASES
         ]
-        return m.breakpoints.tolist(), counts, abel
+        return qs.tolist(), counts, abel
 
     @pytest.mark.parametrize("shifts, forms", SYSTEMS)
     def test_tiny_chunks_match_default_and_brute_force(self, cache, monkeypatch, shifts, forms):

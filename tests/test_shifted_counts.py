@@ -52,6 +52,11 @@ class TestTheta:
         with pytest.raises(ArgumentError):
             Theta(num, den)
 
+    def test_denominator_ceiling(self):
+        assert Theta(1, 10**4).den == Theta(2, 2 * 10**4).den == 10**4
+        with pytest.raises(RangeError, match="theta denominator 10001 exceeds ceiling 10000"):
+            Theta(1, 10**4 + 1)
+
 
 class TestThresholdTest:
     def test_examples(self):

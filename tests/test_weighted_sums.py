@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import factor_trial
 from spl.core_primes import build_spf, factorize
-from spl.errors import ArgumentError, RangeError
+from spl.errors import ArgumentError, RangeError, VerificationError
 from spl.weighted_sums import (
     _BLOCK,
     SMALL_PRIMES,
+    HolderDiagnostics,
     _factor_table,
     _prime_tables,
     _without_primes,
@@ -85,6 +86,15 @@ class TestWSum:
             weighted_tuple_sum(1, 0, 10)
         with pytest.raises(ArgumentError):
             weighted_tuple_sum(1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "entry", [weighted_tuple_sum, weighted_tuple_sum_grid, holder_verify, holder_grid]
+    )
+    @pytest.mark.parametrize("g, ell, z", [(1, 704, 1000), (2, 1000, 100), (3, 100000, 60)])
+    def test_float_overflow_refused(self, entry, g, ell, z):
+        """F^ell past float64 raises RangeError, not a warning, an inf or a nan."""
+        with pytest.raises(RangeError, match=f"g={g}, ell={ell}, z={z}"):
+            entry(g, ell, z)
 
     def test_grid_matches_pointwise(self):
         grid = weighted_tuple_sum_grid(2, 2, 60)
@@ -184,6 +194,10 @@ class TestHolder:
         d = holder_verify(3, 3, 50)
         assert d.G == 6 and d.L == 2**18
         assert d.w_value <= d.holder_bound * (1 + 1e-9)
+
+    def test_nan_fails_the_check(self):
+        with pytest.raises(VerificationError, match="Hoelder inequality violated"):
+            HolderDiagnostics(2, 1, 3, 8, 10, math.nan, [1.0, 1.0], [1.0], math.inf)
 
     def test_grid_consistency(self):
         diags = holder_grid(2, 2, 40)
@@ -362,3 +376,13 @@ class TestPrimeTables:
             small = [p for bit, p in enumerate(SMALL_PRIMES) if mask[n] >> bit & 1]
             assert small == [p for p in ps if p <= 37]
             assert large[indptr[n] : indptr[n + 1]].tolist() == [p for p in ps if p > 37]
+
+
+class TestFactorTable:
+    def test_local_factor_examples(self):
+        """F(|e|)^ell is the local factor prod_{p | e}(1 + 1/p)^ell of a discriminant e."""
+        f = _factor_table(10)
+        for e, ell, value in ((6, 2, 4.0), (1, 5, 1.0), (2, 1, 1.5), (-6, 1, 2.0)):
+            product = math.prod((1 + 1 / p) ** ell for p, _ in factorize(abs(e)))
+            assert f[abs(e)] ** ell == pytest.approx(value, rel=1e-12)
+            assert f[abs(e)] ** ell == pytest.approx(product, rel=1e-12)
