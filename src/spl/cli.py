@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 ArgumentError, 2 RangeError (a ceiling, budget or
-table range), 3 VerificationError (an identity or inequality did not hold).
+Exit codes: 0 success, 1 ArgumentError or OSError, 2 RangeError (a ceiling,
+budget or table range), 3 VerificationError (an identity or inequality did not hold).
 """
 
 from __future__ import annotations
@@ -166,13 +166,11 @@ def _run_count(args) -> int:
 
 def _run_dickman(args) -> int:
     if args.what == "rho":
-        value = dickman.rho(dickman.build_rho_table(args.u), args.u)
+        value = dickman.rho(args.u)
     elif args.what == "density":
-        theta = Theta.parse(args.theta)
-        value = dickman.limiting_density(dickman.build_rho_table(1.0 / theta.as_real), theta)
+        value = dickman.limiting_density(Theta.parse(args.theta))
     else:
-        solve = dickman.solve_theta1 if args.what == "theta1" else dickman.solve_theta2
-        value = solve(dickman.build_rho_table(dickman.SOLVER_U))
+        value = dickman.solve_theta1() if args.what == "theta1" else dickman.solve_theta2()
     print(f"{value:.12g}")
     return 0
 
@@ -207,9 +205,9 @@ def _run_experiment(args) -> int:
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
         limit = experiments.density_sieve_limit(grid)
-        table = dickman.build_rho_table(1.0 / theta.as_real)
+        dickman.limiting_density(theta)  # 1/theta past U_CEILING exits here, before any sieve
         cache = _cache_for(args, limit)
-        records = experiments.density_table(cache, table, theta, grid)
+        records = experiments.density_table(cache, theta, grid)
     elif args.which == "rearrange":
         cache = _cache_for(args, experiments.rearrange_sieve_limit(args.x, args.k, theta))
         records = [experiments.rearrangement_report(cache, args.x, args.k, theta)]
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    except ArgumentError as exc:
+    except (ArgumentError, OSError) as exc:  # OSError: an unusable --output or --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RangeError as exc:

@@ -263,10 +263,10 @@ def density_sieve_limit(x_grid) -> int:
     return max(x_grid, default=2)
 
 
-def density_table(cache, rho_table, theta: Theta, x_grid) -> List[ExperimentRecord]:
+def density_table(cache, theta: Theta, x_grid) -> List[ExperimentRecord]:
     """Per x: T/pi and T'/pi next to the reference density 1 - rho(1/theta)."""
     cache._check(density_sieve_limit(x_grid))
-    reference = limiting_density(rho_table, theta)
+    reference = limiting_density(theta)
     out = []
     for x in x_grid:
         pi_x = prime_count(cache, x)

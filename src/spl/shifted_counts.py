@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -70,7 +71,10 @@ class Theta:
         m = _THETA_RE.match(text)
         if not m:
             raise ArgumentError(f"theta must be given as 'a/b', got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        try:
+            return cls(*map(int, m.groups()))
+        except ValueError:  # past Python's limit on the digits int() converts
+            raise RangeError(f"theta terms are limited to {sys.get_int_max_str_digits()} digits") from None
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

@@ -23,7 +23,7 @@ def spf():
 
 @pytest.fixture(scope="session")
 def rho_table():
-    return build_rho_table(7.0)  # reaches u = 8
+    return build_rho_table(7.0)  # rho on the grid up to u = 8
 
 
 def reference_flags(n: int) -> bytearray:

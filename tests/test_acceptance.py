@@ -66,15 +66,15 @@ def test_criterion_02_dickman_quality(rho_table):
     per = int(round(1 / STEP))
     us = np.arange(per, 2 * per + 1) * STEP
     closed_form_err = float(
-        np.abs(rho_table.values[per : 2 * per + 1] - (1 - np.log(us))).max()
+        np.abs(rho_table[per : 2 * per + 1] - (1 - np.log(us))).max()
     )
     delta = 2 * STEP
     worst = 0.0
     for u in np.arange(1.05, 7.95, 0.01):
         if abs(u - round(u)) <= 0.02:
             continue
-        d = (rho(rho_table, u + delta) - rho(rho_table, u - delta)) / (2 * delta)
-        worst = max(worst, abs(u * d + rho(rho_table, u - 1)))
+        d = (rho(u + delta) - rho(u - delta)) / (2 * delta)
+        worst = max(worst, abs(u * d + rho(u - 1)))
     elapsed = time.monotonic() - start
     ok = closed_form_err <= 1e-8 and worst <= 1e-5
     report(2, ok, f"closed-form err={closed_form_err:.3g} residual={worst:.3g} elapsed={elapsed:.2f}s")

@@ -192,19 +192,18 @@ class TestOtherCommands:
 
     def test_dickman_past_eight(self, capsys, cache_dir):
         """1/theta past 8, as for every k >= 5 in the paper's window."""
-        wide = dickman.build_rho_table(10.0)  # reaches u = 11
         code, out, _ = run(capsys, "dickman", "rho", "--u", "9")
-        assert code == 0 and out == f"{dickman.rho(wide, 9.0):.12g}\n"
+        assert code == 0 and out == f"{dickman.rho(9.0):.12g}\n"
         theta = Theta(1, 10)
         code, out, _ = run(capsys, "dickman", "density", "--theta", "1/10")
-        assert code == 0 and out == f"{dickman.limiting_density(wide, theta):.12g}\n"
+        assert code == 0 and out == f"{dickman.limiting_density(theta):.12g}\n"
         code, out, _ = run(
             capsys, "experiment", "density", "--theta", "1/10", "--x-grid", "1000",
             "--cache-dir", cache_dir,
         )
         assert code == 0
         buf = io.StringIO()
-        records = experiments.density_table(ensure_sieve(1000, cache_dir), wide, theta, [1000])
+        records = experiments.density_table(ensure_sieve(1000, cache_dir), theta, [1000])
         experiments.write_csv(records, buf)
         assert out == buf.getvalue()
 
@@ -315,11 +314,40 @@ class TestOutOfDomainArguments:
         assert got == code and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", ["1/" + "9" * 5000, "2" + "0" * 5000 + "/4" + "0" * 5000])
+    @pytest.mark.parametrize("argv", [["count", "t", "--x", "10"], ["dickman", "density"]], ids=_leaf)
+    def test_theta_past_the_digit_limit(self, capsys, cache_dir, argv, text):
+        """Past Python's int() digit limit, even when theta reduces to 1/2; no sieve is built."""
+        code, out, err = run(capsys, *argv, "--theta", text, "--cache-dir", cache_dir)
+        assert code == 2 and out == ""
+        assert err == f"error: theta terms are limited to {sys.get_int_max_str_digits()} digits\n"
+        assert not (Path(cache_dir) / "sieve.spl").exists()
+
     def test_table_flags_removed(self, capsys):
         """A Dickman table is sized from the query; --u-max and --step are gone."""
         code, out, err = run(capsys, "dickman", "rho", "--u", "2", "--u-max", "8")
         assert code == 1 and out == ""
         assert "unrecognized arguments: --u-max" in err
+
+
+class TestOsErrors:
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["experiment", "apsum", "--x", "1000", "--p-list", "3", "--output"], "missing/out.csv"),
+            (["experiment", "apsum", "--x", "1000", "--p-list", "3", "--output"], "."),
+            (["count", "t", "--x", "100", "--theta", "1/2", "--cache-dir"], "file"),
+            (["sieve", "build", "--limit", "100", "--cache-dir"], "file/sub"),
+        ],
+        ids=["output-missing-dir", "output-is-dir", "cache-dir-is-file", "cache-dir-under-file"],
+    )
+    def test_exit_one_with_message(self, capsys, tmp_path, argv, where):
+        """An unusable --output or --cache-dir is an error line and exit 1, not a traceback."""
+        (tmp_path / "file").write_text("")
+        extra = [] if "--cache-dir" in argv else ["--cache-dir", str(tmp_path / "cache")]
+        code, out, err = run(capsys, *argv, str(tmp_path / where), *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno ")
 
 
 class TestUsage:

@@ -6,7 +6,6 @@ import pytest
 
 from spl import experiments
 from spl.core_primes import build_sieve
-from spl.dickman import build_rho_table
 from spl.errors import ArgumentError, RangeError, VerificationError
 from spl.experiments import (
     _prime_shift_multipliers,
@@ -30,9 +29,7 @@ from spl.shifted_counts import Theta
         pytest.param(lambda c: ratio_table(c, 2, Theta(1, 4), [100, 0]), id="ratio-x0"),
         pytest.param(lambda c: rearrangement_report(c, 1000, 1, Theta(1, 4)), id="rearrange-k1"),
         pytest.param(lambda c: ap_recip_heuristic_table(c, 1000, [1]), id="apsum-p1"),
-        pytest.param(
-            lambda c: density_table(c, build_rho_table(2.0), Theta(1, 2), [100, 1]), id="density-x1"
-        ),
+        pytest.param(lambda c: density_table(c, Theta(1, 2), [100, 1]), id="density-x1"),
     ],
 )
 def test_arguments_checked_before_the_cache(call):
@@ -117,16 +114,16 @@ class TestRatioTable:
 
 
 class TestDensityTable:
-    def test_tiny_x(self, cache, rho_table):
-        recs = density_table(cache, rho_table, Theta(1, 2), [10])
+    def test_tiny_x(self, cache):
+        recs = density_table(cache, Theta(1, 2), [10])
         raw = dict(recs[0].raw)
         derived = dict(recs[0].derived)
         assert raw["pi"] == 4 and raw["count_fixed"] == 0
         assert derived["fixed_ratio"] == 0.0
         assert derived["reference_density"] == pytest.approx(0.6931471805, abs=1e-7)
 
-    def test_density_floor_small(self, cache, rho_table):
-        recs = density_table(cache, rho_table, Theta(1, 2), [10**5, 10**6])
+    def test_density_floor_small(self, cache):
+        recs = density_table(cache, Theta(1, 2), [10**5, 10**6])
         for rec in recs:
             assert dict(rec.derived)["self_ratio"] >= 0.5
 
@@ -154,8 +151,8 @@ class TestEmission:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "ratio"
 
-    def test_jsonl_roundtrip(self, cache, rho_table):
-        recs = density_table(cache, rho_table, Theta(1, 2), [100])
+    def test_jsonl_roundtrip(self, cache):
+        recs = density_table(cache, Theta(1, 2), [100])
         buf = io.StringIO()
         write_jsonl(recs, buf)
         obj = json.loads(buf.getvalue().strip())

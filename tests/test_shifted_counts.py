@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,12 @@ class TestTheta:
     def test_range_rejected(self, num, den):
         with pytest.raises(ArgumentError):
             Theta(num, den)
+
+    @pytest.mark.parametrize("text", ["1/" + "9" * 5000, "2" + "0" * 5000 + "/4" + "0" * 5000])
+    def test_digit_limit(self, text):
+        # Python's int() refuses strings past sys.get_int_max_str_digits(); 1/2 is no exception
+        with pytest.raises(RangeError, match=f"limited to {sys.get_int_max_str_digits()} digits"):
+            Theta.parse(text)
 
     def test_denominator_ceiling(self):
         assert Theta(1, 10**4).den == Theta(2, 2 * 10**4).den == 10**4
