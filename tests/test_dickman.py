@@ -26,6 +26,19 @@ RHO5_FINE = 3.547247004560e-4
 RHO6_FINE = 1.964969635396e-5
 
 
+def _on_a_fresh_table(monkeypatch, query):
+    """Run `query` on a table it sizes itself, then leave a full build behind it.
+
+    A caller comparing the result with a second `query()` compares the bits of a
+    table grown for that query alone with those of one built to U_CEILING at once.
+    """
+    monkeypatch.setattr(dickman, "_RHO", np.ones(0))
+    result = query()
+    monkeypatch.setattr(dickman, "_RHO", np.ones(0))
+    build_rho_table(U_CEILING)
+    return result
+
+
 class TestBuild:
     def test_plateau_exact(self, rho_table):
         for u in (0.0, 0.25, 0.5, 1.0):
@@ -99,24 +112,25 @@ class TestTableFor:
         n = min(len(table), len(rho_table))
         assert np.array_equal(table[:n], rho_table[:n])
 
-    def test_order_independent(self, monkeypatch):
-        """Each query on a table it sized itself gives the bits it gives after the full build."""
-        thetas = [Theta(7, 8), Theta(1, 2), Theta(1, 3), Theta(1, 8)]
-        singles = [solve_theta1, solve_theta2, lambda: rho_over_t_integral(2.0, 3.0)]
-        singles += [lambda t=t: limiting_density(t) for t in thetas]
+    def test_rho_on_a_grid(self, monkeypatch):
         grid = [*(np.arange(3201) / 400), 9.0, U_CEILING]  # [0, 8], every integer exactly
-
         monkeypatch.setattr(dickman, "_RHO", np.ones(0))
         grown = [rho(u) for u in grid]  # the table grows one unit at a time, then jumps
-        fresh = []
-        for query in singles:
-            monkeypatch.setattr(dickman, "_RHO", np.ones(0))
-            fresh.append(query())
-
+        assert grown == [rho(u) for u in grid]  # now on one table that reaches U_CEILING
         monkeypatch.setattr(dickman, "_RHO", np.ones(0))
         build_rho_table(U_CEILING)  # one build, from the start
         assert grown == [rho(u) for u in grid]
-        assert fresh == [query() for query in singles]
+
+    def test_solvers(self, monkeypatch):
+        assert _on_a_fresh_table(monkeypatch, solve_theta1) == solve_theta1()
+        assert _on_a_fresh_table(monkeypatch, solve_theta2) == solve_theta2()
+        integral = lambda: rho_over_t_integral(2.0, 3.0)  # noqa: E731
+        assert _on_a_fresh_table(monkeypatch, integral) == integral()
+
+    @pytest.mark.parametrize("theta", [Theta(7, 8), Theta(1, 2), Theta(1, 3), Theta(1, 8)])
+    def test_density(self, monkeypatch, theta):
+        density = lambda: limiting_density(theta)  # noqa: E731
+        assert _on_a_fresh_table(monkeypatch, density) == density()
 
     def test_ceiling(self, monkeypatch):
         # the ceiling refuses no u where rho is nonzero in float64
