@@ -7,7 +7,11 @@ budget or table range), 3 VerificationError (an identity or inequality did not h
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+import tempfile
+from contextlib import contextmanager
 
 from . import dickman, experiments, weighted_sums
 from .core_primes import ensure_sieve, floor_root
@@ -47,13 +51,29 @@ def _parse_int_list(text: str) -> list:
     return values
 
 
-def _emit(args, records) -> None:
-    writer = experiments.write_csv if args.format == "csv" else experiments.write_jsonl
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            writer(records, fh)
-    else:
-        writer(records, sys.stdout)
+@contextmanager
+def _table_stream(output):
+    """Stdout, or a temp file beside `output` that replaces it once the command succeeds.
+
+    The temp file is made before the caller sizes any sieve, so an unusable
+    path fails first, and a command that fails leaves a file already at
+    `output` untouched.
+    """
+    if not output or output == "-":
+        yield sys.stdout
+        return
+    if os.path.isdir(output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
+    directory, name = os.path.split(output)
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o644)  # mkstemp's 0600, as for a sieve file
+            yield fh
+        os.replace(tmp, output)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,25 +218,31 @@ def _run_verify(args) -> int:
 
 def _run_experiment(args) -> int:
     theta = Theta.parse(args.theta) if hasattr(args, "theta") else None
+    with _table_stream(args.output) as stream:
+        records = _experiment_records(args, theta)
+        writer = experiments.write_csv if args.format == "csv" else experiments.write_jsonl
+        writer(records, stream)
+    return 0
+
+
+def _experiment_records(args, theta) -> list:
     if args.which == "ratio":
         grid = _parse_int_list(args.x_grid)
         cache = _cache_for(args, experiments.ratio_sieve_limit(args.k, grid))
-        records = experiments.ratio_table(cache, args.k, theta, grid)
+        return experiments.ratio_table(cache, args.k, theta, grid)
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
         limit = experiments.density_sieve_limit(grid)
         dickman.limiting_density(theta)  # 1/theta past U_CEILING exits here, before any sieve
         cache = _cache_for(args, limit)
-        records = experiments.density_table(cache, theta, grid)
+        return experiments.density_table(cache, theta, grid)
     elif args.which == "rearrange":
         cache = _cache_for(args, experiments.rearrange_sieve_limit(args.x, args.k, theta))
-        records = [experiments.rearrangement_report(cache, args.x, args.k, theta)]
+        return [experiments.rearrangement_report(cache, args.x, args.k, theta)]
     else:
         p_list = _parse_int_list(args.p_list)
         cache = _cache_for(args, experiments.apsum_sieve_limit(args.x, p_list))
-        records = [experiments.ap_recip_heuristic_table(cache, args.x, p_list)]
-    _emit(args, records)
-    return 0
+        return [experiments.ap_recip_heuristic_table(cache, args.x, p_list)]
 
 
 def main(argv=None) -> int:

@@ -25,8 +25,7 @@ from .errors import ArgumentError, RangeError, VerificationError
 from .linear_forms import range_bounds_exact
 from .shifted_counts import (
     Theta,
-    large_factor_count,
-    large_factor_count_fixed,
+    single_prime_counts,
     tuple_count_fast,
     tuple_sieve_limit,
 )
@@ -264,14 +263,15 @@ def density_sieve_limit(x_grid) -> int:
 
 
 def density_table(cache, theta: Theta, x_grid) -> List[ExperimentRecord]:
-    """Per x: T/pi and T'/pi next to the reference density 1 - rho(1/theta)."""
+    """Per x: T/pi and T'/pi next to the reference density 1 - rho(1/theta).
+
+    The counts of the whole grid come from one pass; pi(x) from prime_count.
+    """
     cache._check(density_sieve_limit(x_grid))
     reference = limiting_density(theta)
     out = []
-    for x in x_grid:
+    for x, (t_val, tp_val, _) in zip(x_grid, single_prime_counts(cache, theta, x_grid)):
         pi_x = prime_count(cache, x)
-        t_val = large_factor_count(cache, x, theta)
-        tp_val = large_factor_count_fixed(cache, x, theta)
         out.append(
             ExperimentRecord(
                 experiment="density",

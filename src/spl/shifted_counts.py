@@ -31,6 +31,7 @@ __all__ = [
     "large_factor_count",
     "large_factor_count_fixed",
     "smooth_shift_count",
+    "single_prime_counts",
     "tuple_count_oracle",
     "tuple_count_fast",
     "tuple_sieve_limit",
@@ -86,54 +87,92 @@ def threshold_test(r: int, n: int, theta: Theta) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Greatest prime factors by a segmented pass; P+(p - 1) is memoized per cache.
+# Greatest prime factors by blocks; one blockwise pass answers T, T' and Tc.
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 17  # integers per gpf block, and entries per threshold chunk
+_BLOCK = 1 << 17  # integers m = (p - 1) / 2 per block of the single-prime pass
 
-_SHIFT_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# cache -> {(x, theta): (T, T', Tc)}; a few ints per entry, nothing that grows with pi(x)
+_COUNTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _gpf_block(ns: np.ndarray, small: np.ndarray) -> np.ndarray:
+class _GpfPlan:
+    """What _gpf_block reuses across a pass of blocks of at most `size` integers below `end`.
+
+    `small` holds the primes up to at least isqrt(end - 1), ascending; those
+    up to isqrt(end - 1) are used. A prime q <= isqrt(size) is dense: it and
+    its powers shorter than a block are strided writes. Every other power
+    q^e < end has at most ceil(size / q^e) multiples in a block, at offsets
+    k * q^e from its first: those offsets are listed once here, so a block
+    places them all with one repeat of each power's first multiple and one
+    add, and applies them with one maximum.at on `top` and one multiply.at
+    on `smooth` (which, unlike a fancy-indexed update, applies two entries
+    that hit the same n). Positions past the block land on its spare slot,
+    the entry after its last. `top` and `smooth` are allocated once, with
+    that slot.
+    """
+
+    def __init__(self, small: np.ndarray, size: int, end: int):
+        qs = small[: np.searchsorted(small, math.isqrt(end - 1), side="right")]
+        # every power q^e < end, level by level in e
+        base = qe = qs
+        bases, powers = [base], [qe]
+        while len(qe):
+            more = qe <= (end - 1) // base  # q^(e+1) < end
+            base = base[more]
+            qe = qe[more] * base
+            bases.append(base)
+            powers.append(qe)
+        base, qe = np.concatenate(bases), np.concatenate(powers)
+        dense = (base <= math.isqrt(size)) & (qe < size)
+        self.dense = [
+            (q, qe[dense & (base == q)].tolist())
+            for q in qs[: np.searchsorted(qs, math.isqrt(size), side="right")].tolist()
+        ]
+        self.powers = qe[~dense]
+        self.reps = -(-size // self.powers)  # ceil(size / q^e) multiples at most
+        # k * q^e for k < reps, power by power: offsets from each power's first multiple
+        self.step = np.arange(int(self.reps.sum()))
+        self.step -= np.repeat(np.cumsum(self.reps) - self.reps, self.reps)
+        self.step *= np.repeat(self.powers, self.reps)
+        self.base = np.repeat(base[~dense], self.reps)
+        self.base32 = self.base.astype(np.int32)
+        self.top = np.empty(size + 1, dtype=np.int32)
+        self.smooth = np.empty(size + 1, dtype=np.int64)
+
+
+def _gpf_block(ns: np.ndarray, small: np.ndarray, plan: _GpfPlan | None = None) -> np.ndarray:
     """P+(n) for each n of the ascending int64 array ns (ns[0] >= 1) as int64; P+(1) = 1.
 
     The block is lo <= n < hi with lo = ns[0], hi = ns[-1] + 1. `small`
-    holds the primes up to at least isqrt(hi - 1), ascending. Each such q
-    writes itself at its multiples (ascending, so the largest wins), and
-    `smooth` is multiplied by q at the multiples of every power q^e < hi,
-    leaving in it the part of n made of those primes. A power shorter than
-    the block is a strided write; a longer one has at most one multiple in
-    the block, so all of those go in one multiply.at (which, unlike a
-    fancy-indexed *=, applies two powers that hit the same n). The
-    cofactor n // smooth, taken only at ns, has no prime factor <= isqrt(n),
-    so it is 1 or the prime P+(n). No value exceeds n, so nothing overflows;
-    q <= isqrt(hi) < 2**31 below SIEVE_CEILING, so `top` fits int32.
+    holds the primes up to at least isqrt(hi - 1), ascending; `plan` is the
+    pass's _GpfPlan (its size at least hi - lo, its end at least hi), or
+    one is made for this block alone. Each such prime q puts itself at its
+    multiples in `top`, which keeps the largest, and `smooth` is multiplied
+    by q at the multiples of every power q^e < hi, leaving in it the part of
+    n made of those primes. The cofactor n // smooth, taken only at ns, has
+    no prime factor <= isqrt(n), so it is 1 or the prime P+(n). No value
+    read exceeds n, so nothing read overflows (the spare slot of `smooth`
+    may wrap, and is never read); q <= isqrt(hi) < 2**31 below
+    SIEVE_CEILING, so `top` fits int32.
     """
     lo, hi = int(ns[0]), int(ns[-1]) + 1
     size = hi - lo
-    top = np.ones(size, dtype=np.int32)
-    smooth = np.ones(size, dtype=np.int64)
-    qs = small[: np.searchsorted(small, math.isqrt(hi - 1), side="right")]
-    for q in qs.tolist():
-        top[-lo % q :: q] = q
-        qe = q
-        while qe < size:
-            part = smooth[-lo % qe :: qe]
+    if plan is None:
+        plan = _GpfPlan(small, size, hi)
+    top, smooth = plan.top[: size + 1], plan.smooth[: size + 1]
+    top.fill(1)
+    smooth.fill(1)
+    for q, qes in plan.dense:  # ascending, so the largest q wins in `top`
+        top[-lo % q : size : q] = q
+        for qe in qes:
+            part = smooth[-lo % qe : size : qe]
             part *= q  # on the view: `smooth[...] *= q` would also copy it back
-            qe *= q
-    # every power q^e < hi, level by level in e; the long ones go in one step
-    base = qe = qs
-    bases, powers = [base], [qe]
-    while len(qe):
-        more = qe <= (hi - 1) // base  # q^(e+1) < hi
-        base = base[more]
-        qe = qe[more] * base
-        bases.append(base)
-        powers.append(qe)
-    base, qe = np.concatenate(bases), np.concatenate(powers)
-    pos = -lo % qe
-    hit = (qe >= size) & (pos < size)
-    np.multiply.at(smooth, pos[hit], base[hit])
+    pos = np.repeat(-lo % plan.powers, plan.reps)
+    pos += plan.step
+    np.minimum(pos, size, out=pos)
+    np.maximum.at(top, pos, plan.base32)
+    np.multiply.at(smooth, pos, plan.base)
     at = ns - lo
     cof = ns // smooth[at]
     return np.where(cof > 1, cof, top[at])
@@ -149,84 +188,117 @@ def _gpf_upto(cache, n: int) -> np.ndarray:
     return np.concatenate(([0], _gpf_block(np.arange(1, n + 1), small)))
 
 
-def _shift_gpf_pass(cache, ps: np.ndarray, out: np.ndarray) -> None:
-    """Write P+(p - 1) for the ascending primes ps into out, by blocks of m = (p - 1) / 2.
+def _shift_gpf_blocks(cache, x: int):
+    """Yield (ps, rs) block by block over the primes p <= x: rs = P+(p - 1), both int64.
 
-    For odd p, P+(p - 1) = max(2, P+(m)); p = 2 gives P+(1) = 1. Only the
-    current block and the primes up to isqrt(m) are held besides the result;
-    a block holding no prime's m is skipped.
+    Blocks run over m = (p - 1) / 2 in steps of _BLOCK from m = 1. For odd p,
+    P+(p - 1) = max(2, P+(m)); p = 2 rides in the first block with P+(1) = 1.
+    Only the block, the primes up to isqrt(m) and the pass's _GpfPlan are
+    held; a block holding no prime's m is skipped.
     """
-    i = int(np.searchsorted(ps, 3))  # skip p = 2
-    out[:i] = 1
-    if i == len(ps):
+    ps = primes_in(cache, 0, x)  # a view of the cache's primes: no copy
+    if not len(ps):
         return
-    m_lo, m_hi = (int(ps[i]) - 1) // 2, (int(ps[-1]) - 1) // 2 + 1
+    m_hi = (int(ps[-1]) >> 1) + 1
     small = primes_in(cache, 0, math.isqrt(m_hi - 1))
-    for lo in range(m_lo, m_hi, _BLOCK):
+    plan = _GpfPlan(small, min(_BLOCK, m_hi - 1), m_hi)
+    i = 0
+    for lo in range(1, m_hi, _BLOCK):
         j = int(np.searchsorted(ps, 2 * (lo + _BLOCK) + 1))  # ps[i:j] have m < lo + _BLOCK
         if j > i:
-            out[i:j] = np.maximum(_gpf_block(ps[i:j] >> 1, small), 2)
+            rs = np.maximum(_gpf_block(ps[i:j] >> 1, small, plan), 2)  # p = 2 has m = 1 too
+            if i == 0 and ps[0] == 2:
+                rs[0] = 1
+            yield ps[i:j], rs
             i = j
 
 
-def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta, op: str) -> int:
-    """Count entries with rs >= ns**theta ("ge") or rs <= ns**theta ("le").
+def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
+    """(#{rs >= ns**theta}, #{rs <= ns**theta}) over aligned arrays, from one log evaluation.
 
     A log comparison settles all pairs far from the boundary; near-boundary
-    pairs fall back to the exact integer power test, so the result matches
+    pairs fall back to the exact integer power test, so each count matches
     testing every pair exactly. The boundary margin scales with the log
     magnitudes (float error does too), with ~100x headroom over worst-case
-    rounding. The float temporaries are built one chunk of _BLOCK entries
-    at a time, so they stay small whatever len(rs) is.
+    rounding. The two counts are decided separately: a pair on the
+    boundary itself counts in both.
     """
-    count = 0
-    for lo in range(0, len(rs), _BLOCK):
-        r_part = rs[lo : lo + _BLOCK]
-        n_part = ns[lo : lo + _BLOCK]
-        # in place, so one chunk holds three float arrays: t (over left), right, margin
-        t = np.log(r_part.astype(np.float64))
-        t *= theta.den
-        right = np.log(n_part.astype(np.float64))
-        right *= theta.num
-        margin = np.abs(t)
-        margin += np.abs(right)
-        margin *= 1e-13
-        margin += 1e-12
-        t -= right
-        if op == "ge":
-            count += int(np.count_nonzero(t > margin))
+    # in place, so the evaluation holds three float arrays: t (over left), right, margin
+    t = np.log(rs.astype(np.float64))
+    t *= theta.den
+    right = np.log(ns.astype(np.float64))
+    right *= theta.num
+    margin = np.abs(t)
+    margin += np.abs(right)
+    margin *= 1e-13
+    margin += 1e-12
+    t -= right
+    ge = int(np.count_nonzero(t > margin))
+    le = int(np.count_nonzero(t < -margin))
+    for i in np.flatnonzero(np.abs(t) <= margin).tolist():
+        lhs = int(rs[i]) ** theta.den
+        rhs = int(ns[i]) ** theta.num
+        ge += lhs >= rhs
+        le += lhs <= rhs
+    return ge, le
+
+
+def _count_pass(cache, theta: Theta, xs: list) -> list:
+    """(T, T', Tc) at each x of the ascending list xs, in one pass of _shift_gpf_blocks.
+
+    T and Tc run on across the checkpoints; T' keeps one running count per
+    x, as its cutoff depends on x (see large_factor_count_fixed). A
+    checkpoint inside a block splits it there.
+    """
+    # r > cutoff iff r**den >= x**num; x < 1 has no primes, so any cutoff serves
+    cutoffs = np.array([floor_root(max(x, 1) ** theta.num - 1, theta.den) for x in xs])
+    t = tc = k = 0  # k: the first checkpoint not yet reached
+    tp = np.zeros(len(xs), dtype=np.int64)
+    out = []
+    for ps, rs in _shift_gpf_blocks(cache, xs[-1]):
+        start = 0
+        while k < len(xs) and xs[k] < ps[-1]:
+            j = int(np.searchsorted(ps, xs[k], side="right"))
+            ge, le = _count_threshold(rs[start:j], ps[start:j], theta)
+            t, tc, start = t + ge, tc + le, j
+            out.append((t, int(tp[k] + np.count_nonzero(rs[:j] > cutoffs[k])), tc))
+            k += 1
+        ge, le = _count_threshold(rs[start:], ps[start:], theta)
+        t, tc = t + ge, tc + le
+        if len(xs) - k > 16:  # one sort beats a scan per cutoff
+            tp[k:] += len(rs) - np.searchsorted(np.sort(rs), cutoffs[k:], side="right")
         else:
-            count += int(np.count_nonzero(t < -margin))
-        for i in np.flatnonzero(np.abs(t) <= margin):
-            lhs = int(r_part[i]) ** theta.den
-            rhs = int(n_part[i]) ** theta.num
-            ok = lhs >= rhs if op == "ge" else lhs <= rhs
-            if ok:
-                count += 1
-    return count
+            tp[k:] += [np.count_nonzero(rs > c) for c in cutoffs[k:]]
+    return out + [(t, int(c), tc) for c in tp[k:]]
 
 
-def _shift_gpfs(cache, x):
-    """(primes <= x, P+(p-1) for each) as aligned arrays.
+def single_prime_counts(cache, theta: Theta, x_grid) -> list:
+    """(T, T', Tc) at each x of x_grid, from one blockwise pass to the largest x not yet counted.
 
-    The P+(p - 1) array is memoized per cache, aligned with the ascending
-    primes: a smaller x takes a prefix of it and a larger x extends it, the
-    pass writing straight into the grown array (no second copy of it).
+    T = #{p <= x : P+(p-1) >= p**theta}, T' = #{p <= x : P+(p-1) >= x**theta}
+    and Tc = #{p <= x : P+(p-1) <= p**theta}. Each block of the pass gets
+    P+(p - 1) from _gpf_block, evaluates the threshold once for T and Tc,
+    counts T' against exact integer cutoffs, and is dropped: nothing held
+    grows with pi(x). The counts are memoized per cache by (x, theta), so
+    after the first of the three counters the other two are lookups.
+
+    T + Tc = pi(x) holds exactly (P+(p-1)**den = p**num has no solution, as
+    P+(p-1) < p), and it is a check between two routes: T and Tc are
+    decided separately, pi(x) comes only from `prime_count`, and neither
+    count may ever be taken as pi minus the other.
     """
-    ps = primes_in(cache, 0, x)
-    done = _SHIFT_MEMO.get(cache, np.ones(0, dtype=np.int64))
-    if len(done) < len(ps):
-        grown = np.empty(len(ps), dtype=np.int64)
-        grown[: len(done)] = done
-        _shift_gpf_pass(cache, ps[len(done) :], grown[len(done) :])
-        done = _SHIFT_MEMO[cache] = grown
-    return ps, done[: len(ps)]
+    memo = _COUNTS.setdefault(cache, {})
+    todo = sorted({int(x) for x in x_grid if (int(x), theta) not in memo})
+    if todo:
+        cache._check(todo[-1])  # before a cutoff raises some x past the limit to a power
+        for x, counts in zip(todo, _count_pass(cache, theta, todo)):
+            memo[x, theta] = counts
+    return [memo[int(x), theta] for x in x_grid]
 
 
 def large_factor_count(cache, x: int, theta: Theta) -> int:
     """#{p <= x : P+(p-1) >= p**theta}."""
-    ps, rs = _shift_gpfs(cache, x)
-    return _count_threshold(rs, ps, theta, "ge")
+    return single_prime_counts(cache, theta, [x])[0][0]
 
 
 def large_factor_count_fixed(cache, x: int, theta: Theta) -> int:
@@ -235,16 +307,12 @@ def large_factor_count_fixed(cache, x: int, theta: Theta) -> int:
     r**den >= x**num iff r exceeds the largest n with n**den <= x**num - 1,
     an exact integer cutoff.
     """
-    _, rs = _shift_gpfs(cache, x)
-    cutoff = floor_root(int(x) ** theta.num - 1, theta.den)
-    chunks = range(0, len(rs), _BLOCK)  # bounded temporaries, as in _count_threshold
-    return sum(int(np.count_nonzero(rs[lo : lo + _BLOCK] > cutoff)) for lo in chunks)
+    return single_prime_counts(cache, theta, [x])[0][1]
 
 
 def smooth_shift_count(cache, x: int, theta: Theta) -> int:
     """#{p <= x : P+(p-1) <= p**theta} (smooth shifted primes)."""
-    ps, rs = _shift_gpfs(cache, x)
-    return _count_threshold(rs, ps, theta, "le")
+    return single_prime_counts(cache, theta, [x])[0][2]
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,29 @@ class TestOsErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: [Errno ")
 
+    @pytest.mark.parametrize("where", ["missing/out.csv", "."])
+    def test_unusable_output_fails_before_the_sieve(self, capsys, tmp_path, cache_dir, where):
+        argv = ["experiment", "apsum", "--x", "1000", "--p-list", "3", "--cache-dir", cache_dir]
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / where))
+        assert code == 1 and out == "" and err.startswith("error: [Errno ")
+        assert not (Path(cache_dir) / "sieve.spl").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "apsum", "--x", "1000", "--p-list", "3,3"],  # ArgumentError: exit 1
+            ["experiment", "density", "--theta", "1/2", "--x-grid", str(2**41)],  # RangeError: exit 2
+        ],
+        ids=["argument-error", "range-error"],
+    )
+    def test_failed_command_leaves_output_untouched(self, capsys, tmp_path, cache_dir, argv):
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        code, out, err = run(capsys, *argv, "--output", str(path), "--cache-dir", cache_dir)
+        assert code in (1, 2) and out == "" and err.startswith("error: ")
+        assert path.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]  # no temp file left
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

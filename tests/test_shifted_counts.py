@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,17 +12,18 @@ from conftest import gpf_trial, reference_flags
 from spl.core_primes import SIEVE_CEILING, build_sieve, prime_count, primes_in
 from spl import shifted_counts
 from spl.errors import ArgumentError, RangeError
+from spl.experiments import density_table
 from spl.shifted_counts import (
-    _SHIFT_MEMO,
     Theta,
     _count_threshold,
     _gpf_block,
     _gpf_upto,
-    _shift_gpfs,
+    _shift_gpf_blocks,
     fast_qualifying_products,
     large_factor_count,
     large_factor_count_fixed,
     oracle_qualifying_products,
+    single_prime_counts,
     smooth_shift_count,
     threshold_test,
     tuple_count_fast,
@@ -31,6 +33,13 @@ from spl.shifted_counts import (
 
 def theta_from_fraction(fr: Fraction) -> Theta:
     return Theta(fr.numerator, fr.denominator)
+
+
+def shift_gpfs(c, x):
+    """(primes <= x, P+(p - 1) for each) as aligned arrays, joined from the pass's blocks."""
+    empty = [np.zeros(0, dtype=np.int64)]
+    blocks = list(_shift_gpf_blocks(c, x))
+    return tuple(np.concatenate(empty + [b[i] for b in blocks]) for i in (0, 1))
 
 
 class TestTheta:
@@ -99,6 +108,12 @@ class TestSingleCounters:
         assert large_factor_count_fixed(cache, 10, half) == 0
         assert smooth_shift_count(cache, 10, half) == 2
         assert smooth_shift_count(cache, 2, Theta(9, 10)) == 1
+
+    def test_past_the_limit_raises_first(self, cache):
+        # x**num would have 300,000 digits: the limit is checked before any cutoff
+        for count in (large_factor_count, large_factor_count_fixed, smooth_shift_count):
+            with pytest.raises(RangeError, match="exceeds sieve limit"):
+                count(cache, 10**30, Theta(9999, 10000))
 
     def test_t_prime_at_100(self, cache):
         # brute force over the 25 primes below 100
@@ -291,9 +306,9 @@ def gpf_blocks(monkeypatch):
     calls = []
     block = shifted_counts._gpf_block
 
-    def spy(ns, small):
+    def spy(ns, *rest):
         calls.append((int(ns[0]), int(ns[-1]) + 1))
-        return block(ns, small)
+        return block(ns, *rest)
 
     monkeypatch.setattr(shifted_counts, "_gpf_block", spy)
     return calls
@@ -320,29 +335,67 @@ class TestGpfTableSizing:
         assert tuple_count_oracle(c, x, 2, Theta(1, 4)) == 914
         assert limits and all(n <= math.isqrt(x) + 1 for n in limits)
 
-    def test_single_counters_share_one_shift_array(self, gpf_blocks):
+    def test_single_counters_share_one_pass(self, gpf_blocks):
         c = build_sieve(10**6)
         x = 10**6
         half = Theta(1, 2)
         t = large_factor_count(c, x, half)
         assert gpf_blocks and all(hi - lo <= shifted_counts._BLOCK for lo, hi in gpf_blocks)
-        shifts = _SHIFT_MEMO[c]
-        assert len(shifts) == prime_count(c, x)
+        first_pass = list(gpf_blocks)
         tp = large_factor_count_fixed(c, x, half)
         tc = smooth_shift_count(c, x, half)
-        assert _SHIFT_MEMO[c] is shifts
+        assert gpf_blocks == first_pass  # the other two counters are lookups
         assert (t, tp, tc) == (49597, 43053, 28901)
-        # a larger x after a smaller one extends the memo to the same counts
-        grown = build_sieve(10**6)
-        small = (large_factor_count(grown, 10**4, half), smooth_shift_count(grown, 10**4, half))
-        assert len(_SHIFT_MEMO[grown]) == prime_count(grown, 10**4)
-        assert large_factor_count(grown, x, half) == t
-        assert large_factor_count_fixed(grown, x, half) == tp
-        assert smooth_shift_count(grown, x, half) == tc
-        assert np.array_equal(_SHIFT_MEMO[grown], shifts)
-        # and a smaller x after a larger one reads a prefix
-        assert (large_factor_count(c, 10**4, half), smooth_shift_count(c, 10**4, half)) == small
-        assert _SHIFT_MEMO[c] is shifts
+        # a new (x, theta) is a new pass, to the same counts as on a fresh cache
+        small = (large_factor_count(c, 10**4, half), smooth_shift_count(c, 10**4, half))
+        assert len(gpf_blocks) > len(first_pass)
+        fresh = build_sieve(10**6)
+        assert (large_factor_count(fresh, 10**4, half), smooth_shift_count(fresh, 10**4, half)) == small
+
+
+class TestSinglePrimePass:
+    def test_density_grid_is_one_pass(self, gpf_blocks):
+        """Each block once, in order, and the rows of per-x calls on a fresh cache."""
+        c = build_sieve(10**6)
+        half = Theta(1, 2)
+        recs = density_table(c, half, [10**4, 3 * 10**5, 10**6])
+        assert gpf_blocks == sorted(set(gpf_blocks))
+        assert len(gpf_blocks) == -(-(10**6 // 2) // shifted_counts._BLOCK)
+        fresh = build_sieve(10**6)
+        for rec in recs:
+            x = rec.inputs["x"]
+            assert dict(rec.raw) == {
+                "pi": prime_count(fresh, x),
+                "count_self": large_factor_count(fresh, x, half),
+                "count_fixed": large_factor_count_fixed(fresh, x, half),
+            }
+
+    @pytest.mark.parametrize("theta", [Theta(1, 2), Theta(1, 3), Theta(2, 5), Theta(17, 64)])
+    def test_t_plus_tc_is_pi_at_every_x(self, monkeypatch, theta):
+        """T and Tc from one pass checkpointed at every x < 3000, pi from prime_count."""
+        monkeypatch.setattr(shifted_counts, "_BLOCK", 7)
+        c = build_sieve(3000)
+        counts = single_prime_counts(c, theta, range(3000))
+        assert [t + tc for t, _, tc in counts] == [prime_count(c, x) for x in range(3000)]
+        # a checkpoint inside a block agrees with a pass that ends there
+        fresh = build_sieve(3000)
+        for x in range(0, 3000, 97):
+            assert single_prime_counts(fresh, theta, [x]) == [counts[x]]
+
+    def test_memory_does_not_grow_with_pi(self):
+        """On a warm cache the pass holds blocks, not pi(x) entries (a pi(x)-entry array gives ~3x)."""
+        c = build_sieve(10**7)
+        c.primes  # the cache's own view is not the pass's
+
+        def peak(x):
+            tracemalloc.start()
+            try:
+                large_factor_count(c, x, Theta(1, 2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**7) < 2 * peak(10**6)
 
 
 class TestSegmentedShiftPass:
@@ -350,7 +403,7 @@ class TestSegmentedShiftPass:
         """Blocks of 7 put many primes on block edges."""
         monkeypatch.setattr(shifted_counts, "_BLOCK", 7)
         c = build_sieve(2 * 10**4)
-        ps, rs = _shift_gpfs(c, 2 * 10**4)
+        ps, rs = shift_gpfs(c, 2 * 10**4)
         assert rs.tolist() == [gpf_trial(p - 1) for p in ps.tolist()]
         gpf = _gpf_upto(c, 300)
         assert gpf[0] == 0 and gpf[1:].tolist() == [gpf_trial(n) for n in range(1, 301)]
@@ -361,7 +414,7 @@ class TestSegmentedShiftPass:
         flags = reference_flags(120)
         for x in range(0, 120):
             c = build_sieve(max(x, 2))
-            ps, rs = _shift_gpfs(c, x)
+            ps, rs = shift_gpfs(c, x)
             expected = [p for p in range(2, x + 1) if flags[p]]
             assert ps.tolist() == expected
             assert rs.tolist() == [gpf_trial(p - 1) for p in expected]
@@ -371,20 +424,20 @@ class TestSegmentedShiftPass:
         # p = 2B + 3 opens the second block; x lands on, just past and beyond it
         b = shifted_counts._BLOCK
         for x in (2 * b + 1, 2 * b + 2, 2 * b + 3, 2 * b + 200):
-            ps, rs = _shift_gpfs(build_sieve(x), x)
+            ps, rs = shift_gpfs(build_sieve(x), x)
             tail = slice(int(np.searchsorted(ps, 2 * b - 400)), None)
             assert rs[tail].tolist() == [gpf_trial(p - 1) for p in ps[tail].tolist()]
 
     def test_edges(self):
         c = build_sieve(70000)
-        ps, rs = _shift_gpfs(c, 70000)
+        ps, rs = shift_gpfs(c, 70000)
         gpf_of = dict(zip(ps.tolist(), rs.tolist()))
         assert gpf_of[2] == 1  # P+(1) = 1
         assert gpf_of[3] == 2
         for fermat in (5, 17, 257, 65537):  # p - 1 = 2^k: P+(m) = 1 or 2, lifted to 2
             assert gpf_of[fermat] == 2
         for x in (-1, 0, 1):
-            ps, rs = _shift_gpfs(c, x)
+            ps, rs = shift_gpfs(c, x)
             assert len(ps) == len(rs) == 0
             assert large_factor_count(c, x, Theta(1, 2)) == 0
             assert smooth_shift_count(c, x, Theta(1, 2)) == 0
@@ -398,7 +451,7 @@ class TestGpfBlock:
         # below 8 blocks, 8 and 9 both span a block and both divide n = 72, 144, ...
         monkeypatch.setattr(shifted_counts, "_BLOCK", 7)
         c = build_sieve(6000)
-        ps, rs = _shift_gpfs(c, 6000)
+        ps, rs = shift_gpfs(c, 6000)
         assert sum(p % 144 == 1 for p in ps.tolist()) >= 5  # primes whose m is a multiple of 72
         assert rs.tolist() == [gpf_trial(p - 1) for p in ps.tolist()]
         small = primes_in(c, 0, 100)
@@ -432,20 +485,21 @@ class TestGpfBlock:
 
 class TestCountThresholdChunks:
     @pytest.mark.parametrize("theta", [Theta(1, 2), Theta(2, 3), Theta(1, 3)])
-    def test_tiny_chunks_match_one_chunk(self, monkeypatch, theta):
+    def test_tiny_chunks_match_one_chunk(self, theta):
+        """Both counts are exact at ties and add up over the pieces a checkpoint cuts a block into."""
         # pairs with r^den == n^num exactly, and their neighbours n +- 1
         a = np.arange(2, 400, dtype=np.int64)
         r_tie, n_tie = a**theta.num, a**theta.den
         rs = np.concatenate([r_tie, r_tie, r_tie, np.arange(1, 500, dtype=np.int64)])
         ns = np.concatenate([n_tie - 1, n_tie, n_tie + 1, np.arange(700, 1199, dtype=np.int64)])
-        one = {op: _count_threshold(rs, ns, theta, op) for op in ("ge", "le")}
-        exact = {
-            "ge": sum(int(r) ** theta.den >= int(n) ** theta.num for r, n in zip(rs, ns)),
-            "le": sum(int(r) ** theta.den <= int(n) ** theta.num for r, n in zip(rs, ns)),
-        }
+        one = _count_threshold(rs, ns, theta)
+        exact = (
+            sum(int(r) ** theta.den >= int(n) ** theta.num for r, n in zip(rs, ns)),
+            sum(int(r) ** theta.den <= int(n) ** theta.num for r, n in zip(rs, ns)),
+        )
         assert one == exact
-        monkeypatch.setattr(shifted_counts, "_BLOCK", 5)
-        assert {op: _count_threshold(rs, ns, theta, op) for op in ("ge", "le")} == one
+        pieces = [_count_threshold(rs[i : i + 5], ns[i : i + 5], theta) for i in range(0, len(rs), 5)]
+        assert tuple(map(sum, zip(*pieces))) == one
 
 
 class TestFixedThresholdCutoff:
