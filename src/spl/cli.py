@@ -10,8 +10,6 @@ import argparse
 import errno
 import os
 import sys
-import tempfile
-from contextlib import contextmanager
 
 from . import dickman, experiments, weighted_sums
 from .core_primes import ensure_sieve, floor_root
@@ -51,29 +49,22 @@ def _parse_int_list(text: str) -> list:
     return values
 
 
-@contextmanager
-def _table_stream(output):
-    """Stdout, or a temp file beside `output` that replaces it once the command succeeds.
+def _check_output(output) -> None:
+    """Raise the OSError that opening `output` for writing would, without opening it.
 
-    The temp file is made before the caller sizes any sieve, so an unusable
-    path fails first, and a command that fails leaves a file already at
-    `output` untouched.
+    Called before any sieve is sized, so an unusable path fails first; the
+    table is written with a plain open() once the command has succeeded, so a
+    failed command leaves a file already at `output` untouched.  A symlink is
+    followed, and a device or FIFO is only checked, never opened here.
     """
-    if not output or output == "-":
-        yield sys.stdout
-        return
-    if os.path.isdir(output):
+    path = os.path.realpath(output)
+    if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
-    directory, name = os.path.split(output)
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o644)  # mkstemp's 0600, as for a sieve file
-            yield fh
-        os.replace(tmp, output)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    target = path if os.path.exists(path) else os.path.dirname(path)
+    if not os.path.isdir(target) and target != path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output)
+    if not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,10 +209,16 @@ def _run_verify(args) -> int:
 
 def _run_experiment(args) -> int:
     theta = Theta.parse(args.theta) if hasattr(args, "theta") else None
-    with _table_stream(args.output) as stream:
-        records = _experiment_records(args, theta)
-        writer = experiments.write_csv if args.format == "csv" else experiments.write_jsonl
-        writer(records, stream)
+    to_file = bool(args.output) and args.output != "-"
+    if to_file:
+        _check_output(args.output)
+    records = _experiment_records(args, theta)
+    writer = experiments.write_csv if args.format == "csv" else experiments.write_jsonl
+    if not to_file:
+        writer(records, sys.stdout)
+        return 0
+    with open(args.output, "w") as fh:
+        writer(records, fh)
     return 0
 
 

@@ -265,10 +265,7 @@ def _count_pass(cache, theta: Theta, xs: list) -> list:
             k += 1
         ge, le = _count_threshold(rs[start:], ps[start:], theta)
         t, tc = t + ge, tc + le
-        if len(xs) - k > 16:  # one sort beats a scan per cutoff
-            tp[k:] += len(rs) - np.searchsorted(np.sort(rs), cutoffs[k:], side="right")
-        else:
-            tp[k:] += [np.count_nonzero(rs > c) for c in cutoffs[k:]]
+        tp[k:] += [np.count_nonzero(rs > c) for c in cutoffs[k:]]
     return out + [(t, int(c), tc) for c in tp[k:]]
 
 

@@ -348,13 +348,7 @@ class TestOsErrors:
         code, out, err = run(capsys, *argv, str(tmp_path / where), *extra)
         assert code == 1 and out == ""
         assert err.startswith("error: [Errno ")
-
-    @pytest.mark.parametrize("where", ["missing/out.csv", "."])
-    def test_unusable_output_fails_before_the_sieve(self, capsys, tmp_path, cache_dir, where):
-        argv = ["experiment", "apsum", "--x", "1000", "--p-list", "3", "--cache-dir", cache_dir]
-        code, out, err = run(capsys, *argv, "--output", str(tmp_path / where))
-        assert code == 1 and out == "" and err.startswith("error: [Errno ")
-        assert not (Path(cache_dir) / "sieve.spl").exists()
+        assert not (tmp_path / "cache" / "sieve.spl").exists()  # --output fails before the sieve
 
     @pytest.mark.parametrize(
         "argv",
@@ -371,6 +365,17 @@ class TestOsErrors:
         assert code in (1, 2) and out == "" and err.startswith("error: ")
         assert path.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]  # no temp file left
+
+    def test_symlinked_output_writes_the_target(self, capsys, tmp_path, cache_dir):
+        """A symlink at --output is written through and survives."""
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        argv = ["experiment", "apsum", "--x", "1000", "--p-list", "3", "--cache-dir", cache_dir]
+        code, out, _ = run(capsys, *argv, "--output", str(link))
+        assert code == 0 and out == ""
+        assert link.is_symlink() and link.resolve() == target
+        assert run(capsys, *argv)[1] == target.read_text()
 
 
 class TestUsage:
