@@ -2,9 +2,8 @@
 
 Everything here is plain multiplicative-number-theory plumbing: a packed
 primality bitset built by a segmented sieve, a smallest-prime-factor table,
-the one factorizer `factorize` and the greatest prime factor it gives,
-counts of primes in arithmetic progressions, and exactly rounded
-reciprocal sums.
+the one factorizer `factorize`, counts of primes in arithmetic
+progressions, and exactly rounded reciprocal sums.
 All tables are immutable after construction. Only this module reads the
 storage behind a sieve: everything else asks `SieveCache.is_prime` or
 `primes_in`.
@@ -33,7 +32,6 @@ __all__ = [
     "primes_in_class",
     "prime_count",
     "factorize",
-    "greatest_prime_factor",
     "recip_prime_sum_ap",
     "floor_root",
     "save_sieve",
@@ -258,15 +256,6 @@ def factorize(n: int, spf: np.ndarray | None = None) -> tuple:
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)
-
-
-def greatest_prime_factor(n: int, spf=None) -> int:
-    """P+(n); the convention for n = 1 is 1."""
-    if n < 1:
-        raise ArgumentError(f"greatest prime factor undefined for {n}")
-    if n == 1:
-        return 1
-    return factorize(n, spf)[-1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,11 @@ def _elementary_symmetric(values: np.ndarray, g_max: int) -> list:
 
 
 def _prime_shift_multipliers(cache, p: int, h_top: int) -> np.ndarray:
-    """h with 2 <= h <= h_top and p*h + 1 prime, ascending."""
-    hs = (primes_in_class(cache, p * h_top + 1, p, 1) - 1) // p
-    return hs[hs >= 2]
+    """h with 1 <= h <= h_top and p*h + 1 prime, ascending.
+
+    h = 1 occurs only at p = 2 (q = 3): for odd p, p + 1 is even.
+    """
+    return (primes_in_class(cache, p * h_top + 1, p, 1) - 1) // p
 
 
 REARRANGE_X_BUDGET = 10**5
@@ -167,11 +169,11 @@ def rearrangement_report(cache, x: int, k: int, theta: Theta) -> ExperimentRecor
     """The double sum against its two rearranged majorants.
 
     raw carries (i) the double sum; (ii) the substitution majorant
-    sum_p p^-k (sum_{1<h<x/p, ph+1 prime} 1/h)^(k-1); and (iii) the
+    sum_p p^-k (sum_{1<=h<x/p, ph+1 prime} 1/h)^(k-1); and (iii) the
     symmetrized form summing over sorted distinct shift tuples below
-    2^theta x^(1-theta). (i) <= (ii) holds term by term (q = ph+1 > ph)
-    and is enforced; the ordering constant (ii)/(iii) is reported, not
-    asserted.
+    2^theta x^(1-theta). (i) <= (ii) holds term by term (q = ph+1 > ph;
+    h = 1 is q = 3 at p = 2, so it is kept) and is enforced; the ordering
+    constant (ii)/(iii) is reported, not asserted.
     """
     cache._check(rearrange_sieve_limit(x, k, theta))
     s_val = progression_double_sum(cache, x, k, theta)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_primes import build_spf, floor_root, greatest_prime_factor, primes_in, primes_in_class
+from .core_primes import build_spf, factorize, floor_root, primes_in, primes_in_class
 from .errors import ArgumentError, RangeError
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "tuple_count_fast",
     "tuple_sieve_limit",
     "oracle_qualifying_products",
-    "fast_qualifying_products",
 ]
 
 _THETA_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*\Z")
@@ -178,39 +177,28 @@ def _gpf_block(ns: np.ndarray, small: np.ndarray, plan: _GpfPlan | None = None) 
     return np.where(cof > 1, cof, top[at])
 
 
-def _gpf_upto(cache, n: int) -> np.ndarray:
-    """gpf[m] = largest prime factor of m for 2 <= m <= n; gpf[1] = 1, int64.
-
-    One block: the fast tuple route asks for n <= isqrt(x), which costs
-    well under a millisecond to rebuild, so nothing is memoized.
-    """
-    small = primes_in(cache, 0, math.isqrt(n))
-    return np.concatenate(([0], _gpf_block(np.arange(1, n + 1), small)))
-
-
 def _shift_gpf_blocks(cache, x: int):
     """Yield (ps, rs) block by block over the primes p <= x: rs = P+(p - 1), both int64.
 
-    Blocks run over m = (p - 1) / 2 in steps of _BLOCK from m = 1. For odd p,
-    P+(p - 1) = max(2, P+(m)); p = 2 rides in the first block with P+(1) = 1.
-    Only the block, the primes up to isqrt(m) and the pass's _GpfPlan are
-    held; a block holding no prime's m is skipped.
+    Blocks run over m = (p - 1) / 2 in steps of _BLOCK from m = 1; the block
+    from m = lo reads only its own primes, 2*lo - 1 < p <= 2*(lo + _BLOCK) - 1,
+    through `primes_in`. For odd p, P+(p - 1) = max(2, P+(m)); p = 2 rides in
+    the first block with P+(1) = 1. Only the block, the primes up to
+    isqrt(m) and the pass's _GpfPlan are held; a block holding no prime is
+    skipped.
     """
-    ps = primes_in(cache, 0, x)  # a view of the cache's primes: no copy
-    if not len(ps):
+    if x < 2:
         return
-    m_hi = (int(ps[-1]) >> 1) + 1
-    small = primes_in(cache, 0, math.isqrt(m_hi - 1))
-    plan = _GpfPlan(small, min(_BLOCK, m_hi - 1), m_hi)
-    i = 0
-    for lo in range(1, m_hi, _BLOCK):
-        j = int(np.searchsorted(ps, 2 * (lo + _BLOCK) + 1))  # ps[i:j] have m < lo + _BLOCK
-        if j > i:
-            rs = np.maximum(_gpf_block(ps[i:j] >> 1, small, plan), 2)  # p = 2 has m = 1 too
-            if i == 0 and ps[0] == 2:
+    m_top = max((x - 1) // 2, 1)  # the largest m of an odd p <= x
+    small = primes_in(cache, 0, math.isqrt(m_top))
+    plan = _GpfPlan(small, min(_BLOCK, m_top), m_top + 1)
+    for lo in range(1, x // 2 + 1, _BLOCK):  # 2*lo - 1 < x
+        ps = primes_in(cache, 2 * lo - 1, min(2 * (lo + _BLOCK) - 1, x))
+        if len(ps):
+            rs = np.maximum(_gpf_block(ps >> 1, small, plan), 2)  # p = 2 has m = 1 too
+            if ps[0] == 2:
                 rs[0] = 1
-            yield ps[i:j], rs
-            i = j
+            yield ps, rs
 
 
 def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
@@ -350,7 +338,7 @@ def oracle_qualifying_products(
     # As in the fast route: the gcd of the shifts is below the smallest
     # member, which is at most x**(1/k) <= isqrt(x).
     spf = build_spf(max(math.isqrt(x), 2))
-    gpf = [0] + [greatest_prime_factor(n, spf) for n in range(1, len(spf))]
+    gpf = [0, 1] + [factorize(n, spf)[-1][0] for n in range(2, len(spf))]  # P+(1) = 1
     out = []
     budget = ORACLE_NODE_BUDGET
 
@@ -381,20 +369,21 @@ def tuple_count_oracle(cache, x: int, k: int, theta: Theta, *, ordered: bool = T
     return len(oracle_qualifying_products(cache, x, k, theta, ordered=ordered))
 
 
-def _fast_products_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r: int) -> list:
+def _fast_count_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r: int) -> int:
     # The largest n <= x passing the threshold at r: n**num <= r**den.
     n_cap = floor_root(min(r**theta.den, x**theta.num), theta.num)
     if n_cap < (r + 1) ** k:
-        return []
+        return 0
     # Every member is a prime = 1 (mod r), so each is >= r + 1 and none can
     # exceed n_cap // (r + 1)**(k - 1).
     qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r, 1).tolist()
     if not qs:
-        return []
+        return 0
     q0 = qs[0]
-    out = []
+    count = 0
 
     def visit(start: int, prod: int, g: int, depth: int):
+        nonlocal count
         rest = q0 ** (k - depth - 1)
         for i in range(start, len(qs)):
             q = qs[i]
@@ -404,36 +393,32 @@ def _fast_products_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf
             g_q = math.gcd(g, q - 1)
             if depth + 1 == k:
                 if gpf[g_q] == r:
-                    out.append(prod_q)
+                    count += 1
             else:
                 visit(0 if ordered else i, prod_q, g_q, depth + 1)
 
     visit(0, 1, 0, 0)
-    return out
-
-
-def fast_qualifying_products(
-    cache, x: int, k: int, theta: Theta, *, ordered: bool = True
-) -> list:
-    """Products of qualifying tuples via enumeration keyed on r = P+(gcd).
-
-    For each prime r <= x**(1/k), tuples are drawn from primes q = 1 (mod r)
-    with product capped at the largest n passing the threshold at r; a tuple
-    is kept only when r is exactly the largest prime factor of the shifted
-    gcd, so each qualifying tuple is produced exactly once.
-    """
-    cache._check(tuple_sieve_limit(x, k))
-    if x < 2**k:  # no k primes have a product below 2^k, as in the oracle
-        return []
-    # The gcd of a tuple's shifts is below its smallest member, which is at
-    # most x**(1/k) <= isqrt(x): a table that far covers every lookup.
-    gpf = _gpf_upto(cache, max(math.isqrt(x), 1))
-    out = []
-    for r in primes_in(cache, 0, floor_root(x, k)).tolist():
-        out.extend(_fast_products_for_r(cache, x, k, theta, ordered, gpf, r))
-    return out
+    return count
 
 
 def tuple_count_fast(cache, x: int, k: int, theta: Theta, *, ordered: bool = True) -> int:
-    """Same count as tuple_count_oracle, via the r-keyed enumeration."""
-    return len(fast_qualifying_products(cache, x, k, theta, ordered=ordered))
+    """Same count as tuple_count_oracle, via an enumeration keyed on r = P+(gcd).
+
+    For each prime r <= x**(1/k), tuples are drawn from primes q = 1 (mod r)
+    with product capped at the largest n passing the threshold at r; a tuple
+    is counted only when r is exactly the largest prime factor of the shifted
+    gcd, so each qualifying tuple is counted exactly once. Tuples are
+    counted, not listed: nothing held grows with their number.
+    """
+    cache._check(tuple_sieve_limit(x, k))
+    if x < 2**k:  # no k primes have a product below 2^k, as in the oracle
+        return 0
+    # The gcd of a tuple's shifts is below its smallest member, which is at
+    # most x**(1/k) <= isqrt(x): P+ that far covers every lookup. A list,
+    # as the enumeration reads it one entry at a time; gpf[0] is never read.
+    n = math.isqrt(x)
+    gpf = [0] + _gpf_block(np.arange(1, n + 1), primes_in(cache, 0, math.isqrt(n))).tolist()
+    return sum(
+        _fast_count_for_r(cache, x, k, theta, ordered, gpf, r)
+        for r in primes_in(cache, 0, floor_root(x, k)).tolist()
+    )

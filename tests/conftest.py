@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spl.core_primes import build_sieve, build_spf
@@ -66,3 +67,17 @@ def gpf_trial(n: int) -> int:
                 n //= d
         d += 1 if d == 2 else 2
     return n if n > 1 else g
+
+
+def assert_count_matches_products(count, products, x: int) -> None:
+    """Assert count(y) == #{v in products : v <= y} for every y <= x.
+
+    `count(y)` is a tuple count at cap y and `products` the qualifying
+    products at cap x. A tuple qualifies or not whatever the cap, so both
+    sides are step functions of y; checking them at x and at each distinct
+    product v and v - 1 covers every y <= x, and passes exactly when the
+    counted tuples have the same multiset of products.
+    """
+    ref = np.sort(np.asarray(products, dtype=np.int64))
+    points = sorted({x, *ref.tolist(), *(ref - 1).tolist()})
+    assert [count(y) for y in points] == np.searchsorted(ref, points, side="right").tolist()

@@ -494,6 +494,16 @@ class TestExperimentsAndCache:
         )
         assert code == 0 and "exact_p3" in out
 
+    def test_rearrange_with_two_in_range(self, capsys, cache_dir):
+        """(x/2)^theta < 2 puts p = 2 in the range; its q = 3 = 2*1 + 1 is in the majorant."""
+        code, out, err = run(
+            capsys, "experiment", "rearrange", "--x", "1000", "--k", "3",
+            "--theta", "1/10", "--cache-dir", cache_dir,
+        )
+        assert (code, err) == (0, "")
+        majorant, ok = out.splitlines()[1].split(",")[5:8:2]
+        assert (majorant, ok) == ("2.10273566843", "true")
+
     def test_rearrange_budget_checked_before_the_sieve(self, capsys, cache_dir):
         """x above the rearrange budget exits 2 without sizing or saving a sieve."""
         code, out, err = run(

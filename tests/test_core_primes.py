@@ -18,7 +18,6 @@ from spl.core_primes import (
     ensure_sieve,
     factorize,
     floor_root,
-    greatest_prime_factor,
     load_sieve,
     prime_count,
     primes_in,
@@ -256,6 +255,11 @@ class TestFactorize:
         with pytest.raises(ArgumentError):
             factorize(0)
 
+    def test_last_pair_is_the_greatest_prime_factor(self, spf):
+        """The oracle's P+ table reads factorize(n, spf)[-1][0]."""
+        ns = range(2, 2000)
+        assert [factorize(n, spf)[-1][0] for n in ns] == [gpf_trial(n) for n in ns]
+
 
 class TestFloorRoot:
     @staticmethod
@@ -304,23 +308,6 @@ class TestFloorRoot:
     @settings(deadline=None, max_examples=300)
     def test_random(self, t, e, c):
         self.check(t, e, c)
-
-
-class TestDerivedArithmetic:
-    def test_gpf_examples(self, spf):
-        assert greatest_prime_factor(1) == 1
-        assert greatest_prime_factor(12, spf) == 3
-        assert greatest_prime_factor(100, spf) == 5
-
-    def test_gpf_matches_factorization(self, spf):
-        for n in range(1, 2000):
-            g = greatest_prime_factor(n, spf)
-            assert g == gpf_trial(n)
-            assert (g == 1) == (n == 1)
-
-    def test_gpf_zero(self):
-        with pytest.raises(ArgumentError):
-            greatest_prime_factor(0)
 
 
 class TestRecipSums:

@@ -68,6 +68,13 @@ class TestRearrangement:
         assert dict(rec.raw)["double_sum"] <= dict(rec.raw)["substitution_majorant"]
         assert derived["ordering_constant"] <= 2.0
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_majorant_holds_when_two_is_in_range(self, cache, k):
+        """theta = 1/d with d >= 9 puts p = 2 in the range at x = 1000, where h = 1 gives q = 3."""
+        for d in range(2, 41):
+            rec = rearrangement_report(cache, 1000, k, Theta(1, d))
+            assert dict(rec.derived)["s_le_majorant"] is True
+
     def test_budget_guard(self, cache):
         with pytest.raises(RangeError, match="capped at x <= 100000"):
             rearrangement_report(cache, 2 * 10**5, 2, Theta(1, 4))
@@ -76,7 +83,7 @@ class TestRearrangement:
         flags = cache.flags
         for p in (2, 3, 5, 7, 31, 97, 997):
             for h_top in (0, 1, 2, 3, 10, 1000, (cache.limit - 1) // p):
-                hs = np.arange(2, h_top + 1)
+                hs = np.arange(1, h_top + 1)
                 want = hs[flags[p * hs + 1]]
                 assert _prime_shift_multipliers(cache, p, h_top).tolist() == want.tolist()
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gpf_trial, reference_flags
+from conftest import assert_count_matches_products, gpf_trial, reference_flags
 from spl.core_primes import SIEVE_CEILING, build_sieve, prime_count, primes_in
 from spl import shifted_counts
 from spl.errors import ArgumentError, RangeError
@@ -17,9 +18,7 @@ from spl.shifted_counts import (
     Theta,
     _count_threshold,
     _gpf_block,
-    _gpf_upto,
     _shift_gpf_blocks,
-    fast_qualifying_products,
     large_factor_count,
     large_factor_count_fixed,
     oracle_qualifying_products,
@@ -237,22 +236,35 @@ class TestTupleCounters:
             head = 3 ** (k - 1)
             qs = [q for q in range(5, 2**den // head + 1) if cache.is_prime(q)]
             xs = [head * q + d for q in qs for d in (0, head - 1)]
+            # a tuple qualifies whatever the cap, so one count per cap serves every x
+            fast = functools.cache(lambda y: tuple_count_fast(cache, y, k, th))
             for x in xs:
                 assert x // head in qs
-                fast = fast_qualifying_products(cache, x, k, th)
-                assert head * (x // head) in fast
+                n = head * (x // head)
+                assert fast(n) > fast(n - 1)  # the product (3, ..., 3, q) is counted
                 for ordered in (True, False):
                     assert tuple_count_oracle(cache, x, k, th, ordered=ordered) == tuple_count_fast(
                         cache, x, k, th, ordered=ordered
                     )
                 if k == 3:
-                    assert sorted(fast) == sorted(oracle_qualifying_products(cache, x, k, th))
+                    assert_count_matches_products(fast, oracle_qualifying_products(cache, x, k, th), x)
 
     def test_product_multisets_agree(self, cache):
         th = Theta(1, 4)
-        o = sorted(oracle_qualifying_products(cache, 2000, 2, th))
-        f = sorted(fast_qualifying_products(cache, 2000, 2, th))
-        assert o == f
+        products = oracle_qualifying_products(cache, 2000, 2, th)
+        assert_count_matches_products(lambda y: tuple_count_fast(cache, y, 2, th), products, 2000)
+
+    def test_fast_count_holds_no_product_list(self, cache):
+        """101170 tuples at 1e6: a list of their products would peak near 5.6 MB."""
+        x, th = 10**6, Theta(1, 16)
+        assert tuple_count_fast(cache, x, 2, th) == 101170  # warm-up, untraced
+        tracemalloc.start()
+        try:
+            tuple_count_fast(cache, x, 2, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
 
     def test_unordered_counts(self, cache):
         th = Theta(1, 4)
@@ -382,6 +394,26 @@ class TestSinglePrimePass:
         for x in range(0, 3000, 97):
             assert single_prime_counts(fresh, theta, [x]) == [counts[x]]
 
+    def test_blocks_read_only_their_primes(self, monkeypatch):
+        """Past the small primes, each block reads its own range of at most 2 * _BLOCK integers."""
+        reads = []
+        read = shifted_counts.primes_in
+
+        def spy(c, lo, hi):
+            reads.append((lo, hi))
+            return read(c, lo, hi)
+
+        monkeypatch.setattr(shifted_counts, "primes_in", spy)
+        x = 10**6
+        c = build_sieve(x)
+        assert single_prime_counts(c, Theta(1, 2), [x]) == [(49597, 43053, 28901)]
+        small = (0, math.isqrt((x - 1) // 2))
+        blocks = [r for r in reads if r != small]
+        assert len(blocks) == len(reads) - 1
+        assert all(hi - lo <= 2 * shifted_counts._BLOCK for lo, hi in blocks)
+        # the ranges tile (1, x] in order
+        assert [lo for lo, _ in blocks] == [1] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == x
+
     def test_memory_does_not_grow_with_pi(self):
         """On a warm cache the pass holds blocks, not pi(x) entries (a pi(x)-entry array gives ~3x)."""
         c = build_sieve(10**7)
@@ -405,8 +437,8 @@ class TestSegmentedShiftPass:
         c = build_sieve(2 * 10**4)
         ps, rs = shift_gpfs(c, 2 * 10**4)
         assert rs.tolist() == [gpf_trial(p - 1) for p in ps.tolist()]
-        gpf = _gpf_upto(c, 300)
-        assert gpf[0] == 0 and gpf[1:].tolist() == [gpf_trial(n) for n in range(1, 301)]
+        gpf = _gpf_block(np.arange(1, 301), primes_in(c, 0, 17))  # the fast tuple route's table
+        assert gpf.tolist() == [gpf_trial(n) for n in range(1, 301)]
 
     def test_every_x_on_tiny_blocks(self, monkeypatch):
         """Each x below 120 on a fresh cache: every block boundary in turn."""
