@@ -12,13 +12,14 @@ import os
 import sys
 
 from . import dickman, experiments, weighted_sums
-from .core_primes import ensure_sieve, floor_root
+from .core_primes import ensure_sieve
 from .errors import ArgumentError, RangeError, VerificationError
 from .linear_forms import (
     abel_identity_rhs,
     count_simultaneous,
     form_sieve_limit,
     inverse_power_prime_sum,
+    range_bounds_exact,
     system_from_shifts,
 )
 from .shifted_counts import (
@@ -190,8 +191,8 @@ def _run_verify(args) -> int:
     if args.check == "abel":
         theta = Theta.parse(args.theta)
         system = system_from_shifts(_parse_int_list(args.shifts))
-        # no prime above x^(1/k) enters either side
-        cache = _cache_for(args, form_sieve_limit(floor_root(args.x, args.k), system))
+        v = range_bounds_exact(args.x, args.k, theta)[1]  # no prime above v enters either side
+        cache = _cache_for(args, form_sieve_limit(v, system))
         lhs = inverse_power_prime_sum(cache, args.x, args.k, theta, system)
         rhs = abel_identity_rhs(cache, args.x, args.k, theta, system)
         rel = abs(lhs - rhs) / max(lhs, 1e-30)
@@ -229,9 +230,7 @@ def _experiment_records(args, theta) -> list:
         return experiments.ratio_table(cache, args.k, theta, grid)
     elif args.which == "density":
         grid = _parse_int_list(args.x_grid)
-        limit = experiments.density_sieve_limit(grid)
-        dickman.limiting_density(theta)  # 1/theta past U_CEILING exits here, before any sieve
-        cache = _cache_for(args, limit)
+        cache = _cache_for(args, experiments.density_sieve_limit(theta, grid))
         return experiments.density_table(cache, theta, grid)
     elif args.which == "rearrange":
         cache = _cache_for(args, experiments.rearrange_sieve_limit(args.x, args.k, theta))

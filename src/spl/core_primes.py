@@ -5,8 +5,9 @@ primality bitset built by a segmented sieve, a smallest-prime-factor table,
 the one factorizer `factorize`, counts of primes in arithmetic
 progressions, and exactly rounded reciprocal sums.
 All tables are immutable after construction. Only this module reads the
-storage behind a sieve: everything else asks `SieveCache.is_prime` or
-`primes_in`.
+storage behind a sieve, by three reads: `SieveCache.is_prime` (the packed
+words), `primes_in` (the `primes` view) and `primes_in_class` (the `flags`
+view). Everything else goes through them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "sieve_cache_dir",
 ]
 
-_SEGMENT_BITS = 1 << 18  # is_prime chunk: values read per step of an array query
 _BUILD_SEGMENT_BITS = 1 << 20  # multiple of 64 so build segments pack on word boundaries
 SIEVE_CEILING = 2**40  # largest sieve limit build_sieve accepts
 SPF_CEILING = 10**7  # largest spf limit build_spf accepts (4 bytes/entry)
@@ -82,22 +82,16 @@ class SieveCache:
         """Primality of n, an int or a 1-D integer array, read from the packed words.
 
         Values below 2 are not prime; a value above the limit raises
-        RangeError. An array is read _SEGMENT_BITS values at a time, so no
-        temporary grows with its length.
+        RangeError. An array is read in one gather, so a caller bounds its
+        temporaries by the length it passes.
         """
         if np.ndim(n) == 0:
             n = int(n)
             self._check(n)
             return n >= 2 and bool((int(self.words[n >> 6]) >> (n & 63)) & 1)
-        ns = np.asarray(n, dtype=np.int64)
-        if len(ns):
-            self._check(int(ns.max()))
-        out = np.empty(len(ns), dtype=bool)
-        octets = self.words.view(np.uint8)
-        for lo in range(0, len(ns), _SEGMENT_BITS):
-            part = np.maximum(ns[lo : lo + _SEGMENT_BITS], 0)  # bits 0 and 1 are clear
-            out[lo : lo + _SEGMENT_BITS] = (octets[part >> 3] >> (part & 7)) & 1
-        return out
+        ns = np.maximum(np.asarray(n, dtype=np.int64), 0)  # bits 0 and 1 are clear
+        self._check(int(ns.max(initial=0)))
+        return ((self.words.view(np.uint8)[ns >> 3] >> (ns & 7)) & 1).astype(bool)
 
     @cached_property
     def flags(self) -> np.ndarray:
@@ -177,10 +171,7 @@ def build_spf(limit: int) -> np.ndarray:
         raise RangeError(
             f"spf limit {limit} exceeds ceiling {SPF_CEILING} (4 bytes/entry)"
         )
-    try:
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-    except MemoryError as exc:
-        raise RangeError(f"cannot allocate spf table for limit {limit}") from exc
+    spf = np.zeros(limit + 1, dtype=np.uint32)
     # descending, so the smallest prime dividing n writes spf[n] last
     for p in np.flatnonzero(_simple_bool_sieve(isqrt(limit)))[::-1].tolist():
         spf[p * p :: p] = p
@@ -201,8 +192,7 @@ def primes_in(cache: SieveCache, lo, hi) -> np.ndarray:
 
 def prime_count(cache: SieveCache, x) -> int:
     """pi(x): number of primes not exceeding x."""
-    cache._check(x)
-    return int(np.searchsorted(cache.primes, x, side="right"))
+    return len(primes_in(cache, 0, x))
 
 
 def primes_in_class(cache: SieveCache, x, m: int, a: int) -> np.ndarray:

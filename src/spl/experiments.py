@@ -60,8 +60,6 @@ class ExperimentRecord:
 def _fmt(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -70,8 +68,6 @@ def _fmt(v):
 def _round_sig(v):
     if isinstance(v, float):
         return float(f"{v:.12g}")
-    if isinstance(v, np.integer):
-        return int(v)
     return v
 
 
@@ -256,11 +252,12 @@ def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
     return out
 
 
-def density_sieve_limit(x_grid) -> int:
-    """The sieve limit density_table needs; an x below 2, where pi(x) = 0, raises here."""
+def density_sieve_limit(theta: Theta, x_grid) -> int:
+    """The sieve limit density_table needs; an x below 2 or a 1/theta past U_CEILING raises here."""
     for x in x_grid:
         if x < 2:
             raise ArgumentError(f"density needs x >= 2, got {x}")
+    limiting_density(theta)
     return max(x_grid, default=2)
 
 
@@ -269,7 +266,7 @@ def density_table(cache, theta: Theta, x_grid) -> List[ExperimentRecord]:
 
     The counts of the whole grid come from one pass; pi(x) from prime_count.
     """
-    cache._check(density_sieve_limit(x_grid))
+    cache._check(density_sieve_limit(theta, x_grid))
     reference = limiting_density(theta)
     out = []
     for x, (t_val, tp_val, _) in zip(x_grid, single_prime_counts(cache, theta, x_grid)):

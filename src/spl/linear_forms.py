@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import core_primes
 from .core_primes import SieveCache, factorize, floor_root, primes_in
 from .errors import ArgumentError
 from .shifted_counts import Theta
@@ -33,6 +32,8 @@ __all__ = [
     "abel_identity_rhs",
     "range_bounds_exact",
 ]
+
+_CHUNK = 1 << 18  # primes per step of the forms scan
 
 
 @dataclass(frozen=True)
@@ -107,16 +108,15 @@ def form_sieve_limit(t, system: ShiftSystem):
 def _qualifying_primes(cache: SieveCache, lo, hi, system: ShiftSystem) -> np.ndarray:
     """Primes lo < p <= hi at which every form is prime, ascending.
 
-    The forms are evaluated one core_primes._SEGMENT_BITS chunk of primes at
-    a time, and each form only at the primes the earlier forms kept, so no
-    a*p + b array outgrows a chunk.
+    The forms are evaluated one _CHUNK of primes at a time, and each form
+    only at the primes the earlier forms kept, so no a*p + b array outgrows
+    a chunk.
     """
     cache._check(form_sieve_limit(hi, system))
     ps = primes_in(cache, lo, hi)
-    step = core_primes._SEGMENT_BITS
     kept = [ps[:0]]
-    for i in range(0, len(ps), step):
-        part = ps[i : i + step]
+    for i in range(0, len(ps), _CHUNK):
+        part = ps[i : i + _CHUNK]
         for a, b in system.forms:
             part = part[cache.is_prime(a * part + b)]
         kept.append(part)
@@ -154,6 +154,8 @@ def range_bounds_exact(x: int, k: int, theta: Theta):
     p <= x^(1/k) iff p^k <= x; p > (x/2)^theta iff 2^num * p^den > x^num.
     Both are decided by exact integer comparisons.
     """
+    if k < 1:
+        raise ArgumentError(f"the range p <= x^(1/k) needs k >= 1, got {k}")
     return floor_root(x**theta.num, theta.den, 2**theta.num), floor_root(x, k)
 
 
@@ -178,8 +180,8 @@ def _inverse_powers(qs: np.ndarray, k: int) -> np.ndarray:
 def inverse_power_prime_sum(cache, x: int, k: int, theta: Theta, system: ShiftSystem) -> float:
     """Sum of p^(-k) over (x/2)^theta < p <= x^(1/k) with all forms prime.
 
-    No prime above floor_root(x, k) enters, so a sieve reaching
-    form_sieve_limit(floor_root(x, k), system) covers both Abel sides.
+    No prime above range_bounds_exact's upper cutoff v enters, so a sieve
+    reaching form_sieve_limit(v, system) covers both Abel sides.
     """
     return math.fsum(_inverse_powers(_range_primes(cache, x, k, theta, system), k))
 

@@ -140,25 +140,22 @@ class _GpfPlan:
         self.smooth = np.empty(size + 1, dtype=np.int64)
 
 
-def _gpf_block(ns: np.ndarray, small: np.ndarray, plan: _GpfPlan | None = None) -> np.ndarray:
+def _gpf_block(ns: np.ndarray, plan: _GpfPlan) -> np.ndarray:
     """P+(n) for each n of the ascending int64 array ns (ns[0] >= 1) as int64; P+(1) = 1.
 
-    The block is lo <= n < hi with lo = ns[0], hi = ns[-1] + 1. `small`
-    holds the primes up to at least isqrt(hi - 1), ascending; `plan` is the
-    pass's _GpfPlan (its size at least hi - lo, its end at least hi), or
-    one is made for this block alone. Each such prime q puts itself at its
-    multiples in `top`, which keeps the largest, and `smooth` is multiplied
-    by q at the multiples of every power q^e < hi, leaving in it the part of
-    n made of those primes. The cofactor n // smooth, taken only at ns, has
-    no prime factor <= isqrt(n), so it is 1 or the prime P+(n). No value
-    read exceeds n, so nothing read overflows (the spare slot of `smooth`
-    may wrap, and is never read); q <= isqrt(hi) < 2**31 below
-    SIEVE_CEILING, so `top` fits int32.
+    The block is lo <= n < hi with lo = ns[0], hi = ns[-1] + 1, and `plan`
+    is its pass's _GpfPlan (its size at least hi - lo, its end at least hi,
+    so it holds the primes up to isqrt(hi - 1)). Each such prime q puts
+    itself at its multiples in `top`, which keeps the largest, and `smooth`
+    is multiplied by q at the multiples of every power q^e < hi, leaving in
+    it the part of n made of those primes. The cofactor n // smooth, taken
+    only at ns, has no prime factor <= isqrt(n), so it is 1 or the prime
+    P+(n). No value read exceeds n, so nothing read overflows (the spare
+    slot of `smooth` may wrap, and is never read); q <= isqrt(hi) < 2**31
+    below SIEVE_CEILING, so `top` fits int32.
     """
     lo, hi = int(ns[0]), int(ns[-1]) + 1
     size = hi - lo
-    if plan is None:
-        plan = _GpfPlan(small, size, hi)
     top, smooth = plan.top[: size + 1], plan.smooth[: size + 1]
     top.fill(1)
     smooth.fill(1)
@@ -190,12 +187,11 @@ def _shift_gpf_blocks(cache, x: int):
     if x < 2:
         return
     m_top = max((x - 1) // 2, 1)  # the largest m of an odd p <= x
-    small = primes_in(cache, 0, math.isqrt(m_top))
-    plan = _GpfPlan(small, min(_BLOCK, m_top), m_top + 1)
+    plan = _GpfPlan(primes_in(cache, 0, math.isqrt(m_top)), min(_BLOCK, m_top), m_top + 1)
     for lo in range(1, x // 2 + 1, _BLOCK):  # 2*lo - 1 < x
         ps = primes_in(cache, 2 * lo - 1, min(2 * (lo + _BLOCK) - 1, x))
         if len(ps):
-            rs = np.maximum(_gpf_block(ps >> 1, small, plan), 2)  # p = 2 has m = 1 too
+            rs = np.maximum(_gpf_block(ps >> 1, plan), 2)  # p = 2 has m = 1 too
             if ps[0] == 2:
                 rs[0] = 1
             yield ps, rs
@@ -417,7 +413,8 @@ def tuple_count_fast(cache, x: int, k: int, theta: Theta, *, ordered: bool = Tru
     # most x**(1/k) <= isqrt(x): P+ that far covers every lookup. A list,
     # as the enumeration reads it one entry at a time; gpf[0] is never read.
     n = math.isqrt(x)
-    gpf = [0] + _gpf_block(np.arange(1, n + 1), primes_in(cache, 0, math.isqrt(n))).tolist()
+    plan = _GpfPlan(primes_in(cache, 0, math.isqrt(n)), n, n + 1)
+    gpf = [0] + _gpf_block(np.arange(1, n + 1), plan).tolist()
     return sum(
         _fast_count_for_r(cache, x, k, theta, ordered, gpf, r)
         for r in primes_in(cache, 0, floor_root(x, k)).tolist()

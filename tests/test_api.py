@@ -69,6 +69,32 @@ def test_every_public_name_has_a_caller():
     assert uncalled == NO_CALLER_YET
 
 
+def test_every_private_name_is_read():
+    """Every module-level `_name` a module of the package defines is read somewhere in the package.
+
+    A read is a loaded Name, an Attribute or an import alias; the
+    definition itself does not count, so a constant or helper left behind
+    by a cut shows here.
+    """
+    trees = [ast.parse(path.read_text(), str(path)) for path in Path(spl.__file__).parent.glob("*.py")]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, (ast.Attribute, ast.alias))
+    }
+    assert sorted(private - read) == []
+
+
 def test_package_reexports_nothing():
     importlib.import_module("spl.cli")  # binds every submodule the CLI uses on the package
     reexported = [

@@ -248,6 +248,23 @@ class TestVerify:
         assert fields["lhs"] == fields["rhs"]
         assert load_sieve(Path(cache_dir) / "sieve.spl").limit <= 2 * math.isqrt(x) + 1
 
+    def test_abel_mismatch_exits_three(self, capsys, cache_dir, monkeypatch):
+        import spl.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "abel_identity_rhs", lambda *a: 1.0)
+        code, out, err = run(
+            capsys, "verify", "abel", "--x", "10000", "--k", "2", "--theta", "1/4",
+            "--shifts", "2", "--cache-dir", cache_dir,
+        )
+        assert code == 3 and "rhs=1 " in out
+        assert err.startswith("verification failed: partial-summation identity failed")
+
+    def test_mobius_mismatch_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(weighted_sums, "mobius_expansion_check", lambda h, L: (h, h + 1))
+        code, out, err = run(capsys, "verify", "mobius", "--hmax", "5", "--L", "2")
+        assert code == 3 and out == ""
+        assert err == "verification failed: divisor expansion failed at h=2, L=2: 2 != 3\n"
+
 
 class TestOutOfDomainArguments:
     @pytest.mark.parametrize(
@@ -286,6 +303,25 @@ class TestOutOfDomainArguments:
         )
         assert code == 1 and out == ""
         assert err == f"error: rearrangement needs k >= 2, got {k}\n"
+        assert not (Path(cache_dir) / "sieve.spl").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_abel_refuses_k_below_one(self, capsys, cache_dir, k):
+        code, out, err = run(
+            capsys, "verify", "abel", "--x", "1000", "--k", k, "--theta", "1/4",
+            "--shifts", "2", "--cache-dir", cache_dir,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: the range p <= x^(1/k) needs k >= 1, got {k}\n"
+        assert not (Path(cache_dir) / "sieve.spl").exists()
+
+    def test_ratio_grid_must_be_integers(self, capsys, cache_dir):
+        code, out, err = run(
+            capsys, "experiment", "ratio", "--k", "2", "--theta", "1/4", "--x-grid", "1e6",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: expected comma-separated integers, got '1e6'\n"
         assert not (Path(cache_dir) / "sieve.spl").exists()
 
     @pytest.mark.parametrize(
@@ -503,6 +539,15 @@ class TestExperimentsAndCache:
         assert (code, err) == (0, "")
         majorant, ok = out.splitlines()[1].split(",")[5:8:2]
         assert (majorant, ok) == ("2.10273566843", "true")
+
+    def test_rearrange_majorant_exceeded_exits_three(self, capsys, cache_dir, monkeypatch):
+        monkeypatch.setattr(experiments, "progression_double_sum", lambda *a: 1e9)
+        code, out, err = run(
+            capsys, "experiment", "rearrange", "--x", "1000", "--k", "2",
+            "--theta", "1/4", "--cache-dir", cache_dir,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("verification failed: double sum exceeded its substitution majorant")
 
     def test_rearrange_budget_checked_before_the_sieve(self, capsys, cache_dir):
         """x above the rearrange budget exits 2 without sizing or saving a sieve."""

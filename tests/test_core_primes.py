@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import factor_trial, gpf_trial, reference_flags
 from spl import core_primes
 from spl.core_primes import (
+    SieveCache,
     build_sieve,
     build_spf,
     ensure_sieve,
@@ -77,8 +78,8 @@ class TestBuildSieve:
         with pytest.raises(RangeError):
             c.is_prime(np.array([3, 51, 5]))
 
-    def test_is_prime_arrays_in_chunks(self, monkeypatch):
-        """Chunks of 7 values put chunk edges all over a range with negatives."""
+    def test_is_prime_arrays_in_chunks(self):
+        """An array, a strided view and an empty array read as the ints do; negatives are not prime."""
         n = 3000
         c = build_sieve(n)
         ref = reference_flags(n)
@@ -88,21 +89,41 @@ class TestBuildSieve:
         assert [c.is_prime(int(v)) for v in ns] == want
         assert c.is_prime(np.int64(2999)) is True
         assert c.is_prime(np.array([], dtype=np.int64)).tolist() == []
-        monkeypatch.setattr(core_primes, "_SEGMENT_BITS", 7)
-        assert c.is_prime(ns).tolist() == want
         assert c.is_prime(ns[::-3]).tolist() == want[::-3]
 
 
-def test_only_core_primes_reads_the_prime_tables():
-    """Other modules ask is_prime or primes_in, so the storage can change in one place."""
+def _attribute_reads(path, attrs):
+    """(enclosing function or method, attribute, line) of every read of one of attrs in path."""
     reads = []
-    for path in sorted(Path(core_primes.__file__).parent.glob("*.py")):
-        if path.name == "core_primes.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("flags", "primes"):
-                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in attrs:
+                reads.append((owner, child.attr, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            walk(child, child.name if inner else owner)
+
+    walk(ast.parse(path.read_text(), str(path)), None)
+    return reads
+
+
+def test_only_core_primes_reads_the_prime_tables():
+    """Other modules ask is_prime, primes_in or primes_in_class, so the storage can change in one place."""
+    reads = [
+        f"{path.name}:{line} .{attr}"
+        for path in sorted(Path(core_primes.__file__).parent.glob("*.py"))
+        if path.name != "core_primes.py"
+        for _, attr, line in _attribute_reads(path, ("words", "flags", "primes"))
+    ]
     assert reads == []
+
+
+def test_each_sieve_view_has_one_reader():
+    """In core_primes, `primes` is read by primes_in alone, `flags` by primes_in_class and `primes`."""
+    readers = {}
+    for owner, attr, _ in _attribute_reads(Path(core_primes.__file__), ("flags", "primes")):
+        readers.setdefault(attr, set()).add(owner)
+    assert readers == {"primes": {"primes_in"}, "flags": {"primes_in_class", "primes"}}
 
 
 class TestSpf:
@@ -400,6 +421,24 @@ class TestPersistence:
         bigger = ensure_sieve(5000, tmp_path)
         assert bigger.limit == 5000
         assert load_sieve(tmp_path / "sieve.spl").limit == 5000
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        """A write that fails after the header leaves the old file and no temp file."""
+
+        class Unwritable:
+            def astype(self, *args, **kwargs):
+                return self
+
+            def tofile(self, fh):
+                raise OSError("no space left")
+
+        path = tmp_path / "sieve.spl"
+        save_sieve(build_sieve(100), path)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="no space left"):
+            save_sieve(SieveCache(limit=100, words=Unwritable()), path)
+        assert [f.name for f in tmp_path.iterdir()] == ["sieve.spl"]
+        assert path.read_bytes() == before
 
     def test_concurrent_builders(self, tmp_path):
         """Two processes saving into one directory never clobber each other."""

@@ -175,6 +175,15 @@ class TestIntegral:
         split = rho_over_t_integral(a, m) + rho_over_t_integral(m, b)
         assert whole == pytest.approx(split, abs=1e-9)
 
+    @pytest.mark.parametrize("a, b", [(2 + 0.1 * STEP, 2 + 0.7 * STEP), (2.5, 2.5 + 0.5 * STEP)])
+    def test_inside_one_step(self, a, b):
+        """Both ends within one table step (one may sit on the grid): one Simpson panel."""
+        n = 64
+        ts = [a + (b - a) * i / n for i in range(n + 1)]
+        weights = [1] + [4 if i % 2 else 2 for i in range(1, n)] + [1]
+        fine = (b - a) / (3 * n) * math.fsum(w * rho(t) / t for w, t in zip(weights, ts))
+        assert rho_over_t_integral(a, b) == pytest.approx(fine, rel=1e-12)
+
     def test_singularity_guard(self):
         with pytest.raises(ArgumentError, match="singular at 0"):
             rho_over_t_integral(0.0, 1.0)

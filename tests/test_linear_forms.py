@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_flags
-from spl import core_primes
+from spl import linear_forms
 from spl.core_primes import build_sieve, floor_root, prime_count
 from spl.errors import ArgumentError, RangeError
 from spl.linear_forms import (
@@ -197,6 +197,24 @@ class TestAbelIdentity:
         assert inverse_power_prime_sum(cache, 20, 2, Theta(1, 2), s) == 0.0
         assert abel_identity_rhs(cache, 20, 2, Theta(1, 2), s) == 0.0
 
+    def test_inverted_range_is_exactly_zero(self, cache):
+        """(x/2)^theta above x^(1/k): both sides are exactly 0.0 without a scan."""
+        s = system_from_shifts([2])
+        u, v = range_bounds_exact(100, 2, Theta(3, 4))
+        assert u >= v
+        for side in (inverse_power_prime_sum, abel_identity_rhs):
+            got = side(cache, 100, 2, Theta(3, 4), s)
+            assert type(got) is float and got == 0.0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_names_k(self, cache, k):
+        s = system_from_shifts([2])
+        for f in (inverse_power_prime_sum, abel_identity_rhs):
+            with pytest.raises(ArgumentError, match=f"k >= 1, got {k}"):
+                f(cache, 1000, k, Theta(1, 4), s)
+        with pytest.raises(ArgumentError, match=f"k >= 1, got {k}"):
+            range_bounds_exact(1000, k, Theta(1, 4))
+
     def test_identity_spec_cases(self, cache):
         for x, k, th, shifts in (
             (10**4, 2, Theta(1, 4), [2]),
@@ -294,7 +312,7 @@ class TestChunkedScan:
         s = system_from_shifts(shifts) if forms is None else make_system(forms)
         default = self._values(cache, s)
         for chunk in (1, 3, 7):
-            monkeypatch.setattr(core_primes, "_SEGMENT_BITS", chunk)
+            monkeypatch.setattr(linear_forms, "_CHUNK", chunk)
             assert self._values(cache, s) == default
         flags = reference_flags(10 * 3162 + 4)  # every form at every p tested below
         bps, counts, abel = default

@@ -18,6 +18,7 @@ from spl.shifted_counts import (
     Theta,
     _count_threshold,
     _gpf_block,
+    _GpfPlan,
     _shift_gpf_blocks,
     large_factor_count,
     large_factor_count_fixed,
@@ -32,6 +33,12 @@ from spl.shifted_counts import (
 
 def theta_from_fraction(fr: Fraction) -> Theta:
     return Theta(fr.numerator, fr.denominator)
+
+
+def gpf_block(ns, small):
+    """_gpf_block over ns alone, with a plan made for that one block from the primes `small`."""
+    lo, hi = int(ns[0]), int(ns[-1]) + 1
+    return _gpf_block(ns, _GpfPlan(small, hi - lo, hi))
 
 
 def shift_gpfs(c, x):
@@ -203,7 +210,7 @@ class TestTupleCounters:
     def test_oracle_shares_no_gpf_code_with_fast_route(self, cache, monkeypatch):
         """A broken _gpf_block moves the fast route only, so --method both would catch it."""
         monkeypatch.setattr(
-            shifted_counts, "_gpf_block", lambda ns, small: np.ones(len(ns), dtype=np.int64)
+            shifted_counts, "_gpf_block", lambda ns, plan: np.ones(len(ns), dtype=np.int64)
         )
         q = Theta(1, 4)
         assert tuple_count_oracle(cache, 35, 2, q) == 3
@@ -437,7 +444,7 @@ class TestSegmentedShiftPass:
         c = build_sieve(2 * 10**4)
         ps, rs = shift_gpfs(c, 2 * 10**4)
         assert rs.tolist() == [gpf_trial(p - 1) for p in ps.tolist()]
-        gpf = _gpf_block(np.arange(1, 301), primes_in(c, 0, 17))  # the fast tuple route's table
+        gpf = gpf_block(np.arange(1, 301), primes_in(c, 0, 17))  # the fast tuple route's table
         assert gpf.tolist() == [gpf_trial(n) for n in range(1, 301)]
 
     def test_every_x_on_tiny_blocks(self, monkeypatch):
@@ -489,17 +496,17 @@ class TestGpfBlock:
         small = primes_in(c, 0, 100)
         for lo in (70, 140, 212, 284, 644, 2590):  # blocks of 5 holding a multiple of 72
             ns = np.arange(lo, lo + 5)
-            assert _gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
+            assert gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
 
     def test_sparse_and_single_inputs(self):
         c = build_sieve(20000)
         small = primes_in(c, 0, 150)
         for ns in (np.arange(1, 20000, 3), np.arange(4001, 19000, 3)):
-            assert _gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
+            assert gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
         ms = primes_in(c, 2, 20000) >> 1  # the m = (p - 1) / 2 of the odd primes
-        assert _gpf_block(ms, small).tolist() == [gpf_trial(m) for m in ms.tolist()]
+        assert gpf_block(ms, small).tolist() == [gpf_trial(m) for m in ms.tolist()]
         for n in (1, 2, 3, 72, 128, 143, 9973, 10201, 19998):
-            assert _gpf_block(np.array([n]), small).tolist() == [gpf_trial(n)]
+            assert gpf_block(np.array([n]), small).tolist() == [gpf_trial(n)]
 
     def test_exact_at_the_largest_m(self):
         """p <= SIEVE_CEILING gives m < 2**39: int32 `top`, int64 `smooth` and cofactor there."""
@@ -512,7 +519,7 @@ class TestGpfBlock:
             np.arange(m_end - 300, m_end, 3),
             np.arange(q * q - 8, q * q + 9),
         ):
-            assert _gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
+            assert gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
 
 
 class TestCountThresholdChunks:
