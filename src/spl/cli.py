@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--theta", required=True)
     q.add_argument("--method", choices=("oracle", "fast", "both"), default="fast")
-    q.add_argument("--unordered", action="store_true", help="count multisets instead of ordered tuples")
 
     pm = sub.add_parser("msim", parents=[common], help="count primes making every shift form prime")
     pm.add_argument("--t", type=int, required=True)
@@ -161,12 +160,11 @@ def _run_count(args) -> int:
     elif args.counter == "tc":
         print(smooth_shift_count(cache, args.x, theta))
     else:
-        ordered = not args.unordered
         oracle = fast = None
         if args.method != "fast":
-            oracle = tuple_count_oracle(cache, args.x, args.k, theta, ordered=ordered)
+            oracle = tuple_count_oracle(cache, args.x, args.k, theta)
         if args.method != "oracle":
-            fast = tuple_count_fast(cache, args.x, args.k, theta, ordered=ordered)
+            fast = tuple_count_fast(cache, args.x, args.k, theta)
         if args.method != "both":
             print(fast if oracle is None else oracle)
         else:

@@ -120,6 +120,12 @@ def _simple_bool_sieve(limit: int) -> np.ndarray:
     return flags
 
 
+def _expand(cnt: np.ndarray) -> tuple:
+    """(owner, rank) over groups of cnt[k] entries: entry i is number rank[i], from 0, of group owner[i]."""
+    owner = np.repeat(np.arange(len(cnt)), cnt)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
 def _check_sieve_limit(limit: int) -> None:
     if limit < 2:
         raise ArgumentError(f"sieve limit must be >= 2, got {limit}")
@@ -299,8 +305,10 @@ def load_sieve(path) -> SieveCache:
 
 
 def ensure_sieve(limit: int, directory=None) -> SieveCache:
-    """Load the cached sieve if it covers `limit`, else build and replace it.
+    """A sieve of exactly `limit`: cut from the cached file if it covers `limit`, else built.
 
+    A built sieve replaces the file; a cut one is a view of the file's words,
+    so a command's reach never depends on what an earlier command cached.
     A limit build_sieve refuses is refused before the cache is read.
     """
     _check_sieve_limit(limit)
@@ -312,7 +320,7 @@ def ensure_sieve(limit: int, directory=None) -> SieveCache:
         except (ArgumentError, ValueError):
             cached = None
         if cached is not None and cached.limit >= limit:
-            return cached
+            return SieveCache(limit, cached.words[: (limit >> 6) + 1])
     fresh = build_sieve(limit)
     save_sieve(fresh, path)
     return fresh

@@ -92,7 +92,7 @@ def write_jsonl(records: List[ExperimentRecord], stream) -> None:
     for rec in records:
         obj = {
             "experiment": rec.experiment,
-            "inputs": {k: _round_sig(v) if not isinstance(v, str) else v for k, v in rec.inputs.items()},
+            "inputs": {k: _round_sig(v) for k, v in rec.inputs.items()},
             "raw": {k: _round_sig(v) for k, v in rec.raw},
             "derived": {k: _round_sig(v) for k, v in rec.derived},
         }

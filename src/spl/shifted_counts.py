@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_primes import build_spf, factorize, floor_root, primes_in, primes_in_class
+from .core_primes import _expand, build_spf, factorize, floor_root, primes_in, primes_in_class
 from .errors import ArgumentError, RangeError
 
 __all__ = [
@@ -131,10 +131,9 @@ class _GpfPlan:
         self.powers = qe[~dense]
         self.reps = -(-size // self.powers)  # ceil(size / q^e) multiples at most
         # k * q^e for k < reps, power by power: offsets from each power's first multiple
-        self.step = np.arange(int(self.reps.sum()))
-        self.step -= np.repeat(np.cumsum(self.reps) - self.reps, self.reps)
-        self.step *= np.repeat(self.powers, self.reps)
-        self.base = np.repeat(base[~dense], self.reps)
+        owner, rank = _expand(self.reps)
+        self.step = rank * self.powers[owner]
+        self.base = base[~dense][owner]
         self.base32 = self.base.astype(np.int32)
         self.top = np.empty(size + 1, dtype=np.int32)
         self.smooth = np.empty(size + 1, dtype=np.int64)
@@ -314,9 +313,7 @@ def tuple_sieve_limit(x: int, k: int) -> int:
     return x
 
 
-def oracle_qualifying_products(
-    cache, x: int, k: int, theta: Theta, *, ordered: bool = True
-) -> list:
+def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
     """Products of all qualifying tuples, one entry per tuple.
 
     Brute-force reference: enumerate every prime tuple with product <= x
@@ -338,11 +335,10 @@ def oracle_qualifying_products(
     out = []
     budget = ORACLE_NODE_BUDGET
 
-    def visit(start: int, prod: int, g: int, depth: int):
+    def visit(prod: int, g: int, depth: int):
         nonlocal budget
         rest = 2 ** (k - depth - 1)
-        for i in range(start, len(ps)):
-            p = ps[i]
+        for p in ps:
             prod_p = prod * p
             if prod_p * rest > x:
                 break
@@ -354,18 +350,18 @@ def oracle_qualifying_products(
                 if threshold_test(gpf[g_p], prod_p, theta):
                     out.append(prod_p)
             else:
-                visit(0 if ordered else i, prod_p, g_p, depth + 1)
+                visit(prod_p, g_p, depth + 1)
 
-    visit(0, 1, 0, 0)
+    visit(1, 0, 0)
     return out
 
 
-def tuple_count_oracle(cache, x: int, k: int, theta: Theta, *, ordered: bool = True) -> int:
+def tuple_count_oracle(cache, x: int, k: int, theta: Theta) -> int:
     """Brute-force count of qualifying k-tuples (ordered, repeats allowed)."""
-    return len(oracle_qualifying_products(cache, x, k, theta, ordered=ordered))
+    return len(oracle_qualifying_products(cache, x, k, theta))
 
 
-def _fast_count_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r: int) -> int:
+def _fast_count_for_r(cache, x: int, k: int, theta: Theta, gpf, r: int) -> int:
     # The largest n <= x passing the threshold at r: n**num <= r**den.
     n_cap = floor_root(min(r**theta.den, x**theta.num), theta.num)
     if n_cap < (r + 1) ** k:
@@ -378,11 +374,10 @@ def _fast_count_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r
     q0 = qs[0]
     count = 0
 
-    def visit(start: int, prod: int, g: int, depth: int):
+    def visit(prod: int, g: int, depth: int):
         nonlocal count
         rest = q0 ** (k - depth - 1)
-        for i in range(start, len(qs)):
-            q = qs[i]
+        for q in qs:
             prod_q = prod * q
             if prod_q * rest > n_cap:
                 break
@@ -391,13 +386,13 @@ def _fast_count_for_r(cache, x: int, k: int, theta: Theta, ordered: bool, gpf, r
                 if gpf[g_q] == r:
                     count += 1
             else:
-                visit(0 if ordered else i, prod_q, g_q, depth + 1)
+                visit(prod_q, g_q, depth + 1)
 
-    visit(0, 1, 0, 0)
+    visit(1, 0, 0)
     return count
 
 
-def tuple_count_fast(cache, x: int, k: int, theta: Theta, *, ordered: bool = True) -> int:
+def tuple_count_fast(cache, x: int, k: int, theta: Theta) -> int:
     """Same count as tuple_count_oracle, via an enumeration keyed on r = P+(gcd).
 
     For each prime r <= x**(1/k), tuples are drawn from primes q = 1 (mod r)
@@ -416,6 +411,6 @@ def tuple_count_fast(cache, x: int, k: int, theta: Theta, *, ordered: bool = Tru
     plan = _GpfPlan(primes_in(cache, 0, math.isqrt(n)), n, n + 1)
     gpf = [0] + _gpf_block(np.arange(1, n + 1), plan).tolist()
     return sum(
-        _fast_count_for_r(cache, x, k, theta, ordered, gpf, r)
+        _fast_count_for_r(cache, x, k, theta, gpf, r)
         for r in primes_in(cache, 0, floor_root(x, k)).tolist()
     )

@@ -31,7 +31,7 @@ from typing import List
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_primes import _simple_bool_sieve, factorize
+from .core_primes import _expand, _simple_bool_sieve, factorize
 from .errors import ArgumentError, RangeError, VerificationError
 
 __all__ = [
@@ -99,12 +99,6 @@ def _without_primes(f: np.ndarray, ps) -> tuple:
         f_rest[p::p] /= 1.0 + 1.0 / p
         f_ps *= 1.0 + 1.0 / p
     return f_ps, f_rest
-
-
-def _expand(cnt: np.ndarray) -> tuple:
-    """(owner, rank) over groups of cnt[k] entries: entry i is number rank[i], from 0, of group owner[i]."""
-    owner = np.repeat(np.arange(len(cnt)), cnt)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
 
 
 def _prime_tables(z: int) -> tuple:

@@ -75,14 +75,6 @@ class TestCountCommands:
         assert code == 0
         assert out.strip() == "oracle=3 fast=3"
 
-    def test_tk_unordered(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "count", "tk", "--x", "35", "--k", "2", "--theta", "1/4",
-            "--method", "oracle", "--unordered", "--cache-dir", cache_dir,
-        )
-        assert code == 0
-        assert out.strip() == "2"  # multisets {3,3} and {3,5}
-
     def test_both_mismatch_exits_three(self, capsys, cache_dir, monkeypatch):
         import spl.cli as cli_mod
 
@@ -220,6 +212,34 @@ def test_readme_golden_bytes(capsys, cache_dir, command):
     code, out, err = run(capsys, *command.split(), "--cache-dir", cache_dir)
     assert code == 0, err
     assert out == README_GOLDEN[command]
+
+
+@pytest.fixture(scope="module")
+def large_cache_dir(tmp_path_factory):
+    """A sieve file to 10^6: at least 10x the reach of every README golden command."""
+    path = tmp_path_factory.mktemp("large") / "cache"
+    ensure_sieve(10**6, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(README_GOLDEN))
+def test_readme_golden_bytes_on_a_larger_warm_cache(capsys, monkeypatch, large_cache_dir, command):
+    """Same bytes as on a fresh cache, from sieves of exactly the reach each command asks for."""
+    import spl.cli as cli_mod
+
+    calls = []
+
+    def spy(limit, directory=None):
+        cache = ensure_sieve(limit, directory)
+        calls.append((limit, cache.limit))
+        return cache
+
+    monkeypatch.setattr(cli_mod, "ensure_sieve", spy)
+    code, out, err = run(capsys, *command.split(), "--cache-dir", large_cache_dir)
+    assert code == 0, err
+    assert out == README_GOLDEN[command]
+    assert all(asked == got for asked, got in calls), calls
+    assert load_sieve(Path(large_cache_dir) / "sieve.spl").limit == 10**6  # never rebuilt
 
 
 class TestVerify:
@@ -451,7 +471,7 @@ class TestFlags:
             "count t": {"--cache-dir", "--x", "--theta"},
             "count tprime": {"--cache-dir", "--x", "--theta"},
             "count tc": {"--cache-dir", "--x", "--theta"},
-            "count tk": {"--cache-dir", "--x", "--k", "--theta", "--method", "--unordered"},
+            "count tk": {"--cache-dir", "--x", "--k", "--theta", "--method"},
             "msim": {"--cache-dir", "--t", "--shifts"},
             "wsum": {"--cache-dir", "--g", "--ell", "--z", "--holder"},
             "dickman rho": {"--cache-dir", "--u"},
@@ -565,6 +585,7 @@ class TestExperimentsAndCache:
         code, out, _ = run(capsys, "count", "t", "--x", "2000", "--theta", "1/2", "--cache-dir", cache_dir)
         assert code == 0
         code, out, _ = run(capsys, "sieve", "build", "--limit", "100", "--cache-dir", cache_dir)
-        assert "limit=2000" in out  # reused the larger cache
+        assert "limit=100" in out  # cut from the larger cache, which stays
+        assert load_sieve(Path(cache_dir) / "sieve.spl").limit == 2000
         code, out, _ = run(capsys, "sieve", "build", "--limit", "1", "--cache-dir", cache_dir)
         assert code == 1 and out == ""  # refused before the cache is read

@@ -417,7 +417,9 @@ class TestPersistence:
         first = ensure_sieve(1000, tmp_path)
         assert (tmp_path / "sieve.spl").exists()
         again = ensure_sieve(500, tmp_path)
-        assert again.limit == first.limit  # reused, not rebuilt smaller
+        assert again.limit == 500  # cut from the file, which keeps its limit
+        assert np.array_equal(again.primes, build_sieve(500).primes)
+        assert load_sieve(tmp_path / "sieve.spl").limit == first.limit == 1000
         bigger = ensure_sieve(5000, tmp_path)
         assert bigger.limit == 5000
         assert load_sieve(tmp_path / "sieve.spl").limit == 5000

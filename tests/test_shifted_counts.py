@@ -249,10 +249,7 @@ class TestTupleCounters:
                 assert x // head in qs
                 n = head * (x // head)
                 assert fast(n) > fast(n - 1)  # the product (3, ..., 3, q) is counted
-                for ordered in (True, False):
-                    assert tuple_count_oracle(cache, x, k, th, ordered=ordered) == tuple_count_fast(
-                        cache, x, k, th, ordered=ordered
-                    )
+                assert tuple_count_oracle(cache, x, k, th) == tuple_count_fast(cache, x, k, th)
                 if k == 3:
                     assert_count_matches_products(fast, oracle_qualifying_products(cache, x, k, th), x)
 
@@ -272,14 +269,6 @@ class TestTupleCounters:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 10**6
-
-    def test_unordered_counts(self, cache):
-        th = Theta(1, 4)
-        x = 1000
-        uo = tuple_count_oracle(cache, x, 2, th, ordered=False)
-        uf = tuple_count_fast(cache, x, 2, th, ordered=False)
-        assert uo == uf
-        assert uo <= tuple_count_oracle(cache, x, 2, th)
 
     def test_permutation_orbit(self, cache):
         """Ordered count equals the multiset enumeration weighted by orbit size."""
