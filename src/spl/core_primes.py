@@ -59,6 +59,8 @@ def floor_root(t: int, e: int, c: int = 1) -> int:
     if t < c:
         return 0
     q = t // c  # c * n**e <= t iff n**e <= t // c
+    if q.bit_length() <= e:  # 1 <= q < 2**e: the root is 1, and no power is built
+        return 1
     lg = log2(q) / e
     shift = max(int(lg) - 64, 0)
     n = (int(2 ** (lg - shift) * (1 + 2**-40 * (lg + 1))) + 1) << shift
@@ -96,8 +98,10 @@ class SieveCache:
     @cached_property
     def flags(self) -> np.ndarray:
         """Unpacked boolean view of the bitset, index = integer."""
+        # np.asarray: unpacked from a mapped file's np.memmap, the view would be
+        # a memmap too, whose Python-level hooks slow every later slice of it
         bits = np.unpackbits(
-            self.words.view(np.uint8), count=self.limit + 1, bitorder="little"
+            np.asarray(self.words).view(np.uint8), count=self.limit + 1, bitorder="little"
         )
         return bits.view(np.bool_)
 
@@ -287,7 +291,11 @@ def save_sieve(cache: SieveCache, path) -> None:
 
 
 def load_sieve(path) -> SieveCache:
-    """Read a sieve file: the 16-byte header is checked, then the words are read once."""
+    """Map a sieve file's words read-only, once its 16-byte header is checked.
+
+    Header and map come from one handle; save_sieve replaces a file, never
+    rewrites it, so a mapped file is never truncated under a reader.
+    """
     with open(path, "rb") as fh:
         header = fh.read(16)
         if header[:4] != _MAGIC:
@@ -300,15 +308,15 @@ def load_sieve(path) -> SieveCache:
         nwords = (limit + 1 + 63) >> 6
         if os.fstat(fh.fileno()).st_size < 16 + 8 * nwords:
             raise ArgumentError(f"{path}: truncated sieve file")
-        words = np.fromfile(fh, dtype="<u8", count=nwords)
-    return SieveCache(limit=int(limit), words=words.astype(np.uint64, copy=False))
+        words = np.memmap(fh, dtype="<u8", mode="r", offset=16, shape=(nwords,))
+    return SieveCache(limit=int(limit), words=words)
 
 
 def ensure_sieve(limit: int, directory=None) -> SieveCache:
     """A sieve of exactly `limit`: cut from the cached file if it covers `limit`, else built.
 
-    A built sieve replaces the file; a cut one is a view of the file's words,
-    so a command's reach never depends on what an earlier command cached.
+    A built sieve replaces the file; a cut one is a view of the mapped file,
+    so a command reads only the pages of its own reach, whatever was cached.
     A limit build_sieve refuses is refused before the cache is read.
     """
     _check_sieve_limit(limit)

@@ -53,8 +53,8 @@ class ExperimentRecord:
 
     experiment: str
     inputs: dict
-    raw: list = field(default_factory=list)
-    derived: list = field(default_factory=list)
+    raw: dict = field(default_factory=dict)
+    derived: dict = field(default_factory=dict)
 
 
 def _fmt(v):
@@ -75,15 +75,12 @@ def write_csv(records: List[ExperimentRecord], stream) -> None:
     """Header row then one line per record; columns in first-seen order."""
     columns = ["experiment"]
     for rec in records:
-        for key in list(rec.inputs) + [k for k, _ in rec.raw] + [k for k, _ in rec.derived]:
+        for key in [*rec.inputs, *rec.raw, *rec.derived]:
             if key not in columns:
                 columns.append(key)
     stream.write(",".join(columns) + "\n")
     for rec in records:
-        row = {"experiment": rec.experiment}
-        row.update({k: v for k, v in rec.inputs.items()})
-        row.update({k: v for k, v in rec.raw})
-        row.update({k: v for k, v in rec.derived})
+        row = {"experiment": rec.experiment, **rec.inputs, **rec.raw, **rec.derived}
         stream.write(",".join(_fmt(row[c]) if c in row else "" for c in columns) + "\n")
 
 
@@ -93,8 +90,8 @@ def write_jsonl(records: List[ExperimentRecord], stream) -> None:
         obj = {
             "experiment": rec.experiment,
             "inputs": {k: _round_sig(v) for k, v in rec.inputs.items()},
-            "raw": {k: _round_sig(v) for k, v in rec.raw},
-            "derived": {k: _round_sig(v) for k, v in rec.derived},
+            "raw": {k: _round_sig(v) for k, v in rec.raw.items()},
+            "derived": {k: _round_sig(v) for k, v in rec.derived.items()},
         }
         stream.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
@@ -102,10 +99,7 @@ def write_jsonl(records: List[ExperimentRecord], stream) -> None:
 def progression_double_sum(cache, x: int, k: int, theta: Theta) -> float:
     """Sum over (x/2)^theta < p <= x^(1/k) of (1/p) (sum_{q<=x, q=1 mod p} 1/q)^(k-1)."""
     cache._check(x)
-    u, v = range_bounds_exact(x, k, theta)
-    if u >= v:
-        return 0.0
-    ps = primes_in(cache, u, v)
+    ps = primes_in(cache, *range_bounds_exact(x, k, theta))
     return math.fsum(
         (1.0 / p) * recip_prime_sum_ap(cache, x, p, 1) ** (k - 1) for p in ps.tolist()
     )
@@ -157,7 +151,7 @@ def rearrange_sieve_limit(x: int, k: int, theta: Theta) -> int:
         raise ArgumentError(f"rearrangement needs k >= 2, got {k}")
     if x > REARRANGE_X_BUDGET:
         raise RangeError(f"direct tuple sums capped at x <= {REARRANGE_X_BUDGET}, got {x}")
-    v = floor_root(x, k)  # no prime p above v enters the report
+    v = range_bounds_exact(x, k, theta)[1]  # no prime p above v enters the report
     return max(x, v * rearrange_h_cap(x, theta) + 1)
 
 
@@ -167,14 +161,14 @@ def rearrangement_report(cache, x: int, k: int, theta: Theta) -> ExperimentRecor
     raw carries (i) the double sum; (ii) the substitution majorant
     sum_p p^-k (sum_{1<=h<x/p, ph+1 prime} 1/h)^(k-1); and (iii) the
     symmetrized form summing over sorted distinct shift tuples below
-    2^theta x^(1-theta). (i) <= (ii) holds term by term (q = ph+1 > ph;
+    2^theta x^(1-theta): it sums e_1 ... e_(k-1) of the 1/h, so the single
+    shifts belong to it. (i) <= (ii) holds term by term (q = ph+1 > ph;
     h = 1 is q = 3 at p = 2, so it is kept) and is enforced; the ordering
     constant (ii)/(iii) is reported, not asserted.
     """
     cache._check(rearrange_sieve_limit(x, k, theta))
     s_val = progression_double_sum(cache, x, k, theta)
-    u, v = range_bounds_exact(x, k, theta)
-    ps = primes_in(cache, u, v).tolist() if u < v else []
+    ps = primes_in(cache, *range_bounds_exact(x, k, theta)).tolist()
 
     # One scan per p to the fixed bound 2^theta x^(1-theta) of (iii); (ii)'s
     # bound h < x/p never exceeds it, so its multipliers are a prefix.
@@ -205,11 +199,8 @@ def rearrangement_report(cache, x: int, k: int, theta: Theta) -> ExperimentRecor
     return ExperimentRecord(
         experiment="rearrange",
         inputs={"x": x, "k": k, "theta": str(theta)},
-        raw=[("double_sum", s_val), ("substitution_majorant", majorant), ("symmetrized_form", sym_total)],
-        derived=[
-            ("s_le_majorant", bool(s_val <= majorant)),
-            ("ordering_constant", c_sym),
-        ],
+        raw={"double_sum": s_val, "substitution_majorant": majorant, "symmetrized_form": sym_total},
+        derived={"s_le_majorant": bool(s_val <= majorant), "ordering_constant": c_sym},
     )
 
 
@@ -226,12 +217,12 @@ def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
     """Per x: the tuple count and its ratio to x^(1-theta(k-1))/(log x)^2."""
     ratio_sieve_limit(k, x_grid)
     out = []
-    exponent = 1.0 - theta.as_real * (k - 1)
     run_max = 0.0
     run_min = math.inf
     for x in x_grid:
         count = tuple_count_fast(cache, x, k, theta)
-        ratio = count * math.log(x) ** 2 / x**exponent
+        # a zero count is a zero ratio, also where the normaliser underflows (theta >= 1/k)
+        ratio = count * math.log(x) ** 2 / x ** (1.0 - theta.as_real * (k - 1)) if count else 0.0
         if ratio > 0:
             run_max = max(run_max, ratio)
             run_min = min(run_min, ratio)
@@ -240,13 +231,13 @@ def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
             ExperimentRecord(
                 experiment="ratio",
                 inputs={"x": int(x), "k": k, "theta": str(theta)},
-                raw=[("tuple_count", count)],
-                derived=[
-                    ("ratio", ratio),
-                    ("ratio_running_max", run_max),
-                    ("ratio_running_min", run_min if run_min < math.inf else 0.0),
-                    ("band", band),
-                ],
+                raw={"tuple_count": count},
+                derived={
+                    "ratio": ratio,
+                    "ratio_running_max": run_max,
+                    "ratio_running_min": run_min if run_min < math.inf else 0.0,
+                    "band": band,
+                },
             )
         )
     return out
@@ -275,12 +266,12 @@ def density_table(cache, theta: Theta, x_grid) -> List[ExperimentRecord]:
             ExperimentRecord(
                 experiment="density",
                 inputs={"x": int(x), "theta": str(theta)},
-                raw=[("pi", pi_x), ("count_self", t_val), ("count_fixed", tp_val)],
-                derived=[
-                    ("self_ratio", t_val / pi_x),
-                    ("fixed_ratio", tp_val / pi_x),
-                    ("reference_density", reference),
-                ],
+                raw={"pi": pi_x, "count_self": t_val, "count_fixed": tp_val},
+                derived={
+                    "self_ratio": t_val / pi_x,
+                    "fixed_ratio": tp_val / pi_x,
+                    "reference_density": reference,
+                },
             )
         )
     return out
@@ -292,6 +283,8 @@ def apsum_sieve_limit(x: int, p_list) -> int:
         raise ArgumentError(f"apsum needs x >= 2 and moduli >= 2, got x={x}, p={list(p_list)}")
     if len(set(p_list)) < len(p_list):
         raise ArgumentError(f"apsum moduli must be distinct, got p={list(p_list)}")
+    if any(p > x for p in p_list):  # no prime q = 1 (mod p) is <= x, and the window is negative
+        raise ArgumentError(f"apsum moduli must not exceed x, got x={x}, p={list(p_list)}")
     return x
 
 
@@ -299,18 +292,17 @@ def ap_recip_heuristic_table(cache, x: int, p_list) -> ExperimentRecord:
     """Exact progression sums against the even-distribution window and the
     crude (log log x)/p reference, per modulus p."""
     cache._check(apsum_sieve_limit(x, p_list))
-    raw = []
-    derived = []
+    raw, derived = {}, {}
     llx = math.log(math.log(x))
     for p in p_list:
         exact = recip_prime_sum_ap(cache, x, p, 1)
         window = (llx - math.log(math.log(p))) / p
         crude = llx / p
-        raw.append((f"exact_p{p}", exact))
-        raw.append((f"window_p{p}", window))
-        raw.append((f"crude_p{p}", crude))
-        derived.append((f"ratio_window_p{p}", exact / window if window > 0 else 0.0))
-        derived.append((f"ratio_crude_p{p}", exact / crude if crude > 0 else 0.0))
+        raw[f"exact_p{p}"] = exact
+        raw[f"window_p{p}"] = window
+        raw[f"crude_p{p}"] = crude
+        derived[f"ratio_window_p{p}"] = exact / window if window > 0 else 0.0
+        derived[f"ratio_crude_p{p}"] = exact / crude if crude > 0 else 0.0
     return ExperimentRecord(
         experiment="apsum",
         inputs={"x": int(x), "p_list": ";".join(str(p) for p in p_list)},

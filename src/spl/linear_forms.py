@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core_primes import SieveCache, factorize, floor_root, primes_in
-from .errors import ArgumentError
+from .errors import ArgumentError, RangeError
 from .shifted_counts import Theta
 
 __all__ = [
@@ -152,18 +152,18 @@ def range_bounds_exact(x: int, k: int, theta: Theta):
     """Integer cutoffs (u_int, v_int): p qualifies iff u_int < p <= v_int.
 
     p <= x^(1/k) iff p^k <= x; p > (x/2)^theta iff 2^num * p^den > x^num.
-    Both are decided by exact integer comparisons.
+    Both are decided by exact integer comparisons. k is refused from 2^63 on,
+    where the int64 powers p^k of the sums would overflow their exponent.
     """
     if k < 1:
         raise ArgumentError(f"the range p <= x^(1/k) needs k >= 1, got {k}")
+    if k >= 2**63:
+        raise RangeError(f"the range p <= x^(1/k) needs k < 2^63, got {k}")
     return floor_root(x**theta.num, theta.den, 2**theta.num), floor_root(x, k)
 
 
 def _range_primes(cache, x, k, theta, system) -> np.ndarray:
-    u_int, v_int = range_bounds_exact(x, k, theta)
-    if u_int >= v_int:
-        return np.zeros(0, np.int64)
-    return _qualifying_primes(cache, u_int, v_int, system)
+    return _qualifying_primes(cache, *range_bounds_exact(x, k, theta), system)
 
 
 def _inverse_powers(qs: np.ndarray, k: int) -> np.ndarray:

@@ -183,8 +183,6 @@ def _shift_gpf_blocks(cache, x: int):
     isqrt(m) and the pass's _GpfPlan are held; a block holding no prime is
     skipped.
     """
-    if x < 2:
-        return
     m_top = max((x - 1) // 2, 1)  # the largest m of an odd p <= x
     plan = _GpfPlan(primes_in(cache, 0, math.isqrt(m_top)), min(_BLOCK, m_top), m_top + 1)
     for lo in range(1, x // 2 + 1, _BLOCK):  # 2*lo - 1 < x
@@ -324,9 +322,9 @@ def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
     fail loudly instead of hanging.
     """
     cache._check(tuple_sieve_limit(x, k))
-    min_rest = 2 ** (k - 1)
-    if x < 2 * min_rest:
+    if max(x, 0).bit_length() <= k:  # x < 2^k: no k primes have a product below it
         return []
+    min_rest = 2 ** (k - 1)
     ps = primes_in(cache, 0, x // min_rest).tolist()
     # As in the fast route: the gcd of the shifts is below the smallest
     # member, which is at most x**(1/k) <= isqrt(x).
@@ -402,7 +400,7 @@ def tuple_count_fast(cache, x: int, k: int, theta: Theta) -> int:
     counted, not listed: nothing held grows with their number.
     """
     cache._check(tuple_sieve_limit(x, k))
-    if x < 2**k:  # no k primes have a product below 2^k, as in the oracle
+    if max(x, 0).bit_length() <= k:  # x < 2^k, as in the oracle
         return 0
     # The gcd of a tuple's shifts is below its smallest member, which is at
     # most x**(1/k) <= isqrt(x): P+ that far covers every lookup. A list,

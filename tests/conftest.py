@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,17 @@ def spf():
 @pytest.fixture(scope="session")
 def rho_table():
     return build_rho_table(7.0)  # rho on the grid up to u = 8
+
+
+def child_env() -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH, for a child Python.
+
+    pytest's `pythonpath` setting reaches only its own process; a child
+    started without this would import spl only if it is installed.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def reference_flags(n: int) -> bytearray:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import assert_count_matches_products, reference_flags
+from conftest import assert_count_matches_products, child_env, reference_flags
 from spl.core_primes import build_spf, factorize, prime_count
 from spl.dickman import STEP, rho
 from spl.experiments import ratio_table
@@ -41,7 +41,7 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 def run_cli(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "spl.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "spl.cli", *argv], capture_output=True, text=True, env=child_env()
     )
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 import spl.dickman as dickman
 from spl import experiments, weighted_sums
 from spl.cli import build_parser, main
@@ -306,6 +307,7 @@ class TestOutOfDomainArguments:
             ["experiment", "density", "--theta", "1/2", "--x-grid", "1"],
             ["sieve", "build", "--limit", "1"],
             ["experiment", "apsum", "--x", "1000", "--p-list", "3,3"],
+            ["experiment", "apsum", "--x", "100", "--p-list", "99999999999999999999"],
         ],
     )
     def test_exit_one_with_message(self, capsys, cache_dir, argv):
@@ -314,6 +316,30 @@ class TestOutOfDomainArguments:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
         assert not (Path(cache_dir) / "sieve.spl").exists()
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["count", "tk", "--x", "100", "--theta", "1/4", "--method", "both"], "oracle=0 fast=0\n"),
+            (
+                ["experiment", "ratio", "--theta", "1/4", "--x-grid", "10000"],
+                "experiment,x,k,theta,tuple_count,ratio,ratio_running_max,ratio_running_min,band\n"
+                f"ratio,10000,{10**20},1/4,0,0,0,0,0\n",
+            ),
+            (["verify", "abel", "--x", "100", "--theta", "1/4", "--shifts", "2"], ""),
+            (["experiment", "rearrange", "--x", "100", "--theta", "1/4"], ""),
+        ],
+        ids=["count tk", "experiment ratio", "verify abel", "experiment rearrange"],
+    )
+    def test_huge_k_answered_or_refused_at_once(self, capsys, cache_dir, argv, out):
+        """k = 10^20: no 2^k or k-th power is built; past 2^63 the Abel range is refused."""
+        code, got, err = run(capsys, *argv, "--k", str(10**20), "--cache-dir", cache_dir)
+        assert got == out
+        if out:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and err == f"error: the range p <= x^(1/k) needs k < 2^63, got {10**20}\n"
+            assert not (Path(cache_dir) / "sieve.spl").exists()
 
     @pytest.mark.parametrize("k", ["1", "0"])
     def test_rearrange_refuses_k_below_two(self, capsys, cache_dir, k):
@@ -448,6 +474,7 @@ class TestUsage:
             [sys.executable, "-m", "spl.cli", "dickman", "rho", "--u", "0.5"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1"

@@ -1,6 +1,5 @@
 import ast
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import factor_trial, gpf_trial, reference_flags
+from conftest import child_env, factor_trial, gpf_trial, reference_flags
 from spl import core_primes
 from spl.core_primes import (
     SieveCache,
@@ -319,6 +318,8 @@ class TestFloorRoot:
         assert self.check(10**400, 1) == 10**400
         assert self.check(10**4000, 2) == 10**2000
         assert floor_root(-5, 3) == floor_root(0, 3) == floor_root(1, 3, 2) == 0
+        # below 2**e the root is 1, with no power of that size built
+        assert floor_root(100, 10**20) == 1
 
     @pytest.mark.parametrize("e, c", [(0, 1), (-1, 1), (2, 0), (2, -3)])
     def test_rejects_exponent_or_coefficient_below_one(self, e, c):
@@ -413,6 +414,14 @@ class TestPersistence:
         back = load_sieve(path)
         assert back.limit == 5000 and np.array_equal(back.words, got.words)
 
+    def test_load_maps_the_file_read_only(self, tmp_path):
+        save_sieve(build_sieve(12345), tmp_path / "sieve.spl")
+        words = load_sieve(tmp_path / "sieve.spl").words
+        assert isinstance(words, np.memmap) and not words.flags.writeable
+        cut = ensure_sieve(1000, tmp_path)  # a view of the map: nothing is copied
+        assert isinstance(cut.words, np.memmap) and len(cut.words) == 1000 // 64 + 1
+        assert type(cut.flags) is np.ndarray  # slices of a memmap pay Python-level hooks
+
     def test_ensure_sieve_reuses_and_grows(self, tmp_path):
         first = ensure_sieve(1000, tmp_path)
         assert (tmp_path / "sieve.spl").exists()
@@ -452,11 +461,9 @@ class TestPersistence:
             "for _ in range(200):\n"
             "    save_sieve(c, sys.argv[2])\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         path = tmp_path / "sieve.spl"
         procs = [
-            subprocess.Popen([sys.executable, "-c", script, str(n), str(path)], env=env)
+            subprocess.Popen([sys.executable, "-c", script, str(n), str(path)], env=child_env())
             for n in limits
         ]
         assert [p.wait(timeout=120) for p in procs] == [0, 0]

@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from spl.experiments import (
     write_csv,
     write_jsonl,
 )
-from spl.linear_forms import range_bounds_exact
+from spl.linear_forms import inverse_power_prime_sum, range_bounds_exact, system_from_shifts
 from spl.shifted_counts import Theta
 
 
@@ -100,6 +102,30 @@ class TestRearrangement:
         with pytest.raises(VerificationError):
             rearrangement_report(cache, 10**3, 2, Theta(1, 4))
 
+    @staticmethod
+    def _shift_sum(cache, x, k, theta, shifts) -> float:
+        """(1 / prod h) * sum of p^-k over the range with every h*p + 1 prime."""
+        system = system_from_shifts(shifts)
+        return inverse_power_prime_sum(cache, x, k, theta, system) / math.prod(shifts)
+
+    @pytest.mark.parametrize("theta", [Theta(1, 4), Theta(1, 3)])
+    def test_symmetrized_form_is_the_linear_forms_sum_k2(self, cache, theta):
+        """(iii) at k = 2, summed over the shifts h first: one linear-forms sum per h."""
+        x = 10**4
+        rec = rearrangement_report(cache, x, 2, theta)
+        hs = range(1, rearrange_h_cap(x, theta) + 1)
+        want = math.fsum(self._shift_sum(cache, x, 2, theta, [h]) for h in hs)
+        assert rec.raw["symmetrized_form"] == want
+
+    def test_symmetrized_form_is_the_linear_forms_sum_k3(self, cache):
+        """(iii) at k = 3 sums e_1 and e_2: single shifts and pairs h_1 < h_2."""
+        x, theta = 300, Theta(1, 6)
+        rec = rearrangement_report(cache, x, 3, theta)
+        hs = range(1, rearrange_h_cap(x, theta) + 1)
+        shifts = [[h] for h in hs] + [list(pair) for pair in itertools.combinations(hs, 2)]
+        want = math.fsum(self._shift_sum(cache, x, 3, theta, h) for h in shifts)
+        assert rec.raw["symmetrized_form"] == pytest.approx(want, rel=1e-14)
+
     def test_reproducible(self, cache):
         a = rearrangement_report(cache, 500, 2, Theta(1, 4))
         b = rearrangement_report(cache, 500, 2, Theta(1, 4))
@@ -118,6 +144,13 @@ class TestRatioTable:
         assert all(r > 0 for r in ratios)
         band = dict(recs[-1].derived)["band"]
         assert band == pytest.approx(max(ratios) / min(ratios), rel=1e-12)
+
+    def test_zero_count_where_the_normaliser_underflows(self, cache):
+        """At k = 400 and theta = 1/4, x^(1 - theta(k - 1)) is 0.0; T is 0, and so is the ratio."""
+        assert (10**4) ** (1.0 - 0.25 * 399) == 0.0
+        recs = ratio_table(cache, 400, Theta(1, 4), [10**4])
+        assert recs[0].raw["tuple_count"] == 0
+        assert recs[0].derived == dict.fromkeys(recs[0].derived, 0.0)
 
 
 class TestDensityTable:
