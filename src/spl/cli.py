@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 ArgumentError or OSError, 2 RangeError (a ceiling,
-budget or table range), 3 VerificationError (an identity or inequality did not hold).
+budget or table range) or MemoryError (an allocation that does not fit),
+3 VerificationError (an identity or inequality did not hold).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--theta", required=True)
-    q.add_argument("--method", choices=("oracle", "fast", "both"), default="fast")
+    q.add_argument("--method", choices=("fast", "both"), default="fast")
 
     pm = sub.add_parser("msim", parents=[common], help="count primes making every shift form prime")
     pm.add_argument("--t", type=int, required=True)
@@ -160,14 +161,11 @@ def _run_count(args) -> int:
     elif args.counter == "tc":
         print(smooth_shift_count(cache, args.x, theta))
     else:
-        oracle = fast = None
-        if args.method != "fast":
-            oracle = tuple_count_oracle(cache, args.x, args.k, theta)
-        if args.method != "oracle":
-            fast = tuple_count_fast(cache, args.x, args.k, theta)
-        if args.method != "both":
-            print(fast if oracle is None else oracle)
+        fast = tuple_count_fast(cache, args.x, args.k, theta)
+        if args.method == "fast":
+            print(fast)
         else:
+            oracle = tuple_count_oracle(cache, args.x, args.k, theta)
             print(f"oracle={oracle} fast={fast}")
             if oracle != fast:
                 raise VerificationError(f"counter mismatch: oracle={oracle} fast={fast}")
@@ -278,8 +276,9 @@ def main(argv=None) -> int:
     except (ArgumentError, OSError) as exc:  # OSError: an unusable --output or --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RangeError, MemoryError) as exc:
+        # a bare MemoryError, as Python raises it, carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from math import floor, fsum, isqrt, log2
+from math import floor, fsum, isqrt, log2, log10
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +134,10 @@ def _check_sieve_limit(limit: int) -> None:
     if limit < 2:
         raise ArgumentError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_CEILING:
-        raise RangeError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
+        # by its size past 64 bits: a computed limit such as a*t + b may have
+        # more digits than Python converts to a string
+        shown = limit if limit.bit_length() <= 64 else f"~10^{log10(limit):.1f}"
+        raise RangeError(f"sieve limit {shown} exceeds ceiling {SIEVE_CEILING}")
 
 
 def build_sieve(limit: int) -> SieveCache:
@@ -146,10 +149,7 @@ def build_sieve(limit: int) -> SieveCache:
     _check_sieve_limit(limit)
     nbits = limit + 1
     nwords = (nbits + 63) >> 6
-    try:
-        words = np.zeros(nwords, dtype=np.uint64)
-    except MemoryError as exc:
-        raise RangeError(f"cannot allocate bitset for limit {limit}") from exc
+    words = np.zeros(nwords, dtype=np.uint64)
     byte_view = words.view(np.uint8)
 
     root = isqrt(limit)

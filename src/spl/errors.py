@@ -3,6 +3,7 @@
 `ArgumentError` (exit 1) is a malformed or out-of-domain argument,
 `RangeError` (exit 2) a query past a ceiling, budget or built table, and
 `VerificationError` (exit 3) an identity or inequality that did not hold.
+A `MemoryError` is left as raised; the CLI alone turns it into exit 2.
 """
 
 

@@ -14,6 +14,7 @@ from typing import List
 import numpy as np
 
 from .core_primes import (
+    _check_sieve_limit,
     floor_root,
     prime_count,
     primes_in,
@@ -21,7 +22,7 @@ from .core_primes import (
     recip_prime_sum_ap,
 )
 from .dickman import limiting_density
-from .errors import ArgumentError, RangeError, VerificationError
+from .errors import ArgumentError, VerificationError
 from .linear_forms import range_bounds_exact
 from .shifted_counts import (
     Theta,
@@ -129,9 +130,6 @@ def _prime_shift_multipliers(cache, p: int, h_top: int) -> np.ndarray:
     return (primes_in_class(cache, p * h_top + 1, p, 1) - 1) // p
 
 
-REARRANGE_X_BUDGET = 10**5
-
-
 def rearrange_h_cap(x: int, theta: Theta) -> int:
     """The largest h < 2^theta x^(1-theta): the shift bound of the symmetrized form.
 
@@ -143,14 +141,12 @@ def rearrange_h_cap(x: int, theta: Theta) -> int:
 def rearrange_sieve_limit(x: int, k: int, theta: Theta) -> int:
     """The sieve limit rearrangement_report needs at (x, k, theta).
 
-    Raises ArgumentError for k < 2 and RangeError for x above
-    REARRANGE_X_BUDGET before anything is sized, so no sieve is built for a
-    report that would be refused.
+    Raises ArgumentError for k < 2, and RangeError for an x past the sieve
+    ceiling before any power of x is formed: the limit is at least x.
     """
     if k < 2:
         raise ArgumentError(f"rearrangement needs k >= 2, got {k}")
-    if x > REARRANGE_X_BUDGET:
-        raise RangeError(f"direct tuple sums capped at x <= {REARRANGE_X_BUDGET}, got {x}")
+    _check_sieve_limit(max(x, 2))
     v = range_bounds_exact(x, k, theta)[1]  # no prime p above v enters the report
     return max(x, v * rearrange_h_cap(x, theta) + 1)
 

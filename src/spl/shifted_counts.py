@@ -8,8 +8,11 @@ enumeration keyed on the large prime r of the gcd. Every qualifying tuple
 is found at exactly one r (the largest prime factor of its gcd is unique),
 so the two routes must agree exactly.
 
-All thresholds are decided by exact integer power comparison; theta enters
-only as a reduced fraction so boundary cases are unambiguous.
+Theta enters only as a reduced fraction, so every threshold has one exact
+answer, the integer power test r**den >= n**num. T and Tc compare logs in
+float64 and fall back to that test inside a margin around the boundary, so
+each of their counts equals the exact test's count; every other threshold
+is decided by the integer test or an exact integer cutoff.
 """
 
 from __future__ import annotations
@@ -362,10 +365,8 @@ def tuple_count_oracle(cache, x: int, k: int, theta: Theta) -> int:
 def _fast_count_for_r(cache, x: int, k: int, theta: Theta, gpf, r: int) -> int:
     # The largest n <= x passing the threshold at r: n**num <= r**den.
     n_cap = floor_root(min(r**theta.den, x**theta.num), theta.num)
-    if n_cap < (r + 1) ** k:
-        return 0
     # Every member is a prime = 1 (mod r), so each is >= r + 1 and none can
-    # exceed n_cap // (r + 1)**(k - 1).
+    # exceed n_cap // (r + 1)**(k - 1); below r + 1, no tuple fits and qs is empty.
     qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r, 1).tolist()
     if not qs:
         return 0

@@ -51,8 +51,21 @@ _BLOCK = 1 << 15  # entries per row block of the (h_{g-1}, h_g) scan
 
 
 def tuple_budget(g: int, z: int) -> int:
-    """Number of increasing g-tuples drawn from 1 < h < z."""
-    return comb(max(z - 2, 0), g)
+    """Number of increasing g-tuples drawn from 1 < h < z, or a lower bound on it past TUPLE_BUDGET.
+
+    comb(n, i + 1) = comb(n, i) * (n - i) // (i + 1) rises with i up to
+    min(g, n - g) <= n / 2, where it is comb(n, g); the steps stop once it
+    passes TUPLE_BUDGET, so a count of any size costs a few steps.
+    """
+    n = max(z - 2, 0)
+    if g > n:
+        return 0
+    count = 1
+    for i in range(min(g, n - g)):
+        if count > TUPLE_BUDGET:
+            break
+        count = count * (n - i) // (i + 1)
+    return count
 
 
 def _factor_table(z: int) -> np.ndarray:
@@ -74,12 +87,13 @@ def _scan(g: int, ell: int, z: int, *, moments: bool = True):
         raise ArgumentError(f"need g >= 1 and ell >= 1, got g={g}, ell={ell}")
     if z < 2:
         raise ArgumentError(f"need z >= 2, got z={z}")
-    if tuple_budget(g, z) > TUPLE_BUDGET:
-        raise RangeError(
-            f"(g={g}, z={z}) needs {tuple_budget(g, z):.3g} tuple visits; budget {TUPLE_BUDGET:.0e}"
-        )
     if z > Z_CEILING:
         raise RangeError(f"z={z} exceeds ceiling {Z_CEILING}")
+    visits = tuple_budget(g, z)
+    if visits > TUPLE_BUDGET:
+        raise RangeError(
+            f"(g={g}, z={z}) needs at least {visits:.3g} tuple visits; budget {TUPLE_BUDGET:.0e}"
+        )
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             bins = _scan_grid(g, ell, z, moments=moments)

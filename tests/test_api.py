@@ -20,7 +20,7 @@ from spl import cli, errors, weighted_sums
 MODULES = [importlib.import_module(f"spl.{m.name}") for m in pkgutil.iter_modules(spl.__path__)]
 WITH_ALL = [mod for mod in MODULES if hasattr(mod, "__all__")]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# the paper's sieve majorant, kept to be reported beside M(t) (ROADMAP item 6)
+# the paper's sieve majorant, kept to be reported beside M(t) (ROADMAP item 9)
 NO_CALLER_YET = {"spl.linear_forms.sieve_bound_value"}
 
 

@@ -3,8 +3,10 @@ import importlib.util
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+import time
 from itertools import takewhile
 from pathlib import Path
 
@@ -86,6 +88,29 @@ class TestCountCommands:
         )
         assert code == 3
         assert out.strip() == "oracle=3 fast=999"
+
+    def test_tk_default_is_the_fast_count(self, capsys, cache_dir, monkeypatch):
+        """Without --method the fast count is printed alone, and the oracle never runs."""
+        import spl.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the oracle")
+
+        monkeypatch.setattr(cli_mod, "tuple_count_oracle", refuse)
+        code, out, err = run(
+            capsys, "count", "tk", "--x", "35", "--k", "2", "--theta", "1/4", "--cache-dir", cache_dir,
+        )
+        assert (code, out, err) == (0, "3\n", "")
+
+    def test_tk_has_no_oracle_only_method(self, capsys, cache_dir):
+        """The oracle answers only beside the fast count, as the check of --method both."""
+        code, out, err = run(
+            capsys, "count", "tk", "--x", "35", "--k", "2", "--theta", "1/4",
+            "--method", "oracle", "--cache-dir", cache_dir,
+        )
+        assert code == 1 and out == ""
+        assert "invalid choice: 'oracle'" in err
+        assert not (Path(cache_dir) / "sieve.spl").exists()
 
     def test_single_counters(self, capsys, cache_dir):
         code, out, _ = run(capsys, "count", "t", "--x", "100", "--theta", "1/2", "--cache-dir", cache_dir)
@@ -412,6 +437,50 @@ class TestOutOfDomainArguments:
         assert "unrecognized arguments: --u-max" in err
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 124. MiB for an array"), "Unable to allocate 124. MiB for an array"),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_exit_two_with_one_error_line(self, capsys, monkeypatch, cache_dir, exc, message):
+        """An allocation that does not fit, here the primes view, exits 2 with one error line."""
+        from spl.core_primes import SieveCache
+
+        def fail(self):
+            raise exc
+
+        monkeypatch.setattr(SieveCache, "primes", property(fail))
+        code, out, err = run(capsys, "count", "t", "--x", "1000", "--theta", "1/2", "--cache-dir", cache_dir)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# every integer a leaf reads, from an option's own int or a comma-separated list of them
+_INTEGER_VALUE = re.compile(r"-?\d+(,-?\d+)*")
+# one case per leaf and option: (argv, index of the value); --hmax is excluded, as
+# verify mobius checks every h up to it, so its work grows with its value
+_BOUNDARY_CASES = {
+    f"{_leaf(argv)} {argv[i - 1]}": (argv, i)
+    for argv in BENCHMARK_COMMANDS
+    for i in range(1, len(argv))
+    if argv[i - 1].startswith("--") and argv[i - 1] != "--hmax" and _INTEGER_VALUE.fullmatch(argv[i])
+}
+
+
+@pytest.mark.parametrize("argv, i", _BOUNDARY_CASES.values(), ids=list(_BOUNDARY_CASES))
+def test_integer_argument_at_the_digit_limit(capsys, cache_dir, argv, i):
+    """A 4300-digit value, the most int() converts, in one integer argument of a leaf:
+    the command answers or refuses within 2 s, and no exception escapes main."""
+    argv = [*argv[:i], "9" * 4300, *argv[i + 1 :]]
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *argv, "--cache-dir", cache_dir)
+    assert code in (0, 1, 2)
+    assert time.perf_counter() - start < 2.0
+
+
 class TestOsErrors:
     @pytest.mark.parametrize(
         "argv, where",
@@ -596,14 +665,28 @@ class TestExperimentsAndCache:
         assert code == 3 and out == ""
         assert err.startswith("verification failed: double sum exceeded its substitution majorant")
 
-    def test_rearrange_budget_checked_before_the_sieve(self, capsys, cache_dir):
-        """x above the rearrange budget exits 2 without sizing or saving a sieve."""
+    def test_rearrange_past_the_ceiling_refused_before_the_sieve(self, capsys, cache_dir):
+        """The sieve reach is at least x: an x past the ceiling exits 2 at once, before
+        the shift bound raises x to the power den - num, and no sieve is sized or saved."""
+        for x, shown in [(2**40 + 1, str(2**40 + 1)), (10**4000, "~10^4000.0")]:
+            start = time.perf_counter()
+            code, out, err = run(
+                capsys, "experiment", "rearrange", "--x", str(x), "--k", "2",
+                "--theta", "1/9999", "--cache-dir", cache_dir,
+            )
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err == f"error: sieve limit {shown} exceeds ceiling {2**40}\n"
+            assert not (Path(cache_dir) / "sieve.spl").exists()
+
+    def test_rearrange_at_a_million(self, capsys, cache_dir):
+        """x = 1e6 is answered: the report's x is bounded by its sieve reach alone."""
         code, out, err = run(
-            capsys, "experiment", "rearrange", "--x", "200001", "--k", "2",
-            "--theta", "1/4", "--cache-dir", cache_dir,
+            capsys, "experiment", "rearrange", "--x", "1000000", "--k", "2",
+            "--theta", "1/4", "--format", "json", "--cache-dir", cache_dir,
         )
-        assert code == 2 and out == "" and "capped" in err
-        assert not (Path(cache_dir) / "sieve.spl").exists()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["derived"]["s_le_majorant"] is True
 
     def test_sieve_build_persists_and_grows(self, capsys, cache_dir, tmp_path):
         code, out, _ = run(capsys, "sieve", "build", "--limit", "500", "--cache-dir", cache_dir)

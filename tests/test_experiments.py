@@ -17,6 +17,7 @@ from spl.experiments import (
     progression_double_sum,
     ratio_table,
     rearrange_h_cap,
+    rearrange_sieve_limit,
     write_csv,
     write_jsonl,
 )
@@ -77,8 +78,10 @@ class TestRearrangement:
             rec = rearrangement_report(cache, 1000, k, Theta(1, d))
             assert dict(rec.derived)["s_le_majorant"] is True
 
-    def test_budget_guard(self, cache):
-        with pytest.raises(RangeError, match="capped at x <= 100000"):
+    def test_refused_past_the_cache(self, cache):
+        """No x budget: x = 2e5 is refused because p*h + 1 reaches 5026963, past the cache."""
+        assert rearrange_sieve_limit(2 * 10**5, 2, Theta(1, 4)) == 5026963 > cache.limit
+        with pytest.raises(RangeError, match="query at 5026963 exceeds sieve limit"):
             rearrangement_report(cache, 2 * 10**5, 2, Theta(1, 4))
 
     def test_shift_multipliers_match_flag_scan(self, cache):

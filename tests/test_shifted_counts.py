@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_count_matches_products, gpf_trial, reference_flags
-from spl.core_primes import SIEVE_CEILING, build_sieve, prime_count, primes_in
+from spl.core_primes import SIEVE_CEILING, build_sieve, floor_root, prime_count, primes_in
 from spl import shifted_counts
 from spl.errors import ArgumentError, RangeError
 from spl.experiments import density_table
@@ -528,6 +528,27 @@ class TestCountThresholdChunks:
         assert one == exact
         pieces = [_count_threshold(rs[i : i + 5], ns[i : i + 5], theta) for i in range(0, len(rs), 5)]
         assert tuple(map(sum, zip(*pieces))) == one
+
+    @pytest.mark.parametrize(
+        "theta", [Theta(1, 2), Theta(17, 64), Theta(4999, 10000), Theta(9998, 9999)], ids=str
+    )
+    def test_exact_next_to_the_boundary_up_to_the_ceiling(self, theta):
+        """The log comparison's margin holds at every magnitude up to SIEVE_CEILING and
+        for the largest denominators: for n drawn up to the ceiling, r = floor(n^theta)
+        and its two neighbours (r >= 1, as in the pass) count as the power test counts them."""
+        rng = np.random.default_rng(1)
+        drawn = np.exp(rng.uniform(math.log(2), math.log(SIEVE_CEILING), 40)).astype(np.int64)
+        rs, ns, exact = [], [], [0, 0]
+        for n in [2, SIEVE_CEILING, *drawn.tolist()]:
+            rhs = n**theta.num
+            root = floor_root(rhs, theta.den)
+            for r in range(max(root - 1, 1), root + 2):
+                lhs = r**theta.den
+                exact[0] += lhs >= rhs
+                exact[1] += lhs <= rhs
+                rs.append(r)
+                ns.append(n)
+        assert _count_threshold(np.array(rs), np.array(ns), theta) == tuple(exact)
 
 
 class TestFixedThresholdCutoff:
