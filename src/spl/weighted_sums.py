@@ -8,23 +8,24 @@ Mobius-expansion identity used to sum the single-variable weights.
 
 Per-integer tables make each tuple cheap: F[h] = prod_{p|h}(1 + 1/p), a
 12-bit mask of the primes <= 37 dividing h, and the primes > 37 dividing h.
-One scan serves every sum: it loops over the outer prefixes
-(h_1, ..., h_{g-2}) and covers the last two coordinates (a, b) as blocks.
-There the small primes come from one table lookup on the OR of three
-masks, the larger primes from a rank-1 product of row and column factors
-times a Toeplitz factor in b - a, and a sparse correction removes the few
-larger primes that product counts twice; `_scan_grid` carries the
-argument. The factor for a union of prime sets is assembled from these
-tables with the primes already counted divided out, never by refactoring
-E, and no element of E or table index reaches 2 z, so nothing overflows.
+One scan serves every sum: it stacks the outer prefixes
+(h_1, ..., h_{g-2}) in batches and covers each batch's last two
+coordinates (a, b) as boxes. There the small primes come from one table
+lookup on the OR of three masks, the larger primes from a row times a
+column factor times a Toeplitz factor in b - a, and a sparse correction
+fixes the few larger primes that product miscounts; `_scan_grid` carries
+the argument. A prefix's own primes are divided out of its tables, never
+found by refactoring E, and no element of E or table index reaches 2 z,
+so nothing overflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import List
 
@@ -46,8 +47,10 @@ __all__ = [
 
 TUPLE_BUDGET = 10**9
 Z_CEILING = 10**7  # largest z the scan accepts: its per-integer tables are O(z)
+MOMENT_CEILING = 10**7  # most moment bins, G * z, a Hoelder query holds: 80 MB of float64
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # one mask bit each
-_BLOCK = 1 << 15  # entries per row block of the (h_{g-1}, h_g) scan
+_BLOCK = 1 << 15  # entries per box of the (h_{g-2}, h_{g-1}, h_g) scan
+_BATCH = 1 << 12  # entries of a batch's (prefix, h) tables, and pairs per correction piece
 
 
 def tuple_budget(g: int, z: int) -> int:
@@ -79,9 +82,15 @@ def _factor_table(z: int) -> np.ndarray:
 def _scan(g: int, ell: int, z: int, *, moments: bool = True):
     """_scan_grid's bins, once the arguments pass and if F^ell stays inside float64.
 
+    A Hoelder query (moments=True) holds G * z moment bins, 8 bytes each, so
+    it is refused past MOMENT_CEILING entries (80 MB) before any is made. A
+    query with no tuple, g > z - 2, is answered with zero bins at once.
     Past float64 a factor, sum or moment turns inf or nan, and a nan passes
     no comparison, so such a query raises RangeError. The Hoelder bound is a
     product of G G-th roots of the G moments, so it stays finite with them.
+    A Hoelder query whose L = 2^(G * ell) has more decimal digits than
+    Python converts to a string is refused too; its moments overflow unless
+    it has no tuple.
     """
     if g < 1 or ell < 1:
         raise ArgumentError(f"need g >= 1 and ell >= 1, got g={g}, ell={ell}")
@@ -89,30 +98,31 @@ def _scan(g: int, ell: int, z: int, *, moments: bool = True):
         raise ArgumentError(f"need z >= 2, got z={z}")
     if z > Z_CEILING:
         raise RangeError(f"z={z} exceeds ceiling {Z_CEILING}")
+    G = comb(g + 1, 2)
+    if moments and G * z > MOMENT_CEILING:
+        raise RangeError(
+            f"(g={g}, z={z}): its G * z moment bins exceed the ceiling {MOMENT_CEILING:.0e}"
+        )
     visits = tuple_budget(g, z)
     if visits > TUPLE_BUDGET:
         raise RangeError(
             f"(g={g}, z={z}) needs at least {visits:.3g} tuple visits; budget {TUPLE_BUDGET:.0e}"
         )
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bins = _scan_grid(g, ell, z, moments=moments)
-            finite = all(np.isfinite(np.sum(b, axis=-1)).all() for b in bins)
-    except OverflowError:  # a Python float power past float64
-        finite = False
-    if not finite:
-        raise RangeError(f"(g={g}, ell={ell}, z={z}): the sum or a moment overflows float64")
+    if not visits:
+        bins = np.zeros(z), np.zeros((g * moments, z)), np.zeros(((G - g) * moments, z))
+    else:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bins = _scan_grid(g, ell, z, moments=moments)
+                finite = all(np.isfinite(np.sum(b, axis=-1)).all() for b in bins)
+        except OverflowError:  # a Python float power past float64
+            finite = False
+        if not finite:
+            raise RangeError(f"(g={g}, ell={ell}, z={z}): the sum or a moment overflows float64")
+    digits = sys.get_int_max_str_digits()
+    if moments and digits and G * ell >= (10**digits).bit_length():
+        raise RangeError(f"(g={g}, ell={ell}, z={z}): L = 2^(G * ell) has more than {digits} digits")
     return bins
-
-
-def _without_primes(f: np.ndarray, ps) -> tuple:
-    """(prod_{p in ps}(1+1/p), a copy of f with every p in ps divided out)."""
-    f_rest = f.copy()
-    f_ps = 1.0
-    for p in ps:
-        f_rest[p::p] /= 1.0 + 1.0 / p
-        f_ps *= 1.0 + 1.0 / p
-    return f_ps, f_rest
 
 
 def _prime_tables(z: int) -> tuple:
@@ -142,59 +152,55 @@ def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     recover every quantity on the full z grid at once. aj_bins has g rows;
     ars_bins has one row per h_r - h_s, pairs s < r in lexicographic order.
     Moment weights use the exponent ell * G with G = comb(g + 1, 2). With
-    moments=False the moment bins stay zero.
+    moments=False both moment arrays have no rows.
 
-    The loop runs over outer prefixes O = (h_1, ..., h_{g-2}) (one empty O
-    when g = 2; g = 1 is one vector line) and covers the pairs
-    (a, b) = (h_{g-1}, h_g) in row blocks of about _BLOCK entries. With
-    X = (0, *O), the elements of E are O's own elements, the row elements
-    a - x, the column elements b - x (x in X) and b - a. F(E) factors as:
+    Write x = (0, h_1, ..., h_g), the outer prefix O = (h_1, ..., h_{g-2}),
+    xs = (x_0, ..., x_{g-2}) and c = x_{g-2} (g = 2: O is empty and c = 0;
+    g = 1 is one vector line). `_batches` stacks the prefixes by c; the
+    tuples of a batch are its (prefix k, a, b) with c < a < b < z, covered as
+    boxes of a run of prefixes, a run of a and every b > a, at most
+    max(_BLOCK, z) entries each. The elements of E are O's own x_j - x_i,
+    the row elements a - x and column elements b - x (x in xs), and b - a.
+    F(E) factors as:
 
-    - primes <= 37: W[mask_row[a] | mask_col[b] | mask[b - a]] from a
+    - primes <= 37: W[mask_row[k, a] | mask_col[k, b] | mask[b - a]] from a
       2^12-entry table, where the row mask also carries O's small primes;
-    - O's primes > 37: a constant, divided out of fy = F over the primes
-      > 37 by `_without_primes`, leaving fyr;
-    - every other prime > 37: the rank-1 product rowfac[a] * colfac[b],
-      rowfac[a] = prod_x fyr[a - x] and colfac[b] = prod_x fyr[b - x],
-      times the Toeplitz factor fyr[b - a];
-    - a sparse correction for the primes that product counts twice.
+    - O's primes > 37: a constant per prefix;
+    - every other prime > 37: the product fac[k, a] * fac[k, b] *
+      toe[k, b - a], fy being F over the primes > 37, fac[k, n] =
+      prod_x fy[n - x] and toe[k, d] = fy[d], each with O's primes divided
+      out (`_prefix_factors`);
+    - a sparse correction (`_corrections`) for the primes that product
+      counts more than once.
 
     Completeness of the correction: let p > 37 divide no element of O. It
     divides at most one a - x (else p | x - x', an element of O), at most
     one b - x, and p | b - a together with one of p | a - x, p | b - x
     forces the other. So the elements p divides are {a - x}, {b - x'},
     {b - a}, {a - x, b - x'} with x != x' (p does not divide
-    b - a = (x' - x) mod p), or {a - x, b - x, b - a}. The rank-1 product
-    counts each once except the last two, counted 2 and 3 times; both are
-    exactly the pairs with a = x (mod p) and b = x' (mod p), which are
-    enumerated per O by index arithmetic and divided by (1 + 1/p) once,
-    or twice when x = x'. A prime dividing O and a new element is counted
-    once, in O's constant, because it was divided out of fyr, including its
-    Toeplitz view.
+    b - a = (x' - x) mod p), or {a - x, b - x, b - a}. The product counts
+    each once except the last two, counted 2 and 3 times; both are exactly
+    the pairs with a = x (mod p) and b = x' (mod p), which are enumerated
+    per prefix by index arithmetic and divided by (1 + 1/p) once, or twice
+    when x = x'. A prime of O is in the constant alone, so each prime of E
+    is counted once.
 
-    w_bins is one matvec inv_a @ fac**ell per block. Each moment row
+    Each box is one batched matrix product: its rows (k, a), weighted by
+    fac^ell / (prod(O) a) times the constant, reduce it to one line per
+    prefix, weighted by fac^ell at b once the batch is done; a box reads
+    mask[b - a] and toe[k, b - a] through Toeplitz views. Each moment row
     depends on O alone, on a, on b, or on b - a, so it is a cumulative sum
-    over a or one convolution; no per-tuple gather is made. No kernel
-    product is formed: every element of E is below z_max, every table index
-    below 2 z_max and every block offset below max(_BLOCK, z_max), so
-    nothing can overflow int64.
+    over a or one convolution per batch; no per-tuple gather is made. No
+    kernel product is formed: every element of E is below z_max, every
+    table index below 2 z_max and every box offset below max(_BLOCK, z_max),
+    so nothing can overflow int64.
     """
     z = z_max
     inv_h = 1.0 / np.maximum(np.arange(z), 1)
-    # the elements of E as x[hi] - x[lo] with x = (0, h_1, ..., h_g): the g
-    # coordinates, then the differences in lexicographic (s, r) order; one
-    # moment row each
-    pairs = [(r + 1, s + 1) for s, r in combinations(range(g), 2)]
-    hi, lo = np.array([(j + 1, 0) for j in range(g)] + pairs).T
-    w_bins = np.zeros(z)
-    m_bins = np.zeros((len(hi), z))
     if g == 1:  # G = 1: w and the one moment row are the same line
+        w_bins = np.zeros(z)
         w_bins[2:] = _factor_table(z)[2:] ** ell * inv_h[2:]
-        if moments:
-            m_bins[0] = w_bins
-        return w_bins, m_bins[:1], m_bins[1:]
-    if moments:
-        f_ellg = _factor_table(z) ** (ell * comb(g + 1, 2))
+        return w_bins, np.array([w_bins] if moments else np.zeros((0, z))), np.zeros((0, z))
     mask, indptr, large = _prime_tables(z)
     fy = np.ones(z)
     np.multiply.at(fy, np.repeat(np.arange(z), np.diff(indptr)), 1.0 + 1.0 / large)
@@ -203,99 +209,214 @@ def _scan_grid(g: int, ell: int, z_max: int, *, moments: bool = True):
     for bit, p in enumerate(SMALL_PRIMES):
         w_small[(bits >> bit) & 1 == 1] *= 1.0 + 1.0 / p
     w_small **= ell
-    # Toeplitz sources: entry z + d holds the value at d = b - a; d <= 0 reads
-    # the zero padding, so block entries with b <= a add nothing
-    mask_toe = sliding_window_view(np.concatenate([np.zeros(z + 1, np.intp), mask[1:]]), z - 1)
-    fyr_ell = np.zeros(2 * z)
-    toe = sliding_window_view(fyr_ell, z - 1)
-    # one pair of buffers serves every block: rows * width <= max(_BLOCK, z)
-    mask_buf, blk_buf = np.empty(max(_BLOCK, z), np.intp), np.empty(max(_BLOCK, z))
-    # moment rows by what they read: O's elements, a - x, b - x; b - a is last
-    o_rows = np.flatnonzero(hi <= g - 2)
-    a_rows = np.flatnonzero(hi == g - 1)
-    b_rows = np.flatnonzero((hi == g) & (lo <= g - 2))
-    for outer in combinations(range(2, z - 2), g - 2):
-        xs = np.array((0, *outer))
-        c = outer[-1] if outer else 1  # a runs over c < a < z - 1, b over a < b < z
-        if c + 2 >= z:  # g = 2 and z <= 3: no pair
-            continue
-        o_elems = (xs[hi[o_rows]] - xs[lo[o_rows]]).tolist()
-        ps_o = sorted({p for e in o_elems for p in large[indptr[e] : indptr[e + 1]].tolist()})
-        f_o, fyr = _without_primes(fy, ps_o)
-        # line i holds the elements a - xs[i] for a = c + 1 .. z - 2; plus 1,
-        # they are the elements b - xs[i] for b = a + 1
-        elems = np.arange(c + 1, z - 1) - xs[:, None]
-        mask_row = np.bitwise_or.reduce(mask[elems], axis=0) | np.bitwise_or.reduce(mask[o_elems])
-        mask_col = np.bitwise_or.reduce(mask[elems + 1], axis=0)
-        vec = inv_h[c + 1 : z - 1] * fyr[elems].prod(axis=0) ** ell
-        fyr_ell[z + 1 :] = fyr[1:] ** ell
-        corr = _corrections(xs, elems, z, ell, indptr, large, ps_o)
-        acc = np.zeros(z)
-        a0 = c + 1
-        while a0 < z - 1:
-            # row i <-> a = a0 + i, column j <-> b = a0 + 1 + j, b - a = 1 + j - i
-            width = z - 1 - a0
-            a1 = min(a0 + max(_BLOCK // width, 1), z - 1)
-            diag = slice(z + 2 - (a1 - a0), z + 2)
-            m = mask_buf[: (a1 - a0) * width].reshape(-1, width)
-            np.bitwise_or(mask_toe[diag, :width][::-1], mask_col[a0 - c - 1 :], out=m)
-            m |= mask_row[a0 - c - 1 : a1 - c - 1, None]
-            blk = np.take(w_small, m, out=blk_buf[: m.size].reshape(m.shape), mode="clip")
-            blk *= toe[diag, :width][::-1]
-            _correct(blk, a0, corr)
-            acc[a0 + 1 :] += vec[a0 - c - 1 : a1 - c - 1] @ blk
-            a0 = a1
-        scale = inv_h[c + 2 :] / math.prod(outer)
-        w_bins[c + 2 :] += acc[c + 2 :] * fyr[elems + 1].prod(axis=0) ** ell * scale * f_o**ell
+    # padded sources: entry z + d holds the value at d and d <= 0 reads zero,
+    # so box entries with b <= a, and table entries with n <= c, add nothing
+    mask_pad = np.concatenate([np.zeros(z + 1, np.uint16), mask[1:].astype(np.uint16)])
+    mask_toe = sliding_window_view(mask_pad, z - 1)
+    fy_pad = np.zeros(2 * z)
+    fy_pad[z + 1 :] = fy[1:]
+    cap = max(_BLOCK, z)
+    # one pair of buffers serves every box
+    mask_buf, blk_buf = np.empty(cap, np.uint16), np.empty(cap)
+    acc = np.zeros(z)
+    if moments:
+        G = comb(g + 1, 2)
+        f_pad = np.zeros(2 * z)
+        f_pad[z + 1 :] = _factor_table(z)[1:] ** (ell * G)
+        # the elements of E as x[hi] - x[lo]: the g coordinates, then the
+        # differences in lexicographic (s, r) order; one moment row each
+        pairs = [(r + 1, s + 1) for s, r in combinations(range(g), 2)]
+        hi, lo = np.array([(j + 1, 0) for j in range(g)] + pairs).T
+        # by what they read: O's elements, a - x_i and b - x_i for
+        # i = 0 .. g - 2 in order, and b - a, the last row
+        o_rows = np.flatnonzero(hi <= g - 2)
+        a_rows = np.flatnonzero(hi == g - 1)
+        b_rows = np.flatnonzero((hi == g) & (lo <= g - 2))
+        m_acc = np.zeros((G, z))
+    for xs in _batches(g, z):
+        cs = xs[:, -1]
+        n0 = max(cs[0], 1) + 1  # the least a; table column j holds n = n0 + j
+        n = np.arange(n0, z)
+        inv_o = 1.0 / np.prod(xs[:, 1:].astype(float), axis=1)  # 1 / prod(O)
+        o_elems, o_keys, f_o, fac, toe = _prefix_factors(xs, n0, fy_pad, indptr, large)
+        fac **= ell
+        toe **= ell
+        toe_rows = sliding_window_view(toe, len(n) - 1, axis=1)
+        vec = fac * inv_h[n0:] * (f_o**ell * inv_o)[:, None]
+        mask_col = np.bitwise_or.reduce(mask_pad[z + n - xs[:, :, None]], axis=1)
+        mask_row = mask_col | np.bitwise_or.reduce(mask_pad[z + o_elems], axis=1)[:, None]
+        # lines[k, j]: the rows of prefix k summed at b = n[j], corrections first
+        lines = np.zeros_like(fac)
+        corr = _corrections(xs, n0, z, ell, indptr, large, o_keys)
+        _correct(lines, corr, vec, mask_row, mask_col, mask_pad, w_small, toe)
+        run = max(1, min(len(xs), math.isqrt(cap // len(n))))
+        for k0 in range(0, len(xs), run):
+            k1 = min(k0 + run, len(xs))
+            a0 = max(cs[k0], 1) + 1
+            while a0 < z - 1:
+                # box: the prefixes k0 .. k1 - 1, a = a0 .. a1 - 1, b = a0 + 1 .. z - 1
+                width = z - 1 - a0
+                a1 = min(a0 + max(cap // width // (k1 - k0), 1), z - 1)
+                rows, cols = slice(a0 - n0, a1 - n0), slice(a0 + 1 - n0, None)
+                # row a0 + i, column j of a Toeplitz view in reverse reads d = b - a = 1 + j - i
+                span = a1 - a0
+                m = mask_buf[: (k1 - k0) * span * width].reshape(k1 - k0, span, width)
+                mask_d = mask_toe[z + 2 - span : z + 2, :width][::-1]
+                np.bitwise_or(mask_col[k0:k1, None, cols], mask_d, out=m)
+                m |= mask_row[k0:k1, rows, None]
+                blk = np.take(w_small, m, out=blk_buf[: m.size].reshape(m.shape), mode="clip")
+                blk *= toe_rows[k0:k1, len(n) + 2 - span : len(n) + 2, :width][:, ::-1]
+                lines[k0:k1, cols] += np.matmul(vec[k0:k1, None, rows], blk)[:, 0]
+                a0 = a1
+        acc[n0:] += (lines * fac).sum(axis=0)
         if moments:
-            inv_a = inv_h[c + 1 : z - 1]
-            below = np.cumsum(inv_a) * scale  # at b: the sum of 1/a over c < a < b
-            m_bins[o_rows, c + 2 :] += np.outer(f_ellg[o_elems], below)
-            m_bins[a_rows, c + 2 :] += np.cumsum(f_ellg[elems[lo[a_rows]]] * inv_a, axis=1) * scale
-            m_bins[b_rows, c + 2 :] += f_ellg[elems[lo[b_rows]] + 1] * below
-            m_bins[-1, c + 2 :] += np.convolve(inv_a, f_ellg[1 : z - c - 1])[: z - c - 2] * scale
-    return w_bins, m_bins[:g], m_bins[g:]
+            # wa[k, j]: the weight 1/(prod(O) a) of row a = n[j] > c
+            wa = (n > cs[:, None]) * inv_h[n0:] * inv_o[:, None]
+            below = np.zeros_like(wa)  # at b: the sum of wa over c < a < b
+            np.cumsum(wa[:, :-1], axis=1, out=below[:, 1:])
+            m_acc[o_rows, n0:] += f_pad[z + o_elems].T @ below  # o_elems lists O in row order
+            f_x = f_pad[z + n - xs[:, :, None]]  # f at n - x, x in xs
+            m_acc[a_rows, n0 + 1 :] += np.cumsum(np.einsum("kxn,kn->xn", f_x, wa), axis=1)[:, :-1]
+            m_acc[b_rows, n0:] += np.einsum("kxn,kn->xn", f_x, below)
+            m_acc[-1, n0 + 1 :] += np.convolve(wa.sum(axis=0), f_pad[z + 1 : 2 * z - n0])[: len(n) - 1]
+    w_bins = acc * inv_h
+    if not moments:
+        return w_bins, np.zeros((0, z)), np.zeros((0, z))
+    m_acc *= inv_h
+    return w_bins, m_acc[:g], m_acc[g:]
 
 
-def _corrections(xs, elems, z, ell, indptr, large, ps_o) -> tuple:
-    """The pairs one outer prefix must correct, as progressions sorted by row.
+def _batches(g: int, z: int):
+    """The outer prefixes as rows (0, h_1, ..., h_{g-2}) of int arrays, by c = h_{g-2}.
 
-    elems[i] holds the row elements a - xs[i]. Entry k covers row a[k] and
-    the columns b = first[k] + j * step[k], 0 <= j < count[k], each to be
-    multiplied by factor[k]. Together they are the pairs a < b < z with a
-    prime p > 37 outside ps_o dividing some a - x and some b - x'
-    (x, x' in xs): step p, factor (1 + 1/p)^-ell, squared when x = x'.
+    A batch's prefixes have c >= c_0, its first c, and it holds at most
+    max(_BATCH // max(z - 1 - c_0, comb(g - 1, 2)), 1) of them, so its
+    tables over (prefix, n), c_0 < n < z, and the comb(g - 1, 2) elements
+    of each O stay near _BATCH entries. g = 2 is one batch of the empty
+    prefix, the row (0,), whose c is x_0 = 0.
     """
-    n = elems.ravel()
+    if g == 2:
+        yield np.zeros((1, 1), np.intp)
+        return
+    rows, room = [], 0
+    for c in range(g - 1, z - 2):
+        heads = combinations(range(2, c), g - 3)
+        while True:
+            if not rows:
+                room = max(_BATCH // max(z - 1 - c, comb(g - 1, 2)), 1)
+            new = np.array(list(islice(heads, room)), np.intp)
+            if not len(new):
+                break
+            rows.append(np.column_stack([np.zeros(len(new), np.intp), new, np.full(len(new), c)]))
+            room -= len(new)
+            if not room:
+                yield np.concatenate(rows)
+                rows = []
+    if rows:
+        yield np.concatenate(rows)
+
+
+def _prefix_factors(xs, n0, fy_pad, indptr, large) -> tuple:
+    """(o_elems, o_keys, f_o, fac, toe) for a batch of prefixes, rows of xs.
+
+    o_elems[k] lists the x_j - x_i, i < j, of xs[k], the elements of O;
+    o_keys holds k * z + p, ascending, for each prime p > 37 dividing one
+    of them, and f_o[k] is the product of their (1 + 1/p). With N = z - n0,
+    fac[k, n - n0] is prod_x fy[n - x] over x in xs[k] (zero where n <= x)
+    for n0 <= n < z, and toe[k, N + d] is fy[d] for 0 < d < N (zero for
+    d <= 0), each with the primes of O divided out where they divide n - x
+    or d: the kernel of O, a product of up to comb(g - 1, 2) elements, is
+    never formed. fy_pad holds fy[d] at z + d and 0 for d <= 0.
+    """
+    z = len(fy_pad) // 2
+    n = np.arange(n0, z)
+    i, j = np.triu_indices(xs.shape[1], 1)
+    o_elems = xs[:, j] - xs[:, i]
+    e = o_elems.ravel()
+    at, rank = _expand(indptr[e + 1] - indptr[e])
+    o_keys = np.unique(at // len(i) * z + large[indptr[e][at] + rank])
+    k_o, p_o = np.divmod(o_keys, z)
+    f_o = np.ones(len(xs))
+    np.multiply.at(f_o, k_o, 1.0 + 1.0 / p_o)
+    fac = fy_pad[z + n - xs[:, :, None]].prod(axis=1)
+    k_x, p_x = np.repeat(k_o, xs.shape[1]), np.repeat(p_o, xs.shape[1])
+    first = n0 + (xs[k_o].ravel() - n0) % p_x
+    i, step = _expand(np.maximum((z - 1 - first) // p_x + 1, 0))
+    np.multiply.at(fac.ravel(), k_x[i] * len(n) + first[i] - n0 + step * p_x[i], p_x[i] / (p_x[i] + 1.0))
+    toe = np.zeros((len(xs), 2 * len(n)))
+    toe[:, len(n) + 1 :] = fy_pad[z + 1 : z + len(n)]
+    i, step = _expand((len(n) - 1) // p_o)
+    at = (2 * k_o[i] + 1) * len(n) + (step + 1) * p_o[i]
+    np.multiply.at(toe.ravel(), at, p_o[i] / (p_o[i] + 1.0))
+    return o_elems, o_keys, f_o, fac, toe
+
+
+def _corrections(xs, n0, z, ell, indptr, large, o_keys) -> tuple:
+    """The pairs a batch of prefixes must correct, as progressions sorted by row.
+
+    Row k of xs holds prefix k's x_0, ..., x_{g-2}, its last entry c; its
+    rows run over c < a < z - 1 (a >= n0), and o_keys holds k * z + p for
+    each prime p > 37 of its O. Entry i covers prefix k and row a with
+    row[i] = k * (z - n0) + a - n0, its index in the batch's tables, and
+    the columns b = a + first[i] + j * step[i], 0 <= j < count[i], each to
+    be multiplied by factor[i]. They are the pairs with a prime p > 37
+    dividing some a - x and some b - x' (x, x' in xs[k]) but not O, step p
+    and factor (1 + 1/p)^-ell, squared when x = x'.
+    """
+    first_a = np.maximum(xs[:, -1], 1) + 1
+    k, rank = _expand(z - 1 - first_a)
+    a = first_a[k] + rank
+    n = (a[:, None] - xs[k]).ravel()  # the row elements a - x
     at, rank = _expand(indptr[n + 1] - indptr[n])
     p = large[indptr[n][at] + rank]
-    if ps_o:
-        keep = ~np.isin(p, ps_o)
-        at, p = at[keep], p[keep]
-    if not len(at):
-        return (at,) * 5
-    line, col = np.divmod(at, elems.shape[1])
-    order = np.argsort(col, kind="stable")
-    # xs[0] = 0, so elems[0] holds the rows a themselves
-    a, p, x = (np.repeat(v[order], len(xs)) for v in (elems[0][col], p, xs[line]))
-    x_col = np.tile(xs, len(order))
-    first = x_col + ((a - x_col) // p + 1) * p  # the least b > a with b = x' (mod p)
-    count = np.maximum((z - 1 - first) // p + 1, 0)
-    factor = (p / (p + 1.0)) ** (ell * np.where(x == x_col, 2, 1))
-    return a, first, p, count, factor
+    i, line = np.divmod(at, xs.shape[1])
+    k, a = k[i], a[i]
+    keep = ~np.isin(k * z + p, o_keys)
+    k, a, p, line = k[keep], a[keep], p[keep], line[keep]
+    # every kept (row, x, p) meets each x' of its prefix
+    x = np.repeat(xs[k, line], xs.shape[1])
+    x_col = xs[k].ravel()
+    k, a, p = (np.repeat(v, xs.shape[1]) for v in (k, a, p))
+    first = ((a - x_col) // p + 1) * p - (a - x_col)  # the least b - a > 0 with b = x' (mod p)
+    count = (z - 1 - a - first) // p + 1
+    factor = (p / (p + 1.0)) ** np.where(x == x_col, 2 * ell, ell)
+    order = np.flatnonzero(count > 0)
+    order = order[np.argsort(k[order] * z + a[order], kind="stable")]
+    row = k * (z - n0) + a - n0
+    return row[order], first[order], p[order], count[order], factor[order]
 
 
-def _correct(blk: np.ndarray, a0: int, corr: tuple) -> None:
-    """Apply the corrections of rows a0 .. a0 + len(blk) - 1 to a block whose
-    column j is b = a0 + 1 + j."""
-    a, first, step, count, factor = corr
-    k0, k1 = np.searchsorted(a, (a0, a0 + len(blk)))
-    if k0 == k1:
+def _correct(lines, corr, vec, mask_row, mask_col, mask_pad, w_small, toe) -> None:
+    """Add to lines what the corrections change in a batch's boxes.
+
+    With r = row and d = b - a, a box entry of prefix k is v =
+    W[mask_row[r] | mask_col[r + d] | mask[d]] times toe[k, N + d], and
+    lines[r + d] sums vec[r] * v over the rows (r, r + d flat in the
+    batch's (prefix, n) tables, N = z - n0 columns each); a pair the
+    corrections reach takes the product f of its factors, so it adds
+    vec * v * (f - 1). Pieces of about _BATCH pairs are cut where a row
+    starts, since one pair can only repeat within its row.
+    """
+    row, first, step, count, factor = corr
+    if not len(row):
         return
-    k, j = _expand(count[k0:k1])
-    k += k0
-    b = first[k] + step[k] * j
-    np.multiply.at(blk.ravel(), (a[k] - a0) * blk.shape[1] + b - a0 - 1, factor[k])
+    z = len(mask_pad) // 2
+    ends = np.cumsum(count)
+    cuts = row[np.searchsorted(ends, np.arange(_BATCH, ends[-1], _BATCH))]
+    cuts = np.unique(np.searchsorted(row, cuts)).tolist()
+    for i0, i1 in zip([0, *cuts], [*cuts, len(row)]):
+        i, j = _expand(count[i0:i1])
+        i += i0
+        pair = row[i] * z + first[i] + step[i] * j  # row * z + d, below max(_BATCH, z) * z
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        start = np.flatnonzero(np.concatenate([[True], pair[1:] != pair[:-1]]))
+        f = np.multiply.reduceat(factor[i][order], start)
+        r, d = np.divmod(pair[start], z)
+        v = np.take(w_small, np.take(mask_row, r) | np.take(mask_col, r + d) | mask_pad[z + d])
+        toe_d = np.take(toe, r // lines.shape[1] * toe.shape[1] + lines.shape[1] + d)
+        v *= toe_d * np.take(vec, r) * (f - 1.0)
+        np.add.at(lines.ravel(), r + d, v)
 
 
 def weighted_tuple_sum(g: int, ell: int, z: int) -> float:

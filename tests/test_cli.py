@@ -193,6 +193,37 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: (g=") and "overflows float64" in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--g", "5", "--ell", "1", "--z", "4"], "0"),
+            (["--g", "5", "--ell", "1", "--z", "4", "--holder"], "w=0 bound=0 G=15 L=32768"),
+            (["--g", "3000", "--ell", "1", "--z", "40"], "0"),
+        ],
+    )
+    def test_wsum_without_tuples(self, capsys, argv, line):
+        """A g past z - 2 has no tuple: its sum is 0 at once, with no moment row made."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wsum", *argv)
+        assert (code, out, err) == (0, line + "\n", "")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--g", "100000", "--ell", "1", "--z", "40", "--holder"], "moment bins exceed the ceiling"),
+            (["--g", "5", "--ell", "100000000", "--z", "4", "--holder"], "L = 2^(G * ell) has more than 4300"),
+            (["--g", "200", "--ell", "1", "--z", "4", "--holder"], "L = 2^(G * ell) has more than 4300"),
+        ],
+    )
+    def test_wsum_holder_refused(self, capsys, argv, reason):
+        """Moment rows past their ceiling, or an L too long to print, exit 2 with one line."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wsum", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: (g=") and reason in err and err.count("\n") == 1
+        assert time.perf_counter() - start < 1.0
+
     def test_dickman_theta2(self, capsys):
         code, out, _ = run(capsys, "dickman", "theta2")
         assert code == 0

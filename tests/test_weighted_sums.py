@@ -1,21 +1,24 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import factor_trial
+from spl import weighted_sums
 from spl.core_primes import build_spf, factorize
 from spl.errors import ArgumentError, RangeError, VerificationError
 from spl.weighted_sums import (
+    _BATCH,
     _BLOCK,
     SMALL_PRIMES,
     HolderDiagnostics,
     _factor_table,
+    _prefix_factors,
     _prime_tables,
-    _without_primes,
     holder_grid,
     holder_verify,
     mobius_expansion_check,
@@ -225,51 +228,74 @@ class TestHolder:
 
 class TestKernelPrefix:
     def test_prefix_kernel_beyond_int64(self):
-        """The g = 6 prefix (11, 15, 58, 82, 89) at z = 99 has a kernel above 2**63.
+        """The g = 6 prefix (11, 15, 58, 82, 89) has a kernel R above 2**63.
 
-        The scan never forms that kernel: it divides the prefix's primes out
-        of the factor table, which must agree with F(n) / F(gcd(rad n, R)).
+        The scan never forms R: it divides the prefix's primes out of its
+        rows of the factor tables, whose entries must agree with the product
+        over x in (0, *prefix) of F'(n - x) / F'(gcd(rad(n - x), R)), and with
+        F'(d) / F'(gcd(rad d, R)), F' the product over primes > 37 alone.
         """
-        z = 99
+        z, n0 = 200, 90
         prefix = (11, 15, 58, 82, 89)
         elements = list(prefix) + [b - a for a, b in combinations(prefix, 2)]
 
         def rad(n):
             return math.prod(p for p, _ in factor_trial(n))
 
+        def large(n):
+            return math.prod(1 + 1 / p for p, _ in factor_trial(n) if p > 37)
+
         kernel = 1
         for e in elements:
             kernel = kernel * rad(e) // math.gcd(kernel, rad(e))
         assert kernel > 2**63
-        ps = sorted({p for e in elements for p, _ in factor_trial(e)})
-        f = _factor_table(z)
-        f_ps, f_rest = _without_primes(f, ps)
-        assert f_ps == pytest.approx(one_plus_inv_primes(kernel), rel=1e-14)
-        for n in range(1, z):
-            want = one_plus_inv_primes(n) / one_plus_inv_primes(math.gcd(rad(n), kernel))
-            assert f_rest[n] == pytest.approx(want, rel=1e-14)
+        fy_pad = np.zeros(2 * z)
+        fy_pad[z + 1 :] = [large(n) for n in range(1, z)]
+        mask, indptr, primes = _prime_tables(z)
+        xs = np.array([(0, *prefix)])
+        o_elems, o_keys, f_o, fac, toe = _prefix_factors(xs, n0, fy_pad, indptr, primes)
+        assert sorted(o_elems[0].tolist()) == sorted(elements)
+        assert (o_keys % z).tolist() == [p for p, _ in factor_trial(kernel) if p > 37]
+        assert f_o[0] == pytest.approx(large(kernel), rel=1e-14)
+        for n in range(n0, z):
+            want = math.prod(large(n - x) / large(math.gcd(rad(n - x), kernel)) for x in xs[0])
+            assert fac[0, n - n0] == pytest.approx(want, rel=1e-14)
+        assert not toe[0, : z - n0 + 1].any()
+        for d in range(1, z - n0):
+            want = large(d) / large(math.gcd(rad(d), kernel))
+            assert toe[0, z - n0 + d] == pytest.approx(want, rel=1e-14)
 
 
 def elementwise_oracle(g: int, ell: int, z: int):
-    """w, aj and ars by trial division of each element of E: the union of their primes.
+    """w, aj and ars by trial division of each element of E by every prime below z.
 
-    No kernel product is formed; rows are ordered as in moments_oracle.
+    A prime is in E's set when it divides one of its elements, so no kernel
+    product is formed. Tuples go in chunks; rows are ordered as in moments_oracle.
     """
     G = math.comb(g + 1, 2)
-    pairs = [(s, r) for s in range(g) for r in range(s + 1, g)]
-    primes = [frozenset()] + [frozenset(p for p, _ in factor_trial(n)) for n in range(1, z)]
-    fac = [0.0] + [one_plus_inv_primes(n) ** (ell * G) for n in range(1, z)]
-    w, aj, ars = 0.0, [0.0] * g, [0.0] * len(pairs)
-    for tup in combinations(range(2, z), g):
-        diffs = [tup[r] - tup[s] for s, r in pairs]
-        union = frozenset().union(*(primes[e] for e in (*tup, *diffs)))
-        inv = 1 / math.prod(tup)
-        w += math.prod(1 + 1 / p for p in union) ** ell * inv
-        for j, e in enumerate(tup):
-            aj[j] += fac[e] * inv
-        for idx, e in enumerate(diffs):
-            ars[idx] += fac[e] * inv
-    return w, aj, ars
+    s, r = np.array([(s, r) for s in range(g) for r in range(s + 1, g)]).reshape(-1, 2).T
+    primes = [p for p in range(2, z) if factor_trial(p) == [(p, 1)]]
+    fac = np.array([0.0] + [one_plus_inv_primes(n) ** (ell * G) for n in range(1, z)])
+    w, moments = 0.0, np.zeros(G)
+    tuples = combinations(range(2, z), g)
+    while chunk := list(islice(tuples, 50000)):
+        tup = np.array(chunk)
+        elems = np.concatenate([tup, tup[:, r] - tup[:, s]], axis=1)
+        inv = 1 / np.prod(tup.astype(float), axis=1)
+        f = np.ones(len(tup))
+        for p in primes:
+            f[(elems % p == 0).any(axis=1)] *= 1 + 1 / p
+        w += math.fsum(f**ell * inv)
+        moments += (fac[elems] * inv[:, None]).sum(axis=0)
+    return w, moments[:g].tolist(), moments[g:].tolist()
+
+
+def _batches(monkeypatch) -> list:
+    """A list that grows by one per batch of outer prefixes the scan makes."""
+    calls = []
+    corrections = weighted_sums._corrections
+    monkeypatch.setattr(weighted_sums, "_corrections", lambda *args: calls.append(args) or corrections(*args))
+    return calls
 
 
 class TestCorrectionPath:
@@ -298,6 +324,12 @@ class TestCorrectionPath:
             (2, 4, 41, 45),  # 41 | a and b - h_2
             (3, 5, 40, 42),  # 37 | a - h_1 and b - h_2
         ],
+        (5, 1, 45): [
+            (2, 41, 42, 43, 44),  # 41 | h_2, an element of the head, and a - h_1
+            (2, 3, 41, 42, 43),  # 41 | c = h_3, outside the head, and b - h_1
+            (2, 3, 5, 43, 44),  # 41 | a - h_1 and b - h_2
+            (3, 4, 40, 41, 44),  # 37 | h_3 - h_1 and a - h_2; 41 | a and b - h_1
+        ],
     }
 
     @staticmethod
@@ -313,9 +345,11 @@ class TestCorrectionPath:
             assert any(self._shared(t, 41) >= 2 or self._shared(t, 43) >= 2 for t in tuples)
 
     @pytest.mark.parametrize("g,ell,z", list(CASES))
-    def test_w_and_every_moment_row_match(self, g, ell, z):
+    def test_w_and_every_moment_row_match(self, monkeypatch, g, ell, z):
         w, aj, ars = elementwise_oracle(g, ell, z)
+        batches = _batches(monkeypatch)
         d = holder_verify(g, ell, z)
+        assert g == 2 or len(batches) >= 2  # prefixes of several batches
         assert d.w_value == pytest.approx(w, rel=1e-12)
         assert d.aj_moments == pytest.approx(aj, rel=1e-12)
         assert d.ars_moments == pytest.approx(ars, rel=1e-12)
@@ -323,18 +357,24 @@ class TestCorrectionPath:
 
 
 def _row_block_edges(g: int, z: int) -> list:
-    """The rows a where the scan of the first outer prefix, (2, ..., g - 1), starts a new block."""
-    a0, edges = g, []
+    """The rows a where a new box starts in the scan's first run of prefixes, the
+    ones of its first batch, from c = h_{g-2} = g - 1 on (g = 2: the empty prefix)."""
+    cap = max(_BLOCK, z)
+    c = g - 1 if g > 2 else 0
+    a0 = max(c, 1) + 1
+    batch = min(max(_BATCH // (z - 1 - c), 1), math.comb(z - 4, g - 2) if g > 2 else 1)
+    run = max(1, min(batch, math.isqrt(cap // (z - a0))))
+    edges = []
     while a0 < z - 1:
-        a0 += max(_BLOCK // (z - 1 - a0), 1)
+        a0 = min(a0 + max(cap // (z - 1 - a0) // run, 1), z - 1)
         edges.append(a0)
     return edges[:-1]
 
 
 class TestBlockBoundaries:
-    """Grid entries on both sides of a row-block edge equal their pointwise values."""
+    """Grid entries on both sides of a box edge equal their pointwise values."""
 
-    @pytest.mark.parametrize("g,ell,z_max", [(2, 2, 700), (3, 1, 300)])
+    @pytest.mark.parametrize("g,ell,z_max", [(2, 2, 700), (3, 1, 300), (4, 1, 100)])
     def test_grid_matches_pointwise_across_edges(self, g, ell, z_max):
         edges = _row_block_edges(g, z_max)
         assert len(edges) >= 2  # several blocks
@@ -343,7 +383,7 @@ class TestBlockBoundaries:
         for z in zs:
             assert grid[z] == pytest.approx(weighted_tuple_sum(g, ell, z), rel=1e-13)
 
-    @pytest.mark.parametrize("g,ell,z_max", [(2, 1, 650), (3, 2, 300)])
+    @pytest.mark.parametrize("g,ell,z_max", [(2, 1, 650), (3, 2, 300), (4, 2, 100)])
     def test_holder_grid_matches_verify_across_edges(self, g, ell, z_max):
         edges = _row_block_edges(g, z_max)
         assert len(edges) >= 2
@@ -356,6 +396,14 @@ class TestBlockBoundaries:
             assert grid.aj_moments == pytest.approx(direct.aj_moments, rel=1e-12)
             assert grid.ars_moments == pytest.approx(direct.ars_moments, rel=1e-12)
             assert grid.holder_bound == pytest.approx(direct.holder_bound, rel=1e-12)
+
+    def test_every_prefix_once_in_at_most_z_batches(self, monkeypatch):
+        """The 1540 outer prefixes (h_1, h_2) of g = 4, z = 60 go in at most z batches."""
+        batches = _batches(monkeypatch)
+        holder_verify(4, 1, 60)
+        assert len(batches) <= 60
+        prefixes = [tuple(row[1:]) for xs, *_ in batches for row in xs.tolist()]
+        assert sorted(prefixes) == list(combinations(range(2, 58), 2))
 
     def test_g1_vector_line(self):
         grid = weighted_tuple_sum_grid(1, 2, 3000)
