@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 ArgumentError or OSError, 2 RangeError (a ceiling,
+Exit codes, all returned by `main`: 0 success, 1 ArgumentError or OSError, 2 RangeError (a ceiling,
 budget or table range) or MemoryError (an allocation that does not fit),
 3 VerificationError (an identity or inequality did not hold).
 """
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_count(args) -> int:
+def _run_count(args) -> None:
     theta = Theta.parse(args.theta)
     cache = _cache_for(args, tuple_sieve_limit(args.x, args.k) if args.counter == "tk" else args.x)
     if args.counter == "t":
@@ -169,10 +169,9 @@ def _run_count(args) -> int:
             print(f"oracle={oracle} fast={fast}")
             if oracle != fast:
                 raise VerificationError(f"counter mismatch: oracle={oracle} fast={fast}")
-    return 0
 
 
-def _run_dickman(args) -> int:
+def _run_dickman(args) -> None:
     if args.what == "rho":
         value = dickman.rho(args.u)
     elif args.what == "density":
@@ -180,10 +179,9 @@ def _run_dickman(args) -> int:
     else:
         value = dickman.solve_theta1() if args.what == "theta1" else dickman.solve_theta2()
     print(f"{value:.12g}")
-    return 0
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> None:
     if args.check == "abel":
         theta = Theta.parse(args.theta)
         system = system_from_shifts(_parse_int_list(args.shifts))
@@ -195,28 +193,26 @@ def _run_verify(args) -> int:
         print(f"lhs={lhs:.12g} rhs={rhs:.12g} rel={rel:.3g}")
         if rel > ABEL_REL_TOL:
             raise VerificationError(f"partial-summation identity failed: rel={rel:.3g}")
-        return 0
-    for h in range(2, args.hmax + 1):
-        lhs, rhs = weighted_sums.mobius_expansion_check(h, args.L)
-        if lhs != rhs:
-            raise VerificationError(f"divisor expansion failed at h={h}, L={args.L}: {lhs} != {rhs}")
-    print(f"ok: h <= {args.hmax}, L = {args.L}")
-    return 0
+    else:
+        for h in range(2, args.hmax + 1):
+            lhs, rhs = weighted_sums.mobius_expansion_check(h, args.L)
+            if lhs != rhs:
+                raise VerificationError(f"divisor expansion failed at h={h}, L={args.L}: {lhs} != {rhs}")
+        print(f"ok: h <= {args.hmax}, L = {args.L}")
 
 
-def _run_experiment(args) -> int:
+def _run_experiment(args) -> None:
     theta = Theta.parse(args.theta) if hasattr(args, "theta") else None
     to_file = bool(args.output) and args.output != "-"
     if to_file:
         _check_output(args.output)
     records = _experiment_records(args, theta)
     writer = experiments.write_csv if args.format == "csv" else experiments.write_jsonl
-    if not to_file:
+    if to_file:
+        with open(args.output, "w") as fh:
+            writer(records, fh)
+    else:
         writer(records, sys.stdout)
-        return 0
-    with open(args.output, "w") as fh:
-        writer(records, fh)
-    return 0
 
 
 def _experiment_records(args, theta) -> list:
@@ -247,15 +243,13 @@ def main(argv=None) -> int:
         if args.command == "sieve":
             cache = ensure_sieve(args.limit, args.cache_dir or None)
             print(f"sieve ready: limit={cache.limit}")
-            return 0
-        if args.command == "count":
-            return _run_count(args)
-        if args.command == "msim":
+        elif args.command == "count":
+            _run_count(args)
+        elif args.command == "msim":
             system = system_from_shifts(_parse_int_list(args.shifts))
             cache = _cache_for(args, form_sieve_limit(args.t, system))
             print(count_simultaneous(cache, args.t, system))
-            return 0
-        if args.command == "wsum":
+        elif args.command == "wsum":
             if args.holder:
                 diag = weighted_sums.holder_verify(args.g, args.ell, args.z)
                 print(
@@ -264,12 +258,12 @@ def main(argv=None) -> int:
                 )
             else:
                 print(f"{weighted_sums.weighted_tuple_sum(args.g, args.ell, args.z):.12g}")
-            return 0
-        if args.command == "dickman":
-            return _run_dickman(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_experiment(args)
+        elif args.command == "dickman":
+            _run_dickman(args)
+        elif args.command == "verify":
+            _run_verify(args)
+        else:
+            _run_experiment(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
@@ -280,6 +274,7 @@ def main(argv=None) -> int:
         # a bare MemoryError, as Python raises it, carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

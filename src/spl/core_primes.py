@@ -2,8 +2,8 @@
 
 Everything here is plain multiplicative-number-theory plumbing: a packed
 primality bitset built by a segmented sieve, a smallest-prime-factor table,
-the one factorizer `factorize`, counts of primes in arithmetic
-progressions, and exactly rounded reciprocal sums.
+the one factorizer `factorize`, the primes in the progressions 1 mod m,
+and exactly rounded reciprocal sums over them.
 All tables are immutable after construction. Only this module reads the
 storage behind a sieve, by three reads: `SieveCache.is_prime` (the packed
 words), `primes_in` (the `primes` view) and `primes_in_class` (the `flags`
@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from math import floor, fsum, isqrt, log2, log10
+from math import fsum, isqrt, log2, log10
 from pathlib import Path
 
 import numpy as np
@@ -46,28 +46,27 @@ SIEVE_CEILING = 2**40  # largest sieve limit build_sieve accepts
 SPF_CEILING = 10**7  # largest spf limit build_spf accepts (4 bytes/entry)
 
 
-def floor_root(t: int, e: int, c: int = 1) -> int:
-    """Largest n >= 0 with c * n**e <= t, for integers e, c >= 1; exact at any size.
+def floor_root(t: int, e: int) -> int:
+    """Largest n >= 0 with n**e <= t, for an integer e >= 1; exact at any size.
 
     A float estimate of log2 of the root gives a start just above it (kept
     to 64 significant bits, so any size fits a float), and integer Newton
     steps from above settle it: each step lands on or above the answer and
     below the previous value until the answer is reached.
     """
-    if e < 1 or c < 1:
-        raise ArgumentError(f"floor_root needs e, c >= 1, got e={e}, c={c}")
-    if t < c:
+    if e < 1:
+        raise ArgumentError(f"floor_root needs e >= 1, got e={e}")
+    if t < 1:
         return 0
-    q = t // c  # c * n**e <= t iff n**e <= t // c
-    if q.bit_length() <= e:  # 1 <= q < 2**e: the root is 1, and no power is built
+    if t.bit_length() <= e:  # 1 <= t < 2**e: the root is 1, and no power is built
         return 1
-    lg = log2(q) / e
+    lg = log2(t) / e
     shift = max(int(lg) - 64, 0)
     n = (int(2 ** (lg - shift) * (1 + 2**-40 * (lg + 1))) + 1) << shift
-    if n**e <= q:  # float error beyond the margin: take a sure upper bound
-        n = 1 << -(-q.bit_length() // e)
+    if n**e <= t:  # float error beyond the margin: take a sure upper bound
+        n = 1 << -(-t.bit_length() // e)
     while True:
-        step = ((e - 1) * n + q // n ** (e - 1)) // e
+        step = ((e - 1) * n + t // n ** (e - 1)) // e
         if step >= n:
             return n
         n = step
@@ -80,29 +79,21 @@ class SieveCache:
     limit: int
     words: np.ndarray  # uint64, little-endian bit order within each word
 
-    def is_prime(self, n):
-        """Primality of n, an int or a 1-D integer array, read from the packed words.
+    def is_prime(self, ns: np.ndarray) -> np.ndarray:
+        """Primality of each value of the 1-D integer array ns, read from the packed words.
 
         Values below 2 are not prime; a value above the limit raises
-        RangeError. An array is read in one gather, so a caller bounds its
+        RangeError. The array is read in one gather, so a caller bounds its
         temporaries by the length it passes.
         """
-        if np.ndim(n) == 0:
-            n = int(n)
-            self._check(n)
-            return n >= 2 and bool((int(self.words[n >> 6]) >> (n & 63)) & 1)
-        ns = np.maximum(np.asarray(n, dtype=np.int64), 0)  # bits 0 and 1 are clear
+        ns = np.maximum(ns, 0)  # bits 0 and 1 are clear
         self._check(int(ns.max(initial=0)))
         return ((self.words.view(np.uint8)[ns >> 3] >> (ns & 7)) & 1).astype(bool)
 
     @cached_property
     def flags(self) -> np.ndarray:
         """Unpacked boolean view of the bitset, index = integer."""
-        # np.asarray: unpacked from a mapped file's np.memmap, the view would be
-        # a memmap too, whose Python-level hooks slow every later slice of it
-        bits = np.unpackbits(
-            np.asarray(self.words).view(np.uint8), count=self.limit + 1, bitorder="little"
-        )
+        bits = np.unpackbits(self.words.view(np.uint8), count=self.limit + 1, bitorder="little")
         return bits.view(np.bool_)
 
     @cached_property
@@ -205,23 +196,23 @@ def prime_count(cache: SieveCache, x) -> int:
     return len(primes_in(cache, 0, x))
 
 
-def primes_in_class(cache: SieveCache, x, m: int, a: int) -> np.ndarray:
-    """Primes p <= x with p = a (mod m), ascending, int64. x may be non-integral.
+def primes_in_class(cache: SieveCache, x: int, m: int) -> np.ndarray:
+    """Primes p <= x with p = 1 (mod m), ascending, int64.
 
-    Reads every m-th entry of the flags view from a mod m: O(x/m) work, not a
+    Reads every m-th entry of the flags view from 1 mod m: O(x/m) work, not a
     pass over all primes <= x.
     """
     if m < 1:
         raise ArgumentError(f"modulus must be >= 1, got {m}")
     cache._check(x)
-    a0 = a % m
-    stop = max(floor(x) + 1, 0)  # a negative stop would index from the end
+    a0 = 1 % m
+    stop = max(x + 1, 0)  # a negative stop would index from the end
     return a0 + m * np.flatnonzero(cache.flags[a0:stop:m])
 
 
-def recip_prime_sum_ap(cache: SieveCache, x, m: int, a: int) -> float:
-    """Sum of 1/q over primes q <= x with q = a (mod m), exactly rounded."""
-    return fsum((1.0 / primes_in_class(cache, x, m, a)).tolist())
+def recip_prime_sum_ap(cache: SieveCache, x: int, m: int) -> float:
+    """Sum of 1/q over primes q <= x with q = 1 (mod m), exactly rounded."""
+    return fsum((1.0 / primes_in_class(cache, x, m)).tolist())
 
 
 def factorize(n: int, spf: np.ndarray | None = None) -> tuple:
@@ -308,7 +299,8 @@ def load_sieve(path) -> SieveCache:
         nwords = (limit + 1 + 63) >> 6
         if os.fstat(fh.fileno()).st_size < 16 + 8 * nwords:
             raise ArgumentError(f"{path}: truncated sieve file")
-        words = np.memmap(fh, dtype="<u8", mode="r", offset=16, shape=(nwords,))
+        # a plain read-only array over the map: slices of an np.memmap pay Python-level hooks
+        words = np.asarray(np.memmap(fh, dtype="<u8", mode="r", offset=16, shape=(nwords,)))
     return SieveCache(limit=int(limit), words=words)
 
 

@@ -169,10 +169,6 @@ _MAX_ITER = 300
 
 def _bisect(f, lo: float, hi: float) -> float:
     flo, fhi = f(lo), f(hi)
-    if abs(flo) <= _TOL:
-        return lo
-    if abs(fhi) <= _TOL:
-        return hi
     if (flo > 0) == (fhi > 0):
         raise RangeError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     mid = lo

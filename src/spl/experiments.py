@@ -102,7 +102,7 @@ def progression_double_sum(cache, x: int, k: int, theta: Theta) -> float:
     cache._check(x)
     ps = primes_in(cache, *range_bounds_exact(x, k, theta))
     return math.fsum(
-        (1.0 / p) * recip_prime_sum_ap(cache, x, p, 1) ** (k - 1) for p in ps.tolist()
+        (1.0 / p) * recip_prime_sum_ap(cache, x, p) ** (k - 1) for p in ps.tolist()
     )
 
 
@@ -127,7 +127,7 @@ def _prime_shift_multipliers(cache, p: int, h_top: int) -> np.ndarray:
 
     h = 1 occurs only at p = 2 (q = 3): for odd p, p + 1 is even.
     """
-    return (primes_in_class(cache, p * h_top + 1, p, 1) - 1) // p
+    return (primes_in_class(cache, p * h_top + 1, p) - 1) // p
 
 
 def rearrange_h_cap(x: int, theta: Theta) -> int:
@@ -202,11 +202,12 @@ def rearrangement_report(cache, x: int, k: int, theta: Theta) -> ExperimentRecor
 
 def ratio_sieve_limit(k: int, x_grid) -> int:
     """The sieve limit ratio_table needs; a k or x it refuses raises ArgumentError here."""
+    limits = []
     for x in x_grid:
         if x < 1:
             raise ArgumentError(f"ratio needs x >= 1, got {x}")
-        tuple_sieve_limit(x, k)
-    return max(x_grid, default=1)
+        limits.append(tuple_sieve_limit(x, k))
+    return max(limits, default=1)
 
 
 def ratio_table(cache, k: int, theta: Theta, x_grid) -> List[ExperimentRecord]:
@@ -291,7 +292,7 @@ def ap_recip_heuristic_table(cache, x: int, p_list) -> ExperimentRecord:
     raw, derived = {}, {}
     llx = math.log(math.log(x))
     for p in p_list:
-        exact = recip_prime_sum_ap(cache, x, p, 1)
+        exact = recip_prime_sum_ap(cache, x, p)
         window = (llx - math.log(math.log(p))) / p
         crude = llx / p
         raw[f"exact_p{p}"] = exact

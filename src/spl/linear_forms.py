@@ -151,7 +151,8 @@ def sieve_bound_value(y, system: ShiftSystem) -> float:
 def range_bounds_exact(x: int, k: int, theta: Theta):
     """Integer cutoffs (u_int, v_int): p qualifies iff u_int < p <= v_int.
 
-    p <= x^(1/k) iff p^k <= x; p > (x/2)^theta iff 2^num * p^den > x^num.
+    p <= x^(1/k) iff p^k <= x; p > (x/2)^theta iff 2^num * p^den > x^num,
+    that is p^den > x^num // 2^num.
     Both are decided by exact integer comparisons. k is refused from 2^63 on,
     where the int64 powers p^k of the sums would overflow their exponent.
     """
@@ -159,7 +160,7 @@ def range_bounds_exact(x: int, k: int, theta: Theta):
         raise ArgumentError(f"the range p <= x^(1/k) needs k >= 1, got {k}")
     if k >= 2**63:
         raise RangeError(f"the range p <= x^(1/k) needs k < 2^63, got {k}")
-    return floor_root(x**theta.num, theta.den, 2**theta.num), floor_root(x, k)
+    return floor_root(x**theta.num // 2**theta.num, theta.den), floor_root(x, k)
 
 
 def _range_primes(cache, x, k, theta, system) -> np.ndarray:

@@ -207,16 +207,10 @@ def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
     rounding. The two counts are decided separately: a pair on the
     boundary itself counts in both.
     """
-    # in place, so the evaluation holds three float arrays: t (over left), right, margin
-    t = np.log(rs.astype(np.float64))
-    t *= theta.den
-    right = np.log(ns.astype(np.float64))
-    right *= theta.num
-    margin = np.abs(t)
-    margin += np.abs(right)
-    margin *= 1e-13
-    margin += 1e-12
-    t -= right
+    left = theta.den * np.log(rs.astype(np.float64))
+    right = theta.num * np.log(ns.astype(np.float64))
+    margin = 1e-13 * (np.abs(left) + np.abs(right)) + 1e-12
+    t = left - right
     ge = int(np.count_nonzero(t > margin))
     le = int(np.count_nonzero(t < -margin))
     for i in np.flatnonzero(np.abs(t) <= margin).tolist():
@@ -305,13 +299,16 @@ ORACLE_NODE_BUDGET = 10**9  # tuples the oracle may visit before it gives up
 
 
 def tuple_sieve_limit(x: int, k: int) -> int:
-    """The sieve limit the tuple counters need at (x, k).
+    """The sieve limit the tuple counters need at (x, k): x // 2**(k - 1).
 
-    Raises ArgumentError for k < 2 before anything is sized.
+    In a k-tuple of primes with product <= x, each member is at most x over
+    the product of the other k - 1, each >= 2. The oracle reads every prime
+    up to there; the fast route reads less. Raises ArgumentError for k < 2
+    before anything is sized.
     """
     if k < 2:
         raise ArgumentError(f"tuple counters need k >= 2, got {k}")
-    return x
+    return max(x, 0) >> (k - 1)
 
 
 def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
@@ -367,7 +364,7 @@ def _fast_count_for_r(cache, x: int, k: int, theta: Theta, gpf, r: int) -> int:
     n_cap = floor_root(min(r**theta.den, x**theta.num), theta.num)
     # Every member is a prime = 1 (mod r), so each is >= r + 1 and none can
     # exceed n_cap // (r + 1)**(k - 1); below r + 1, no tuple fits and qs is empty.
-    qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r, 1).tolist()
+    qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r).tolist()
     if not qs:
         return 0
     q0 = qs[0]
@@ -404,9 +401,9 @@ def tuple_count_fast(cache, x: int, k: int, theta: Theta) -> int:
     if max(x, 0).bit_length() <= k:  # x < 2^k, as in the oracle
         return 0
     # The gcd of a tuple's shifts is below its smallest member, which is at
-    # most x**(1/k) <= isqrt(x): P+ that far covers every lookup. A list,
-    # as the enumeration reads it one entry at a time; gpf[0] is never read.
-    n = math.isqrt(x)
+    # most x**(1/k): P+ that far covers every lookup. A list, as the
+    # enumeration reads it one entry at a time; gpf[0] is never read.
+    n = floor_root(x, k)
     plan = _GpfPlan(primes_in(cache, 0, math.isqrt(n)), n, n + 1)
     gpf = [0] + _gpf_block(np.arange(1, n + 1), plan).tolist()
     return sum(

@@ -78,6 +78,15 @@ class TestCountCommands:
         assert code == 0
         assert out.strip() == "oracle=3 fast=3"
 
+    def test_tk_sieve_reaches_half_of_x(self, capsys, cache_dir):
+        """At k = 2 no member of a pair with product <= x exceeds x // 2: the sieve stops there."""
+        code, out, err = run(
+            capsys, "count", "tk", "--x", "10000000", "--k", "2", "--theta", "1/4",
+            "--cache-dir", cache_dir,
+        )
+        assert (code, out, err) == (0, "4386\n", "")
+        assert load_sieve(Path(cache_dir) / "sieve.spl").limit == 5000000
+
     def test_both_mismatch_exits_three(self, capsys, cache_dir, monkeypatch):
         import spl.cli as cli_mod
 

@@ -1,5 +1,6 @@
 import ast
-import math
+import bisect
+import mmap
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from spl.errors import ArgumentError, RangeError
 class TestBuildSieve:
     def test_bits_up_to_ten(self):
         c = build_sieve(10)
-        assert [n for n in range(11) if c.is_prime(n)] == [2, 3, 5, 7]
+        assert np.flatnonzero(c.is_prime(np.arange(11))).tolist() == [2, 3, 5, 7]
 
     def test_hundred_has_25_primes(self):
         assert int(build_sieve(100).flags.sum()) == 25
@@ -73,20 +74,18 @@ class TestBuildSieve:
     def test_is_prime_range_checked(self):
         c = build_sieve(50)
         with pytest.raises(RangeError):
-            c.is_prime(51)
+            c.is_prime(np.array([51]))
         with pytest.raises(RangeError):
             c.is_prime(np.array([3, 51, 5]))
 
     def test_is_prime_arrays_in_chunks(self):
-        """An array, a strided view and an empty array read as the ints do; negatives are not prime."""
+        """An array, a strided view and an empty array read as the reference does; negatives are not prime."""
         n = 3000
         c = build_sieve(n)
         ref = reference_flags(n)
         ns = np.arange(-40, n + 1)
         want = [v >= 0 and bool(ref[v]) for v in ns.tolist()]
         assert c.is_prime(ns).tolist() == want
-        assert [c.is_prime(int(v)) for v in ns] == want
-        assert c.is_prime(np.int64(2999)) is True
         assert c.is_prime(np.array([], dtype=np.int64)).tolist() == []
         assert c.is_prime(ns[::-3]).tolist() == want[::-3]
 
@@ -173,34 +172,31 @@ class TestPrimesIn:
 
 class TestPrimesInClass:
     def test_matches_filtered_prime_list(self):
-        sieve = build_sieve(1000)
+        """At every x < 3000 and m <= 60, the class of 1 mod m is the filtered prime list."""
+        sieve = build_sieve(3000)
         primes = sieve.primes
-        for m in range(1, 41):
-            for a in (-7, -1, 0, 1, m - 1, m, m + 3, 2 * m + 1):
-                a0 = a % m
-                for x in (0, 1, 2, a0 - 1, a0, 99.5, 100, 500.999, sieve.limit):
-                    upto = primes[primes <= math.floor(x)]
-                    want = upto[upto % m == a0]
-                    got = primes_in_class(sieve, x, m, a)
-                    assert got.dtype == np.int64
-                    assert got.tolist() == want.tolist(), (x, m, a)
+        for m in range(1, 61):
+            ones = primes[primes % m == 1 % m].tolist()
+            assert primes_in_class(sieve, 3000, m).dtype == np.int64
+            for x in range(-2, 3000):
+                want = ones[: bisect.bisect_right(ones, x)]
+                assert primes_in_class(sieve, x, m).tolist() == want, (x, m)
 
     def test_modulus_beyond_x(self):
         sieve = build_sieve(1000)
-        for m in (51, 997, 10**6):
-            assert primes_in_class(sieve, 50, m, 7).tolist() == [7]
-            assert primes_in_class(sieve, 50, m, 8).tolist() == []
-            assert primes_in_class(sieve, 50, m, -1).tolist() == []
-        assert primes_in_class(sieve, 1000, 1001, 997).tolist() == [997]
+        for m in (50, 51, 997, 10**6):
+            assert primes_in_class(sieve, 50, m).tolist() == []
+        assert primes_in_class(sieve, 1000, 996).tolist() == [997]
+        assert np.array_equal(primes_in_class(sieve, 1000, 1), sieve.primes)
 
     def test_errors(self):
         sieve = build_sieve(100)
         with pytest.raises(RangeError):
-            primes_in_class(sieve, 101, 3, 1)
+            primes_in_class(sieve, 101, 3)
         with pytest.raises(ArgumentError):
-            primes_in_class(sieve, 50, 0, 1)
+            primes_in_class(sieve, 50, 0)
         with pytest.raises(ArgumentError):
-            recip_prime_sum_ap(sieve, 50, 0, 1)
+            recip_prime_sum_ap(sieve, 50, 0)
 
 
 class TestPrimeCount:
@@ -213,25 +209,26 @@ class TestPrimeCount:
         assert prime_count(big_cache, 10**7) == 664579
 
     def test_partition_over_residues(self, cache):
+        """The class of 1 mod m, read from flags, and the other classes, read by is_prime, make pi(x)."""
         x = 10**4
         for m in (1, 2, 3, 4, 5, 12):
-            total = sum(len(primes_in_class(cache, x, m, a)) for a in range(m))
-            assert total == prime_count(cache, x)
+            others = sum(int(cache.is_prime(np.arange(a, x + 1, m)).sum()) for a in range(2, m + 1))
+            assert len(primes_in_class(cache, x, m)) + others == prime_count(cache, x)
 
     def test_ap_examples(self, cache):
-        assert len(primes_in_class(cache, 50, 3, 1)) == 6
-        assert len(primes_in_class(cache, 20, 4, 1)) == 3
-        assert len(primes_in_class(cache, 10, 2, 0)) == 1
+        assert len(primes_in_class(cache, 50, 3)) == 6
+        assert len(primes_in_class(cache, 20, 4)) == 3
+        assert len(primes_in_class(cache, 10, 2)) == 3
 
     def test_ap_zero_modulus(self, cache):
         with pytest.raises(ArgumentError):
-            primes_in_class(cache, 10, 0, 0)
+            primes_in_class(cache, 10, 0)
 
     def test_range_errors(self, cache):
         with pytest.raises(RangeError):
             prime_count(cache, cache.limit + 1)
         with pytest.raises(RangeError):
-            primes_in_class(cache, cache.limit + 1, 3, 1)
+            primes_in_class(cache, cache.limit + 1, 3)
 
 
 class TestFactorize:
@@ -283,10 +280,10 @@ class TestFactorize:
 
 class TestFloorRoot:
     @staticmethod
-    def check(t, e, c=1):
-        n = floor_root(t, e, c)
-        assert n >= 0 and c * (n + 1) ** e > t
-        assert c * n**e <= t or (n == 0 and t < c)
+    def check(t, e):
+        n = floor_root(t, e)
+        assert n >= 0 and (n + 1) ** e > t
+        assert n**e <= t or (n == 0 and t < 1)
         return n
 
     def test_boundaries(self):
@@ -296,55 +293,55 @@ class TestFloorRoot:
                 assert self.check(a**e, e) == a
                 assert self.check(a**e - 1, e) == a - 1
                 assert self.check(a**e + 1, e) == (a + 1 if e == 1 else a)
-                assert self.check(3 * a**e, e, 3) == a
-                assert self.check(3 * a**e - 1, e, 3) == a - 1
         # r^den == n^num: with r = a^num the root of r^den at num is a^den;
-        # with x = 2 b^den, x^num == 2^num (b^num)^den
+        # with x = 2 a^den, x^num // 2^num == (a^num)^den, as range_bounds_exact asks
         for num, den in ((1, 2), (2, 3), (3, 4), (2, 5), (7, 16), (13, 32)):
             for a in (2, 3, 5, 7):
                 r = a**num
                 assert self.check(r**den, num) == a**den
                 assert self.check(r**den - 1, num) == a**den - 1
                 x = 2 * a**den
-                assert self.check(x**num, den, 2**num) == a**num
-                assert self.check(x**num - 1, den, 2**num) == a**num - 1
-        # x = 2^k +- 1, with the scale factors the callers use
+                assert self.check(x**num // 2**num, den) == a**num
+                assert self.check((x**num - 1) // 2**num, den) == a**num - 1
+        # t = 2^k +- 1
         for k in range(1, 200):
             for d in (-1, 0, 1):
                 for e in (1, 2, 3, 4, 7, 12):
-                    for c in (1, 2, 2**5, 3):
-                        self.check(2**k + d, e, c)
+                    self.check(2**k + d, e)
         # past the float range the start is scaled by a power of two
         assert self.check(10**400, 1) == 10**400
         assert self.check(10**4000, 2) == 10**2000
-        assert floor_root(-5, 3) == floor_root(0, 3) == floor_root(1, 3, 2) == 0
+        assert floor_root(-5, 3) == floor_root(0, 3) == 0 < floor_root(1, 3) == 1
         # below 2**e the root is 1, with no power of that size built
         assert floor_root(100, 10**20) == 1
 
-    @pytest.mark.parametrize("e, c", [(0, 1), (-1, 1), (2, 0), (2, -3)])
-    def test_rejects_exponent_or_coefficient_below_one(self, e, c):
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_rejects_exponent_below_one(self, e):
         with pytest.raises(ArgumentError):
-            floor_root(100, e, c)
+            floor_root(100, e)
 
     @given(st.integers(0, 2**2000), st.integers(1, 40), st.integers(1, 2**80))
     @settings(deadline=None, max_examples=300)
     def test_random(self, t, e, c):
-        self.check(t, e, c)
+        self.check(t, e)
+        # c * n**e <= t iff n**e <= t // c: a scaled root is the root of a quotient
+        n = floor_root(t // c, e)
+        assert c * n**e <= t < c * (n + 1) ** e
 
 
 class TestRecipSums:
     def test_examples(self, cache):
-        assert recip_prime_sum_ap(cache, 50, 3, 1) == pytest.approx(0.354953, abs=1e-6)
-        assert recip_prime_sum_ap(cache, 4, 5, 4) == 0.0
-        assert recip_prime_sum_ap(cache, 10, 2, 1) == pytest.approx(1 / 3 + 1 / 5 + 1 / 7, abs=1e-6)
+        assert recip_prime_sum_ap(cache, 50, 3) == pytest.approx(0.354953, abs=1e-6)
+        assert recip_prime_sum_ap(cache, 10, 5) == 0.0
+        assert recip_prime_sum_ap(cache, 10, 2) == pytest.approx(1 / 3 + 1 / 5 + 1 / 7, abs=1e-6)
 
     def test_monotone_in_x(self, cache):
-        vals = [recip_prime_sum_ap(cache, x, 3, 1) for x in range(5, 500, 7)]
+        vals = [recip_prime_sum_ap(cache, x, 3) for x in range(5, 500, 7)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_range_error(self, cache):
         with pytest.raises(RangeError):
-            recip_prime_sum_ap(cache, cache.limit + 1, 3, 1)
+            recip_prime_sum_ap(cache, cache.limit + 1, 3)
 
 
 class TestPersistence:
@@ -416,11 +413,17 @@ class TestPersistence:
 
     def test_load_maps_the_file_read_only(self, tmp_path):
         save_sieve(build_sieve(12345), tmp_path / "sieve.spl")
+        def mapped(a):
+            while isinstance(a, np.ndarray):
+                a = a.base
+            return isinstance(a, mmap.mmap)
+
         words = load_sieve(tmp_path / "sieve.spl").words
-        assert isinstance(words, np.memmap) and not words.flags.writeable
+        # plain arrays over the map: slices of a memmap pay Python-level hooks
+        assert type(words) is np.ndarray and not words.flags.writeable and mapped(words)
         cut = ensure_sieve(1000, tmp_path)  # a view of the map: nothing is copied
-        assert isinstance(cut.words, np.memmap) and len(cut.words) == 1000 // 64 + 1
-        assert type(cut.flags) is np.ndarray  # slices of a memmap pay Python-level hooks
+        assert type(cut.words) is np.ndarray and mapped(cut.words)
+        assert len(cut.words) == 1000 // 64 + 1 and type(cut.flags) is np.ndarray
 
     def test_ensure_sieve_reuses_and_grows(self, tmp_path):
         first = ensure_sieve(1000, tmp_path)

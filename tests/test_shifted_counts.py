@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_count_matches_products, gpf_trial, reference_flags
-from spl.core_primes import SIEVE_CEILING, build_sieve, floor_root, prime_count, primes_in
+from spl.core_primes import SIEVE_CEILING, SieveCache, build_sieve, floor_root, prime_count, primes_in
 from spl import shifted_counts
 from spl.errors import ArgumentError, RangeError
 from spl.experiments import density_table
@@ -28,6 +28,7 @@ from spl.shifted_counts import (
     threshold_test,
     tuple_count_fast,
     tuple_count_oracle,
+    tuple_sieve_limit,
 )
 
 
@@ -241,7 +242,7 @@ class TestTupleCounters:
         for k, den in ((2, 8), (3, 12)):
             th = Theta(1, den)
             head = 3 ** (k - 1)
-            qs = [q for q in range(5, 2**den // head + 1) if cache.is_prime(q)]
+            qs = primes_in(cache, 4, 2**den // head).tolist()
             xs = [head * q + d for q in qs for d in (0, head - 1)]
             # a tuple qualifies whatever the cap, so one count per cap serves every x
             fast = functools.cache(lambda y: tuple_count_fast(cache, y, k, th))
@@ -306,6 +307,36 @@ class TestTupleCounters:
         thetas = [Theta(1, 8), Theta(1, 6), Theta(1, 4), Theta(1, 3)]
         counts = [tuple_count_oracle(cache, 1000, 2, t) for t in thetas]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+class TestTupleSieveReach:
+    """Both tuple routes run on a sieve of exactly tuple_sieve_limit(x, k) = x // 2**(k - 1)."""
+
+    @staticmethod
+    def sieve_of(cache):
+        """A sieve of any limit below cache's, cut from its words as ensure_sieve cuts a file."""
+        return functools.cache(lambda limit: SieveCache(limit, cache.words[: (limit >> 6) + 1]))
+
+    def test_reach_answers_as_a_sieve_covering_x(self, cache):
+        sieve = self.sieve_of(cache)
+        cases = [(x, k) for k in range(2, 7) for x in range(600)]
+        cases += [(x, k) for k in range(2, 13) for x in (2**k, 2**k + 1, 2 ** (k + 1), 3**k)]
+        for x, k in cases:
+            th = Theta(1, 2 * k)
+            reach = sieve(tuple_sieve_limit(x, k))
+            fast = tuple_count_fast(reach, x, k, th)
+            assert fast == tuple_count_fast(cache, x, k, th), (x, k)
+            if x < 3**11:  # the oracle visits too many ordered tuples beyond: 2.4 s at 3^11 and 3^12
+                assert tuple_count_oracle(reach, x, k, th) == fast, (x, k)
+
+    def test_one_below_the_reach_raises(self, cache):
+        sieve = self.sieve_of(cache)
+        for x, k in ((4, 2), (35, 2), (599, 3), (2**12, 12), (3**6, 6)):
+            short = sieve(tuple_sieve_limit(x, k) - 1)
+            with pytest.raises(RangeError):
+                tuple_count_fast(short, x, k, Theta(1, 2 * k))
+            with pytest.raises(RangeError):
+                tuple_count_oracle(short, x, k, Theta(1, 2 * k))
 
 
 @pytest.fixture()
