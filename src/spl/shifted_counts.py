@@ -2,11 +2,11 @@
 
 Single-prime counters threshold P+(p-1) against p^theta or x^theta; the
 k-tuple counter tallies ordered prime tuples (repeats allowed) whose
-shifted gcd has a large prime factor. Two routes are provided for the
-tuple count: a brute-force enumeration over all tuples, and a fast
-enumeration keyed on the large prime r of the gcd. Every qualifying tuple
-is found at exactly one r (the largest prime factor of its gcd is unique),
-so the two routes must agree exactly.
+shifted gcd has a large prime factor. Its two routes, a brute-force one
+over all primes and a fast one keyed on the large prime r of the gcd,
+share one walk over multisets weighted by their orderings. Every
+qualifying tuple is found at exactly one r (the largest prime factor of
+its gcd is unique), so the two routes must agree exactly.
 
 Theta enters only as a reduced fraction, so every threshold has one exact
 answer, the integer power test r**den >= n**num. T and Tc compare logs in
@@ -21,6 +21,7 @@ import math
 import re
 import sys
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,8 +295,33 @@ def smooth_shift_count(cache, x: int, theta: Theta) -> int:
 # k-tuple counters.
 # ---------------------------------------------------------------------------
 
+ORACLE_NODE_BUDGET = 10**9  # multisets (leaves of _walk) the oracle may test before it gives up
 
-ORACLE_NODE_BUDGET = 10**9  # tuples the oracle may visit before it gives up
+
+def _walk(qs: list, k: int, cap: int, leaf) -> None:
+    """Call leaf(prod, g, w) once per multiset of k members of qs with product <= cap.
+
+    qs ascends and members are taken nondecreasing, so a branch stops at the
+    first q with prod * q**(members left) > cap. g is the gcd of the shifts
+    q - 1; w = k! / prod m_i! counts the orderings (m_i the multiplicities),
+    and a member of multiplicity m added at depth d takes w to w(d + 1)/m.
+    Each branch taken ends in a leaf, so leaves bound the work.
+    """
+
+    def extend(start: int, prod: int, g: int, w: int, m: int, depth: int):
+        if depth + 1 == k:  # the last member: every q from qs[start] to cap // prod
+            for i in range(start, bisect_right(qs, cap // prod, start)):
+                q = qs[i]
+                leaf(prod * q, math.gcd(g, q - 1), w * k // (m + 1 if i == start else 1))
+            return
+        for i in range(start, len(qs)):
+            q = qs[i]
+            if prod * q ** (k - depth) > cap:
+                break
+            m_q = m + 1 if i == start else 1
+            extend(i, prod * q, math.gcd(g, q - 1), w * (depth + 1) // m_q, m_q, depth + 1)
+
+    extend(0, 1, 0, 1, 0, 0)
 
 
 def tuple_sieve_limit(x: int, k: int) -> int:
@@ -312,45 +338,32 @@ def tuple_sieve_limit(x: int, k: int) -> int:
 
 
 def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
-    """Products of all qualifying tuples, one entry per tuple.
+    """Products of all qualifying tuples, one entry per ordered tuple.
 
-    Brute-force reference: enumerate every prime tuple with product <= x
-    (depth-first with product pruning) and apply the threshold test to
-    P+(gcd of the shifted entries), which it reads from its own table built
-    by the factorizer, sharing no code with the fast route's `_gpf_block`.
-    Intended for modest x; ORACLE_NODE_BUDGET makes runaway enumerations
-    fail loudly instead of hanging.
+    Brute-force reference: _walk every multiset of primes with product <= x,
+    test P+(gcd of the shifts) from its own factorizer table, sharing no code
+    with the fast route's `_gpf_block`, and list a qualifying product once
+    per ordering. Intended for modest x; ORACLE_NODE_BUDGET makes runaway
+    enumerations fail loudly instead of hanging.
     """
     cache._check(tuple_sieve_limit(x, k))
     if max(x, 0).bit_length() <= k:  # x < 2^k: no k primes have a product below it
         return []
-    min_rest = 2 ** (k - 1)
-    ps = primes_in(cache, 0, x // min_rest).tolist()
-    # As in the fast route: the gcd of the shifts is below the smallest
-    # member, which is at most x**(1/k) <= isqrt(x).
-    spf = build_spf(max(math.isqrt(x), 2))
+    ps = primes_in(cache, 0, x >> (k - 1)).tolist()
+    spf = build_spf(max(math.isqrt(x), 2))  # a gcd lies below x**(1/k), as in the fast route
     gpf = [0, 1] + [factorize(n, spf)[-1][0] for n in range(2, len(spf))]  # P+(1) = 1
     out = []
     budget = ORACLE_NODE_BUDGET
 
-    def visit(prod: int, g: int, depth: int):
+    def leaf(prod: int, g: int, w: int):
         nonlocal budget
-        rest = 2 ** (k - depth - 1)
-        for p in ps:
-            prod_p = prod * p
-            if prod_p * rest > x:
-                break
-            budget -= 1
-            if budget < 0:
-                raise RangeError("tuple enumeration exceeded the node budget")
-            g_p = math.gcd(g, p - 1)
-            if depth + 1 == k:
-                if threshold_test(gpf[g_p], prod_p, theta):
-                    out.append(prod_p)
-            else:
-                visit(prod_p, g_p, depth + 1)
+        budget -= 1
+        if budget < 0:
+            raise RangeError("tuple enumeration exceeded the node budget")
+        if threshold_test(gpf[g], prod, theta):
+            out.extend([prod] * w)
 
-    visit(1, 0, 0)
+    _walk(ps, k, x, leaf)
     return out
 
 
@@ -362,29 +375,15 @@ def tuple_count_oracle(cache, x: int, k: int, theta: Theta) -> int:
 def _fast_count_for_r(cache, x: int, k: int, theta: Theta, gpf, r: int) -> int:
     # The largest n <= x passing the threshold at r: n**num <= r**den.
     n_cap = floor_root(min(r**theta.den, x**theta.num), theta.num)
-    # Every member is a prime = 1 (mod r), so each is >= r + 1 and none can
-    # exceed n_cap // (r + 1)**(k - 1); below r + 1, no tuple fits and qs is empty.
+    # Members are primes = 1 (mod r), each >= r + 1, so none exceeds n_cap // (r + 1)**(k - 1).
     qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r).tolist()
-    if not qs:
-        return 0
-    q0 = qs[0]
     count = 0
 
-    def visit(prod: int, g: int, depth: int):
+    def leaf(prod: int, g: int, w: int):
         nonlocal count
-        rest = q0 ** (k - depth - 1)
-        for q in qs:
-            prod_q = prod * q
-            if prod_q * rest > n_cap:
-                break
-            g_q = math.gcd(g, q - 1)
-            if depth + 1 == k:
-                if gpf[g_q] == r:
-                    count += 1
-            else:
-                visit(prod_q, g_q, depth + 1)
+        count += w if gpf[g] == r else 0
 
-    visit(1, 0, 0)
+    _walk(qs, k, n_cap, leaf)
     return count
 
 
@@ -400,13 +399,10 @@ def tuple_count_fast(cache, x: int, k: int, theta: Theta) -> int:
     cache._check(tuple_sieve_limit(x, k))
     if max(x, 0).bit_length() <= k:  # x < 2^k, as in the oracle
         return 0
-    # The gcd of a tuple's shifts is below its smallest member, which is at
-    # most x**(1/k): P+ that far covers every lookup. A list, as the
-    # enumeration reads it one entry at a time; gpf[0] is never read.
+    # A tuple's shifted gcd is below its smallest member, at most x**(1/k), so P+ that
+    # far covers every lookup; a list, as the walk reads it entry by entry (gpf[0] unread).
     n = floor_root(x, k)
     plan = _GpfPlan(primes_in(cache, 0, math.isqrt(n)), n, n + 1)
     gpf = [0] + _gpf_block(np.arange(1, n + 1), plan).tolist()
-    return sum(
-        _fast_count_for_r(cache, x, k, theta, gpf, r)
-        for r in primes_in(cache, 0, floor_root(x, k)).tolist()
-    )
+    rs = primes_in(cache, 0, n).tolist()
+    return sum(_fast_count_for_r(cache, x, k, theta, gpf, r) for r in rs)

@@ -86,7 +86,9 @@ def _scan(g: int, ell: int, z: int, *, moments: bool = True):
     it is refused past MOMENT_CEILING entries (80 MB) before any is made. A
     query with no tuple, g > z - 2, is answered with zero bins at once.
     Past float64 a factor, sum or moment turns inf or nan, and a nan passes
-    no comparison, so such a query raises RangeError. The Hoelder bound is a
+    no comparison, so such a query raises RangeError. Every term is
+    positive, so a sum or moment row of a query with tuples that comes out
+    0.0 has underflowed, and raises RangeError too. The Hoelder bound is a
     product of G G-th roots of the G moments, so it stays finite with them.
     A Hoelder query whose L = 2^(G * ell) has more decimal digits than
     Python converts to a string is refused too; its moments overflow unless
@@ -114,11 +116,13 @@ def _scan(g: int, ell: int, z: int, *, moments: bool = True):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 bins = _scan_grid(g, ell, z, moments=moments)
-                finite = all(np.isfinite(np.sum(b, axis=-1)).all() for b in bins)
+                sums = np.hstack([np.sum(b, axis=-1) for b in bins])
         except OverflowError:  # a Python float power past float64
-            finite = False
-        if not finite:
+            sums = np.array([np.inf])
+        if not np.isfinite(sums).all():
             raise RangeError(f"(g={g}, ell={ell}, z={z}): the sum or a moment overflows float64")
+        if not sums.all():
+            raise RangeError(f"(g={g}, ell={ell}, z={z}): the sum or a moment underflows float64 to 0")
     digits = sys.get_int_max_str_digits()
     if moments and digits and G * ell >= (10**digits).bit_length():
         raise RangeError(f"(g={g}, ell={ell}, z={z}): L = 2^(G * ell) has more than {digits} digits")

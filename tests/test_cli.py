@@ -202,6 +202,12 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: (g=") and "overflows float64" in err
 
+    def test_wsum_float_underflow_exit_code(self, capsys):
+        """301 tuples, every term positive, a sum near 1e-600: refused, not printed as 0."""
+        code, out, err = run(capsys, "wsum", "--g", "300", "--ell", "1", "--z", "303")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: (g=300") and "underflows float64" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv, line",
         [

@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,32 @@ def gpf_block(ns, small):
     """_gpf_block over ns alone, with a plan made for that one block from the primes `small`."""
     lo, hi = int(ns[0]), int(ns[-1]) + 1
     return _gpf_block(ns, _GpfPlan(small, hi - lo, hi))
+
+
+def ordered_products(x: int, k: int, theta: Theta) -> list:
+    """Products of the qualifying ordered k-tuples of primes with product <= x, one per tuple.
+
+    The reference for both tuple routes, sharing no code with them: each
+    ordering is walked on its own over a plain byte sieve, and P+ of the
+    shifted gcd comes from trial division.
+    """
+    flags = reference_flags(x)
+    ps = [p for p in range(2, x // 2 ** (k - 1) + 1) if flags[p]]
+    out = []
+
+    def visit(prod: int, g: int, depth: int):
+        rest = 2 ** (k - depth - 1)
+        for p in ps:
+            if prod * p * rest > x:
+                break
+            g_p = math.gcd(g, p - 1)
+            if depth + 1 < k:
+                visit(prod * p, g_p, depth + 1)
+            elif gpf_trial(g_p) ** theta.den >= (prod * p) ** theta.num:
+                out.append(prod * p)
+
+    visit(1, 0, 0)
+    return out
 
 
 def shift_gpfs(c, x):
@@ -271,34 +298,28 @@ class TestTupleCounters:
             tracemalloc.stop()
         assert peak < 2 * 10**6
 
-    def test_permutation_orbit(self, cache):
-        """Ordered count equals the multiset enumeration weighted by orbit size."""
-        x, k, th = 400, 3, Theta(1, 8)
-        flags = reference_flags(x)
-        ps = [p for p in range(2, x // 4 + 1) if flags[p]]
-        total = 0
+    def test_routes_match_the_ordered_walk(self, cache):
+        """Both routes against every ordered tuple walked on its own, at every x <= 3000."""
+        for k in (2, 3, 4):
+            for fr in (Fraction(1, 2 * k), Fraction(17, 32 * k) - Fraction(1, 100)):
+                th = theta_from_fraction(fr)
+                products = ordered_products(3000, k, th)
+                assert products
+                assert sorted(oracle_qualifying_products(cache, 3000, k, th)) == sorted(products)
+                for route in (tuple_count_oracle, tuple_count_fast):
+                    assert_count_matches_products(lambda y: route(cache, y, k, th), products, 3000)
 
-        def visit(start, prod, chosen):
-            nonlocal total
-            if len(chosen) == k:
-                g = chosen[0] - 1
-                for c in chosen[1:]:
-                    g = math.gcd(g, c - 1)
-                if threshold_test(gpf_trial(g), prod, th):
-                    # orbit size: k! / prod(multiplicities!)
-                    orbit = math.factorial(k)
-                    for v in set(chosen):
-                        orbit //= math.factorial(chosen.count(v))
-                    total += orbit
-                return
-            for i in range(start, len(ps)):
-                q = ps[i]
-                if prod * q * 2 ** (k - len(chosen) - 1) > x:
-                    break
-                visit(i, prod * q, chosen + [q])
+    def test_repeated_members_weigh_their_orderings(self, cache):
+        """At k = 3, (3, 3, q) stands for three ordered tuples and (q, q, q) for one."""
+        counts = Counter(oracle_qualifying_products(cache, 4096, 3, Theta(1, 12)))
+        qs = primes_in(cache, 3, 4096 // 9).tolist()  # P+(gcd) = 2 and 2^12 >= 9 q
+        assert qs and [counts[9 * q] for q in qs] == [3] * len(qs)
+        assert [counts[q**3] for q in (3, 5, 7, 11, 13)] == [1] * 5
 
-        visit(0, 1, [])
-        assert total == tuple_count_oracle(cache, x, k, th)
+    def test_node_budget_counts_multisets(self, cache, monkeypatch):
+        """3^12 at k = 12 is a few hundred multisets; an ordered walk there visits 3949036 nodes."""
+        monkeypatch.setattr(shifted_counts, "ORACLE_NODE_BUDGET", 10**4)
+        assert tuple_count_oracle(cache, 3**12, 12, Theta(1, 24)) == 1
 
     def test_monotonicity(self, cache):
         th = Theta(1, 4)
@@ -326,8 +347,7 @@ class TestTupleSieveReach:
             reach = sieve(tuple_sieve_limit(x, k))
             fast = tuple_count_fast(reach, x, k, th)
             assert fast == tuple_count_fast(cache, x, k, th), (x, k)
-            if x < 3**11:  # the oracle visits too many ordered tuples beyond: 2.4 s at 3^11 and 3^12
-                assert tuple_count_oracle(reach, x, k, th) == fast, (x, k)
+            assert tuple_count_oracle(reach, x, k, th) == fast, (x, k)
 
     def test_one_below_the_reach_raises(self, cache):
         sieve = self.sieve_of(cache)

@@ -99,6 +99,16 @@ class TestWSum:
         with pytest.raises(RangeError, match=f"g={g}, ell={ell}, z={z}"):
             entry(g, ell, z)
 
+    def test_float_underflow_refused(self, monkeypatch):
+        """A sum or moment row over tuples that comes out 0.0 has underflowed: every term is positive."""
+        with pytest.raises(RangeError, match=r"g=200, ell=1, z=203\): .* underflows float64"):
+            weighted_tuple_sum(200, 1, 203)  # about 1e-376
+        w_bins, aj_bins, ars_bins = weighted_sums._scan_grid(2, 1, 10)
+        assert w_bins.sum() > 0 and aj_bins.sum(axis=1).all() and ars_bins.sum(axis=1).all()
+        monkeypatch.setattr(weighted_sums, "_scan_grid", lambda *_, **__: (w_bins, aj_bins, 0 * ars_bins))
+        with pytest.raises(RangeError, match="underflows float64"):
+            holder_verify(2, 1, 10)
+
     def test_grid_matches_pointwise(self):
         grid = weighted_tuple_sum_grid(2, 2, 60)
         for z in (2, 3, 10, 37, 60):
