@@ -12,6 +12,10 @@ import errno
 import os
 import sys
 
+# Set before the first package import, which loads numpy: spl's BLAS calls are small, and
+# starting OpenBLAS's thread pool costs each command ~70-100 ms of CPU. A caller's value stays.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import dickman, experiments, weighted_sums
 from .core_primes import ensure_sieve
 from .errors import ArgumentError, RangeError, VerificationError

@@ -595,6 +595,56 @@ class TestUsage:
         assert proc.stdout.strip() == "1"
 
 
+# Prints, for a fresh interpreter after `import spl.cli`: its thread count, the OpenBLAS pool
+# size left in its environment, and the top-level modules outside the standard library that
+# the import loaded (those the interpreter's own start-up loads are not counted).
+_IMPORT_PROBE = """
+import os, sys
+before = set(sys.modules)
+import spl.cli
+added = {m.split(".")[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names)
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"], *sorted(added))
+"""
+
+# commands whose reals pass through numpy's BLAS calls (np.dot, matmul, einsum)
+POOL_SIZE_COMMANDS = ["dickman theta1", "dickman density --theta 1/2", "wsum --g 2 --ell 1 --z 100 --holder"]
+
+
+class TestFreshProcess:
+    """What a fresh `spl` process gets, which the in-process tests (numpy already loaded) cannot see."""
+
+    @staticmethod
+    def _probe(env) -> list:
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    def test_import_starts_one_thread_and_loads_only_numpy(self):
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        threads, pool, *added = self._probe(env)
+        assert (threads, pool) == ("1", "1")
+        assert added == ["numpy", "spl"]  # numpy is the only runtime dependency
+        # a pool size the caller set is kept
+        assert self._probe({**child_env(), "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", POOL_SIZE_COMMANDS)
+    def test_golden_bytes_at_any_pool_size(self, cache_dir, command, threads):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spl.cli", *command.split(), "--cache-dir", cache_dir],
+            capture_output=True,
+            text=True,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == {**DICKMAN_GOLDEN, **README_GOLDEN}[command]
+
+
 class TestFlags:
     def test_benchmark_commands_parse(self, cache_dir):
         """Each command the benchmark runs, with the --cache-dir it appends."""
