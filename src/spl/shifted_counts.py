@@ -354,14 +354,13 @@ def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
     gpf = [0, 1] + [factorize(n, spf)[-1][0] for n in range(2, len(spf))]  # P+(1) = 1
     out = []
     budget = ORACLE_NODE_BUDGET
-    num, den = theta.num, theta.den
 
     def leaf(prod: int, g: int, w: int):
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise RangeError("tuple enumeration exceeded the node budget")
-        if gpf[g] ** den >= prod**num:  # threshold_test(gpf[g], prod, theta), inlined per leaf
+        if threshold_test(gpf[g], prod, theta):
             out.extend([prod] * w)
 
     _walk(ps, k, x, leaf)

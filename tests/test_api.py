@@ -20,9 +20,8 @@ from spl import cli, errors, weighted_sums
 MODULES = [importlib.import_module(f"spl.{m.name}") for m in pkgutil.iter_modules(spl.__path__)]
 WITH_ALL = [mod for mod in MODULES if hasattr(mod, "__all__")]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# the paper's sieve majorant, kept to be reported beside M(t) (ROADMAP item 9); and the exact
-# threshold r >= n**theta, the public form of the test the oracle's leaf writes out inline
-NO_CALLER_YET = {"spl.linear_forms.sieve_bound_value", "spl.shifted_counts.threshold_test"}
+# the paper's sieve majorant, kept to be reported beside M(t) (ROADMAP item 9)
+NO_CALLER_YET = {"spl.linear_forms.sieve_bound_value"}
 
 
 def test_modules_with_all():

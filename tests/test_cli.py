@@ -607,11 +607,18 @@ print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"], *s
 """
 
 # commands whose reals pass through numpy's BLAS calls (np.dot, matmul, einsum)
-POOL_SIZE_COMMANDS = ["dickman theta1", "dickman density --theta 1/2", "wsum --g 2 --ell 1 --z 100 --holder"]
+BLAS_COMMANDS = ["dickman theta1", "dickman density --theta 1/2", "wsum --g 2 --ell 1 --z 100 --holder"]
 
 
 class TestFreshProcess:
     """What a fresh `spl` process gets, which the in-process tests (numpy already loaded) cannot see."""
+
+    @staticmethod
+    def _unpinned_env() -> dict:
+        """child_env() without OPENBLAS_NUM_THREADS, so the child gets the pin spl.cli sets."""
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        return env
 
     @staticmethod
     def _probe(env) -> list:
@@ -623,22 +630,19 @@ class TestFreshProcess:
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
     def test_import_starts_one_thread_and_loads_only_numpy(self):
-        env = child_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        threads, pool, *added = self._probe(env)
+        threads, pool, *added = self._probe(self._unpinned_env())
         assert (threads, pool) == ("1", "1")
         assert added == ["numpy", "spl"]  # numpy is the only runtime dependency
         # a pool size the caller set is kept
         assert self._probe({**child_env(), "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("command", POOL_SIZE_COMMANDS)
-    def test_golden_bytes_at_any_pool_size(self, cache_dir, command, threads):
+    @pytest.mark.parametrize("command", BLAS_COMMANDS)
+    def test_golden_bytes_with_the_pin_the_cli_sets(self, cache_dir, command):
         proc = subprocess.run(
             [sys.executable, "-m", "spl.cli", *command.split(), "--cache-dir", cache_dir],
             capture_output=True,
             text=True,
-            env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+            env=self._unpinned_env(),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
