@@ -1,9 +1,11 @@
 """Prime tables and prime-indexed summation primitives.
 
 Everything here is plain multiplicative-number-theory plumbing: a packed
-primality bitset built by a segmented sieve, a smallest-prime-factor table,
-the one factorizer `factorize`, the primes in the progressions 1 mod m,
-and exactly rounded reciprocal sums over them.
+primality bitset built by a segmented sieve, the one small-prime wheel
+pattern (it presieves the bitset and seeds the greatest-prime-factor
+blocks of `shifted_counts`), a smallest-prime-factor table, the one
+factorizer `factorize`, the primes in the progressions 1 mod m, and
+exactly rounded reciprocal sums over them.
 All tables are immutable after construction. Only this module reads the
 storage behind a sieve, by three reads: `SieveCache.is_prime` (the packed
 words), `primes_in` (the `primes` view) and `primes_in_class` (the `flags`
@@ -16,7 +18,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from math import fsum, isqrt, log2, log10
 from pathlib import Path
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 _BUILD_SEGMENT_BITS = 1 << 20  # multiple of 64 so build segments pack on word boundaries
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = 3**2 * 5 * 7 * 11 * 13  # 45045, the period of the small-prime pattern `_wheel`
 SIEVE_CEILING = 2**40  # largest sieve limit build_sieve accepts
 SPF_CEILING = 10**7  # largest spf limit build_spf accepts (4 bytes/entry)
 
@@ -115,6 +119,41 @@ def _simple_bool_sieve(limit: int) -> np.ndarray:
     return flags
 
 
+@cache
+def _wheel() -> tuple:
+    """(smooth, top) over one period, n = 0 .. _WHEEL - 1, read-only and built once.
+
+    smooth[n] = gcd(n, _WHEEL), the product of the wheel's capped prime
+    powers (3**2, 5, 7, 11, 13) that divide n, and top[n] is the largest
+    wheel prime dividing n, or 1. Both segmented loops (`build_sieve` and
+    `shifted_counts._gpf_block`) copy their blocks from it through `_tile`.
+    """
+    smooth = np.ones(_WHEEL, dtype=np.uint16)
+    top = np.ones(_WHEEL, dtype=np.uint8)
+    for q in _WHEEL_PRIMES:  # ascending, so the largest prime dividing n writes `top` last
+        top[::q] = q
+        qe = q
+        while _WHEEL % qe == 0:
+            part = smooth[::qe]
+            part *= q
+            qe *= q
+    smooth.setflags(write=False)
+    top.setflags(write=False)
+    return smooth, top
+
+
+def _tile(pattern: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """out[i] = pattern[(lo + i) % len(pattern)], copied as wrapped slices of one period."""
+    period = len(pattern)
+    start = lo % period
+    done = min(period - start, len(out))
+    out[:done] = pattern[start : start + done]
+    while done < len(out):
+        step = min(period, len(out) - done)
+        out[done : done + step] = pattern[:step]
+        done += step
+
+
 def _expand(cnt: np.ndarray) -> tuple:
     """(owner, rank) over groups of cnt[k] entries: entry i is number rank[i], from 0, of group owner[i]."""
     owner = np.repeat(np.arange(len(cnt)), cnt)
@@ -132,10 +171,16 @@ def _check_sieve_limit(limit: int) -> None:
 
 
 def build_sieve(limit: int) -> SieveCache:
-    """Segmented sieve of Eratosthenes into a packed bitset.
+    """Segmented sieve of Eratosthenes into a packed bitset, presieved by the wheel.
 
-    Peak working memory beyond the output words is O(sqrt(limit)): one
-    base sieve up to sqrt(limit) plus one fixed-size segment buffer.
+    Each segment starts as a copy of the integers prime to the wheel primes
+    3, 5, 7, 11 and 13 (`_wheel`'s smooth == 1), and 2 takes no write in it:
+    its multiples are the even bits, cleared from the packed bytes. So only
+    the base primes from 17 up to sqrt(limit) are strided writes. Multiples
+    of a wheel prime and of 2 are composite at any limit, so the presieve is
+    exact below 13**2 too, once the first segment's primes 2 .. 13 are set.
+    Peak working memory beyond the output words is O(sqrt(limit)): one base
+    sieve up to sqrt(limit), one wheel period and one segment buffer.
     """
     _check_sieve_limit(limit)
     nbits = limit + 1
@@ -144,13 +189,18 @@ def build_sieve(limit: int) -> SieveCache:
     byte_view = words.view(np.uint8)
 
     root = isqrt(limit)
-    base_primes = [int(p) for p in np.flatnonzero(_simple_bool_sieve(max(root, 2)))]
+    base_primes = np.flatnonzero(_simple_bool_sieve(max(root, 2)))
+    base_primes = base_primes[base_primes > _WHEEL_PRIMES[-1]].tolist()
+    head = _simple_bool_sieve(_WHEEL_PRIMES[-1])  # 0 .. 13, where the wheel primes are prime
+    coprime = _wheel()[0] == 1
+    buffer = np.empty(min(_BUILD_SEGMENT_BITS, nbits), dtype=bool)
 
     for lo in range(0, nbits, _BUILD_SEGMENT_BITS):
         hi = min(lo + _BUILD_SEGMENT_BITS, nbits)
-        seg = np.ones(hi - lo, dtype=bool)
+        seg = buffer[: hi - lo]
+        _tile(coprime, lo, seg)
         if lo == 0:
-            seg[:2] = False
+            seg[: len(head)] = head[: len(seg)]
         for p in base_primes:
             start = p * p
             if start >= hi:
@@ -159,6 +209,9 @@ def build_sieve(limit: int) -> SieveCache:
                 start = lo + (-lo) % p
             seg[start - lo :: p] = False
         packed = np.packbits(seg, bitorder="little")
+        packed &= 0xAA  # segments start at even n: bits 1, 3, 5, 7 of a byte are its odd n
+        if lo == 0:
+            packed[0] |= 1 << 2  # 2 is prime
         byte_view[lo >> 3 : (lo >> 3) + len(packed)] = packed
 
     return SieveCache(limit=limit, words=words)

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_primes import _expand, build_spf, factorize, floor_root, primes_in, primes_in_class
+from .core_primes import (
+    _WHEEL, _expand, _tile, _wheel, build_spf, factorize, floor_root, primes_in, primes_in_class,
+)
 from .errors import ArgumentError, RangeError
 
 __all__ = [
@@ -102,21 +104,28 @@ _COUNTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 class _GpfPlan:
     """What _gpf_block reuses across a pass of blocks of at most `size` integers below `end`.
 
-    `small` holds the primes up to at least isqrt(end - 1), ascending; those
-    up to isqrt(end - 1) are used. A prime q <= isqrt(size) is dense: it and
-    its powers shorter than a block are strided writes. Every other power
-    q^e < end has at most ceil(size / q^e) multiples in a block, at offsets
-    k * q^e from its first: those offsets are listed once here, so a block
-    places them all with one repeat of each power's first multiple and one
-    add, and applies them with one maximum.at on `top` and one multiply.at
-    on `smooth` (which, unlike a fancy-indexed update, applies two entries
-    that hit the same n). Positions past the block land on its spare slot,
-    the entry after its last. `top` and `smooth` are allocated once, with
-    that slot.
+    `small` holds the primes up to at least isqrt(end - 1), ascending; the
+    odd ones up to isqrt(end - 1) are used. Two kinds of power take no
+    write: those of 2, as _gpf_block reads the 2-part of n at n alone, and
+    the wheel's capped powers 3**2, 5, 7, 11, 13 (those dividing 45045),
+    which the wheel pattern (`core_primes._wheel`, one period shared by
+    every plan) gives each block with its `top`. Of the other powers
+    q^e < end, those of a prime q <= isqrt(size) shorter than a block are
+    dense, strided writes (27 and 25 among them), as is each such q's `top`
+    write when q is off the wheel. Every other power has at most
+    ceil(size / q^e) multiples in a block, at offsets k * q^e from its
+    first: those offsets are listed once here, so a block places them all
+    with one repeat of each power's first multiple and one add, and applies
+    them with one maximum.at on `top` and one multiply.at on `smooth`
+    (which, unlike a fancy-indexed update, applies two entries that hit the
+    same n). Positions past the block land on its spare slot, the entry
+    after its last. `top` and `smooth` are allocated once, with that slot,
+    so a plan holds one block beside the shared period. `smooth` is int32
+    when end <= 2**31 and int64 beyond: each entry read divides its n < end.
     """
 
     def __init__(self, small: np.ndarray, size: int, end: int):
-        qs = small[: np.searchsorted(small, math.isqrt(end - 1), side="right")]
+        qs = small[(small > 2) & (small <= math.isqrt(end - 1))]
         # every power q^e < end, level by level in e
         base = qe = qs
         bases, powers = [base], [qe]
@@ -127,20 +136,22 @@ class _GpfPlan:
             bases.append(base)
             powers.append(qe)
         base, qe = np.concatenate(bases), np.concatenate(powers)
+        off_wheel = _WHEEL % qe != 0  # the wheel pattern holds every q^e dividing 45045
+        base, qe = base[off_wheel], qe[off_wheel]
         dense = (base <= math.isqrt(size)) & (qe < size)
-        self.dense = [
-            (q, qe[dense & (base == q)].tolist())
-            for q in qs[: np.searchsorted(qs, math.isqrt(size), side="right")].tolist()
-        ]
+        self.tops = qs[(qs <= math.isqrt(size)) & (_WHEEL % qs != 0)].tolist()  # ascending
+        self.dense = list(zip(base[dense].tolist(), qe[dense].tolist()))
         self.powers = qe[~dense]
         self.reps = -(-size // self.powers)  # ceil(size / q^e) multiples at most
         # k * q^e for k < reps, power by power: offsets from each power's first multiple
         owner, rank = _expand(self.reps)
         self.step = rank * self.powers[owner]
-        self.base = base[~dense][owner]
-        self.base32 = self.base.astype(np.int32)
+        width = np.int32 if end <= 2**31 else np.int64  # smooth[n] divides n < end
+        self.base_top = base[~dense][owner].astype(np.int32)
+        self.base_smooth = self.base_top.astype(width, copy=False)
+        self.wheel_smooth, self.wheel_top = _wheel()
         self.top = np.empty(size + 1, dtype=np.int32)
-        self.smooth = np.empty(size + 1, dtype=np.int64)
+        self.smooth = np.empty(size + 1, dtype=width)
 
 
 def _gpf_block(ns: np.ndarray, plan: _GpfPlan) -> np.ndarray:
@@ -148,33 +159,40 @@ def _gpf_block(ns: np.ndarray, plan: _GpfPlan) -> np.ndarray:
 
     The block is lo <= n < hi with lo = ns[0], hi = ns[-1] + 1, and `plan`
     is its pass's _GpfPlan (its size at least hi - lo, its end at least hi,
-    so it holds the primes up to isqrt(hi - 1)). Each such prime q puts
+    so it holds the primes up to isqrt(hi - 1)). `top` and `smooth` start as
+    the wheel pattern's copy: the largest wheel prime dividing n, and
+    gcd(n, 45045). Each odd prime q <= isqrt(hi - 1) off the wheel puts
     itself at its multiples in `top`, which keeps the largest, and `smooth`
-    is multiplied by q at the multiples of every power q^e < hi, leaving in
-    it the part of n made of those primes. The cofactor n // smooth, taken
-    only at ns, has no prime factor <= isqrt(n), so it is 1 or the prime
-    P+(n). No value read exceeds n, so nothing read overflows (the spare
-    slot of `smooth` may wrap, and is never read); q <= isqrt(hi) < 2**31
-    below SIEVE_CEILING, so `top` fits int32.
+    is multiplied by q at the multiples of every power q^e < hi not already
+    in the pattern. So `smooth` holds the odd part of n made of the primes
+    up to isqrt(hi - 1) and of the wheel primes (a wheel prime above it has
+    q**2 > n, so its capped power is its whole part), and n & -n is the
+    2-part. The cofactor n // (smooth * (n & -n)), taken only at ns, has no
+    prime factor <= isqrt(n), so it is 1, or the prime P+(n); when it is 1,
+    P+(n) is the larger of `top` and 2 for even n. No value read exceeds
+    n, as each is a divisor of n, so nothing read overflows: `smooth`, int32
+    up to a plan end of 2**31 and int64 beyond, holds every n < end (its
+    spare slot may wrap, and is never read); q <= isqrt(hi) < 2**31 below
+    SIEVE_CEILING, so `top` fits int32.
     """
     lo, hi = int(ns[0]), int(ns[-1]) + 1
     size = hi - lo
     top, smooth = plan.top[: size + 1], plan.smooth[: size + 1]
-    top.fill(1)
-    smooth.fill(1)
-    for q, qes in plan.dense:  # ascending, so the largest q wins in `top`
+    _tile(plan.wheel_top, lo, top[:size])
+    _tile(plan.wheel_smooth, lo, smooth[:size])
+    for q in plan.tops:  # ascending, and each above the wheel's, so the largest q wins
         top[-lo % q : size : q] = q
-        for qe in qes:
-            part = smooth[-lo % qe : size : qe]
-            part *= q  # on the view: `smooth[...] *= q` would also copy it back
+    for q, qe in plan.dense:
+        part = smooth[-lo % qe : size : qe]
+        part *= q  # on the view: `smooth[...] *= q` would also copy it back
     pos = np.repeat(-lo % plan.powers, plan.reps)
     pos += plan.step
     np.minimum(pos, size, out=pos)
-    np.maximum.at(top, pos, plan.base32)
-    np.multiply.at(smooth, pos, plan.base)
+    np.maximum.at(top, pos, plan.base_top)
+    np.multiply.at(smooth, pos, plan.base_smooth)
     at = ns - lo
-    cof = ns // smooth[at]
-    return np.where(cof > 1, cof, top[at])
+    cof = ns // (smooth[at] * (ns & -ns))
+    return np.where(cof > 1, cof, np.maximum(top[at], 2 - (ns & 1)))
 
 
 def _shift_gpf_blocks(cache, x: int):

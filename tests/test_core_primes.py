@@ -3,6 +3,7 @@ import bisect
 import mmap
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,13 @@ from spl.core_primes import (
     save_sieve,
 )
 from spl.errors import ArgumentError, RangeError
+
+
+def reference_words(n: int) -> np.ndarray:
+    """The reference sieve to n as build_sieve packs it: bit n of little-endian uint64 words."""
+    bits = np.frombuffer(bytes(reference_flags(n)), dtype=np.uint8)
+    packed = np.packbits(bits, bitorder="little")
+    return np.pad(packed, (0, -len(packed) % 8)).view("<u8")
 
 
 class TestBuildSieve:
@@ -70,6 +78,37 @@ class TestBuildSieve:
             assert np.array_equal(c.words, default[n])
             ref = np.frombuffer(bytes(reference_flags(n)), dtype=np.uint8).astype(bool)
             assert np.array_equal(c.flags, ref)
+
+    def test_presieved_words_match_the_reference_at_every_small_limit(self):
+        """Limits 2 .. 400, below and past 13**2: the wheel primes and 2 stay prime, 1 and 0 do not."""
+        for limit in range(2, 401):
+            c = build_sieve(limit)
+            assert np.array_equal(c.words, reference_words(limit)), limit
+            small = [q for q in (2, 3, 5, 7, 11, 13) if q <= limit]
+            assert c.is_prime(np.array(small)).all() and not c.is_prime(np.array([0, 1])).any()
+
+    def test_presieved_words_at_the_wheel_period(self):
+        """Limits at k periods of the wheel and one either side, in one segment and across two."""
+        period = core_primes._WHEEL
+        for k in (1, 2, 3, 24):  # 24 periods pass the first build segment
+            for limit in (k * period - 1, k * period, k * period + 1):
+                assert np.array_equal(build_sieve(limit).words, reference_words(limit)), limit
+
+    def test_build_holds_one_period_and_one_segment(self):
+        """Beyond its words, a build holds the wheel's period and one segment, never a tiled copy."""
+        seg = core_primes._BUILD_SEGMENT_BITS
+        limit = 3 * seg + 12345
+        core_primes._wheel()  # built once per process, outside the measured build
+        tracemalloc.start()
+        try:
+            build_sieve(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        words = 8 * ((limit + 64) >> 6)
+        # one bool segment, two segments' packed bytes (the last is held while the next
+        # is packed) and the bool period, plus 64 kB for the rest
+        assert peak - words < seg + 2 * (seg // 8) + core_primes._WHEEL + (64 << 10)
 
     def test_is_prime_range_checked(self):
         c = build_sieve(50)

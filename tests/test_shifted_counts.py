@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_count_matches_products, gpf_trial, reference_flags
-from spl.core_primes import SIEVE_CEILING, SieveCache, build_sieve, floor_root, prime_count, primes_in
+from spl.core_primes import (
+    _WHEEL, SIEVE_CEILING, SieveCache, _wheel, build_sieve, floor_root, prime_count, primes_in,
+)
 from spl import shifted_counts
 from spl.errors import ArgumentError, RangeError
 from spl.experiments import density_table
@@ -560,6 +562,54 @@ class TestGpfBlock:
             np.arange(q * q - 8, q * q + 9),
         ):
             assert gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
+
+    def test_blocks_at_the_wheel_seams(self):
+        """Blocks from lo = 0, 1 and -1 mod the wheel's period, and across it, through one shared plan."""
+        small = primes_in(build_sieve(1000), 0, 1000)
+        size = 300
+        plan = _GpfPlan(small, size, 6 * _WHEEL)
+        los = [k * _WHEEL + d for k in (1, 2, 5) for d in (0, 1, -1, -size // 2)]
+        for lo in los:
+            ns = np.arange(lo, lo + size)
+            want = [gpf_trial(n) for n in ns.tolist()]
+            assert _gpf_block(ns, plan).tolist() == want, lo
+            assert gpf_block(ns, small).tolist() == want, lo  # a plan of this block alone
+        # one block spanning two seams, read sparsely as the pass reads it
+        ns = np.arange(_WHEEL - 50, 2 * _WHEEL + 50, 97)
+        assert gpf_block(ns, small).tolist() == [gpf_trial(n) for n in ns.tolist()]
+
+    @pytest.mark.parametrize("hi", [2**31 - 1, 2**31, 2**31 + 1])
+    def test_smooth_width_at_two_to_the_31(self, hi):
+        """A plan ending at 2**31 keeps `smooth` in int32, one past it in int64, both exact."""
+        small = primes_in(build_sieve(math.isqrt(hi) + 1), 0, math.isqrt(hi))
+        ns = np.arange(hi - 48, hi)
+        plan = _GpfPlan(small, len(ns), hi)
+        assert plan.smooth.dtype == (np.int32 if hi <= 2**31 else np.int64)
+        assert _gpf_block(ns, plan).tolist() == [gpf_trial(n) for n in ns.tolist()]
+
+    def test_single_n_of_high_wheel_and_two_powers(self):
+        """Powers past the wheel's caps, and large 2-parts, up to 2**38, each n a block of its own."""
+        small = primes_in(build_sieve(2**19 + 1), 0, 2**19 + 1)
+        ns = [2**38, 2**36 * 3, 3**23, 5**16, 7**13, 11**10, 13**10, 2**13 * 3**14]
+        ns += [_WHEEL**2, 2**20 * _WHEEL, 2**5 * 3**5 * 5**3 * 7**2 * 11 * 13**2]
+        ns += [3**6 * 13**2 * 524287, 2**9 * 5**3 * 524287]  # a large prime over the wheel's powers
+        for n in ns:
+            assert n <= 2**38
+            assert gpf_block(np.array([n]), small).tolist() == [gpf_trial(n)], n
+
+    def test_plan_holds_one_period_and_one_block(self):
+        """The wheel's period is shared, not copied; each other array is at most a block long."""
+        small = primes_in(build_sieve(10**4), 0, 10**4)
+        size = shifted_counts._BLOCK
+        plan = _GpfPlan(small, size, 5 * 10**7)
+        assert plan.wheel_smooth is _wheel()[0] and plan.wheel_top is _wheel()[1]
+        assert len(plan.wheel_smooth) == len(plan.wheel_top) == _WHEEL
+        assert len(plan.top) == len(plan.smooth) == size + 1
+        rest = [v for k, v in vars(plan).items() if isinstance(v, np.ndarray) and not k.startswith("wheel")]
+        assert max(len(v) for v in rest) == size + 1
+        # and a plan smaller than one period still reads the shared period
+        tiny = _GpfPlan(small[:5], 100, 101)
+        assert tiny.wheel_smooth is plan.wheel_smooth and len(tiny.smooth) == 101
 
 
 class TestCountThresholdChunks:
