@@ -9,9 +9,15 @@ and check every such name against the package.
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
+import pytest
+
+from conftest import child_env
 from spl.core_primes import SieveCache
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -63,3 +69,38 @@ def test_sieve_views_are_cached_properties():
     # traced_cli wraps each view's `.func` to time its first access
     for view in ("flags", "primes"):
         assert isinstance(SieveCache.__dict__[view], cached_property)
+
+
+# small inputs of the cli-session commands, and the library spans each must record
+TRACED_COMMANDS = {
+    "count t --x 1000 --theta 1/2": {"shifted_counts.large_factor_count.cold"},
+    "count tk --x 1000 --k 2 --theta 1/4 --method both": {
+        "shifted_counts.tuple_count_fast.k2",
+        "shifted_counts.tuple_count_oracle",
+    },
+    "dickman theta1": {"dickman.solve_theta1"},
+    "verify abel --x 10000 --k 2 --theta 1/4 --shifts 2": {
+        "linear_forms.inverse_power_prime_sum",
+        "linear_forms.abel_identity_rhs",
+    },
+    "experiment density --theta 1/2 --x-grid 100": {"experiments.density_table", "experiments.write_csv"},
+    "wsum --g 2 --ell 1 --z 100 --holder": {"weighted_sums.holder_verify.g2"},
+}
+
+
+@pytest.mark.parametrize("command", TRACED_COMMANDS)
+def test_traced_cli_records_library_spans(tmp_path, command):
+    """traced_cli wraps spl.cli's module attributes before main runs; a command that
+    reaches its library functions some other way runs untraced and records no span."""
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), "test", str(spans),
+         *command.split(), "--cache-dir", str(tmp_path / "cache")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(spans.read_text())}
+    assert TRACED_COMMANDS[command] <= names, sorted(names)

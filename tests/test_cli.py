@@ -682,6 +682,14 @@ class TestFlags:
             "experiment apsum": table | {"--x", "--p-list"},
         }
 
+    @pytest.mark.parametrize("leaf", sorted(LEAF_OPTIONS))
+    def test_leaf_help_lists_its_options(self, capsys, leaf):
+        code, out, err = run(capsys, *leaf.split(), "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: spl {leaf} ")
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", out)) - {"--help"}
+        assert listed == LEAF_OPTIONS[leaf]
+
     def test_benchmark_options_present(self):
         # perfbench/run.py appends --cache-dir to every command it runs
         assert all("--cache-dir" in opts for opts in LEAF_OPTIONS.values())
