@@ -90,9 +90,12 @@ class SieveCache:
         RangeError. The array is read in one gather, so a caller bounds its
         temporaries by the length it passes.
         """
-        ns = np.maximum(ns, 0)  # bits 0 and 1 are clear
+        if ns.min(initial=0) < 0:
+            ns = np.maximum(ns, 0)  # bits 0 and 1 are clear
         self._check(int(ns.max(initial=0)))
-        return ((self.words.view(np.uint8)[ns >> 3] >> (ns & 7)) & 1).astype(bool)
+        bits = self.words.view(np.uint8)[ns >> 3] >> (ns & 7).astype(np.uint8)  # a uint8 shift
+        bits &= 1
+        return bits.view(bool)
 
     @cached_property
     def flags(self) -> np.ndarray:

@@ -9,10 +9,12 @@ qualifying tuple is found at exactly one r (the largest prime factor of
 its gcd is unique), so the two routes must agree exactly.
 
 Theta enters only as a reduced fraction, so every threshold has one exact
-answer, the integer power test r**den >= n**num. T and Tc compare logs in
-float64 and fall back to that test inside a margin around the boundary, so
-each of their counts equals the exact test's count; every other threshold
-is decided by the integer test or an exact integer cutoff.
+answer, the integer power test r**den >= n**num. Arrays of pairs go through
+one helper, _threshold_masks: it compares logs in float64 and falls back to
+that test inside a margin around the boundary, so each mask equals the
+exact test. T and Tc settle most of a block by two cutoffs first; the
+oracle and the cutoffs of T' use the helper too; the fast route's cap is an
+exact integer root.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def threshold_test(r: int, n: int, theta: Theta) -> bool:
 # Greatest prime factors by blocks; one blockwise pass answers T, T' and Tc.
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 17  # integers m = (p - 1) / 2 per block of the single-prime pass
+_BLOCK = 1 << 18  # integers m = (p - 1) / 2 per block of the single-prime pass
 
 # cache -> {(x, theta): (T, T', Tc)}; a few ints per entry, nothing that grows with pi(x)
 _COUNTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -110,9 +112,9 @@ class _GpfPlan:
     the wheel's capped powers 3**2, 5, 7, 11, 13 (those dividing 45045),
     which the wheel pattern (`core_primes._wheel`, one period shared by
     every plan) gives each block with its `top`. Of the other powers
-    q^e < end, those of a prime q <= isqrt(size) shorter than a block are
-    dense, strided writes (27 and 25 among them), as is each such q's `top`
-    write when q is off the wheel. Every other power has at most
+    q^e < end, those up to isqrt(size) are dense, strided writes (every
+    prime q that far, and 27 and 25 among its powers), as is each such q's
+    `top` write when q is off the wheel. Every other power has at most
     ceil(size / q^e) multiples in a block, at offsets k * q^e from its
     first: those offsets are listed once here, so a block places them all
     with one repeat of each power's first multiple and one add, and applies
@@ -138,7 +140,7 @@ class _GpfPlan:
         base, qe = np.concatenate(bases), np.concatenate(powers)
         off_wheel = _WHEEL % qe != 0  # the wheel pattern holds every q^e dividing 45045
         base, qe = base[off_wheel], qe[off_wheel]
-        dense = (base <= math.isqrt(size)) & (qe < size)
+        dense = qe <= math.isqrt(size)  # the primes to isqrt(size), and their powers that far
         self.tops = qs[(qs <= math.isqrt(size)) & (_WHEEL % qs != 0)].tolist()  # ascending
         self.dense = list(zip(base[dense].tolist(), qe[dense].tolist()))
         self.powers = qe[~dense]
@@ -216,28 +218,67 @@ def _shift_gpf_blocks(cache, x: int):
             yield ps, rs
 
 
-def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
-    """(#{rs >= ns**theta}, #{rs <= ns**theta}) over aligned arrays, from one log evaluation.
+def _threshold_masks(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
+    """Masks (rs**den >= ns**num, rs**den <= ns**num) over aligned integer arrays, exact.
 
     A log comparison settles all pairs far from the boundary; near-boundary
-    pairs fall back to the exact integer power test, so each count matches
-    testing every pair exactly. The boundary margin scales with the log
-    magnitudes (float error does too), with ~100x headroom over worst-case
-    rounding. The two counts are decided separately: a pair on the
-    boundary itself counts in both.
+    pairs fall back to threshold_test, so each mask equals testing every
+    pair exactly. The boundary margin scales with the log magnitudes (float
+    error does too), with ~100x headroom over worst-case rounding. The two
+    masks are decided separately: a pair on the boundary itself is in both.
     """
     left = theta.den * np.log(rs.astype(np.float64))
     right = theta.num * np.log(ns.astype(np.float64))
     margin = 1e-13 * (np.abs(left) + np.abs(right)) + 1e-12
     t = left - right
-    ge = int(np.count_nonzero(t > margin))
-    le = int(np.count_nonzero(t < -margin))
+    ge, le = t > margin, t < -margin
     for i in np.flatnonzero(np.abs(t) <= margin).tolist():
-        lhs = int(rs[i]) ** theta.den
-        rhs = int(ns[i]) ** theta.num
-        ge += lhs >= rhs
-        le += lhs <= rhs
+        r, n = int(rs[i]), int(ns[i])
+        ge[i] = threshold_test(r, n, theta)
+        le[i] = not ge[i] or r**theta.den == n**theta.num
     return ge, le
+
+
+def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
+    """(#{rs >= ns**theta}, #{rs <= ns**theta}) over aligned arrays, from _threshold_masks."""
+    ge, le = _threshold_masks(rs, ns, theta)
+    return int(np.count_nonzero(ge)), int(np.count_nonzero(le))
+
+
+_ROOT_MARGIN = 1e-9  # relative widening of a float p**theta, far above its rounding error (~1e-14)
+
+
+def _piece_counts(rs: np.ndarray, ps: np.ndarray, theta: Theta) -> tuple:
+    """(T, Tc) over one piece of the pass: #{r >= p**theta} and #{r <= p**theta}, exact.
+
+    p**theta grows with p, so cutoffs at the piece's first and last prime
+    decide most pairs at once: lo < p**theta and hi > p**theta at every p of
+    the piece, from one float evaluation of each power widened by
+    _ROOT_MARGIN. An r <= lo counts for Tc and not for T, an r >= hi for T
+    and not for Tc; each count takes its own comparison. Only the band
+    lo < r < hi goes to _count_threshold, which decides both exactly.
+    """
+    if not len(ps):
+        return 0, 0
+    lo = math.ceil(float(ps[0]) ** theta.as_real * (1 - _ROOT_MARGIN)) - 1
+    hi = math.floor(float(ps[-1]) ** theta.as_real * (1 + _ROOT_MARGIN)) + 1
+    band = (rs > lo) & (rs < hi)
+    ge, le = _count_threshold(rs[band], ps[band], theta)
+    return ge + int(np.count_nonzero(rs >= hi)), le + int(np.count_nonzero(rs <= lo))
+
+
+def _fixed_cutoffs(xs: list, theta: Theta) -> np.ndarray:
+    """For each x, the largest n with n**den < max(x, 1)**num: r passes at x iff r exceeds it.
+
+    The smallest passing n is ceil(x**theta), within 2 of floor(x**theta)
+    taken in float64; _threshold_masks decides the window around it exactly,
+    so each cutoff is exact and no x**num is built far from a tie.
+    """
+    xs = np.array([max(x, 1) for x in xs], dtype=np.int64)
+    guess = np.floor(xs.astype(np.float64) ** theta.as_real).astype(np.int64)
+    window = np.maximum(guess[:, None] + np.arange(-1, 3), 1)
+    passes = _threshold_masks(window.ravel(), np.repeat(xs, 4), theta)[0].reshape(window.shape)
+    return window[np.arange(len(xs)), passes.argmax(axis=1)] - 1
 
 
 def _count_pass(cache, theta: Theta, xs: list) -> list:
@@ -247,8 +288,7 @@ def _count_pass(cache, theta: Theta, xs: list) -> list:
     x, as its cutoff depends on x (see large_factor_count_fixed). A
     checkpoint inside a block splits it there.
     """
-    # r > cutoff iff r**den >= x**num; x < 1 has no primes, so any cutoff serves
-    cutoffs = np.array([floor_root(max(x, 1) ** theta.num - 1, theta.den) for x in xs])
+    cutoffs = _fixed_cutoffs(xs, theta)  # x < 1 has no primes, so any cutoff serves
     t = tc = k = 0  # k: the first checkpoint not yet reached
     tp = np.zeros(len(xs), dtype=np.int64)
     out = []
@@ -256,11 +296,11 @@ def _count_pass(cache, theta: Theta, xs: list) -> list:
         start = 0
         while k < len(xs) and xs[k] < ps[-1]:
             j = int(np.searchsorted(ps, xs[k], side="right"))
-            ge, le = _count_threshold(rs[start:j], ps[start:j], theta)
+            ge, le = _piece_counts(rs[start:j], ps[start:j], theta)
             t, tc, start = t + ge, tc + le, j
             out.append((t, int(tp[k] + np.count_nonzero(rs[:j] > cutoffs[k])), tc))
             k += 1
-        ge, le = _count_threshold(rs[start:], ps[start:], theta)
+        ge, le = _piece_counts(rs[start:], ps[start:], theta)
         t, tc = t + ge, tc + le
         tp[k:] += [np.count_nonzero(rs > c) for c in cutoffs[k:]]
     return out + [(t, int(c), tc) for c in tp[k:]]
@@ -313,27 +353,35 @@ def smooth_shift_count(cache, x: int, theta: Theta) -> int:
 # k-tuple counters.
 # ---------------------------------------------------------------------------
 
-ORACLE_NODE_BUDGET = 10**9  # multisets (leaves of _walk) the oracle may test before it gives up
+ORACLE_NODE_BUDGET = 10**9  # multisets (last members of _walk's branches) the oracle may test
+_ORACLE_CHUNK = 1 << 16  # last members the oracle tests in one round of array calls
 
 
-def _walk(qs: list, k: int, cap: int, leaf) -> None:
-    """Call leaf(prod, g, w) once per multiset of k members of qs with product <= cap.
+def _walk(qs, k: int, cap: int, leaf) -> None:
+    """Call leaf(prod, g, w, m, start, stop) once per branch of the multisets of k members of qs.
 
-    qs ascends and members are taken nondecreasing, so a branch stops at the
-    first q with prod * q**(members left) > cap. g is the gcd of the shifts
-    q - 1; w = k! / prod m_i! counts the orderings (m_i the multiplicities),
-    and a member of multiplicity m added at depth d takes w to w(d + 1)/m.
-    Each branch taken ends in a leaf, so leaves bound the work.
+    qs ascends (a list, or an int64 array) and members are taken
+    nondecreasing with product <= cap, so a branch stops at the first q with
+    prod * q**(members left) > cap. A branch is the first k - 1 members: prod
+    is their product, g the gcd of their shifts q - 1, m the multiplicity of
+    the last of them, qs[start], and w = (k - 1)! / prod m_i! counts their
+    orderings (m_i the multiplicities; a member of multiplicity m added at
+    depth d takes w to w(d + 1)/m). Its multisets end in each q of
+    qs[start:stop], every q from qs[start] to cap // prod: the one ending in
+    qs[start] weighs w * k / (m + 1) orderings, every other one w * k. Each
+    member but the last has q * q <= cap, so the walk reads only those one
+    by one, as Python ints; the last are left to the leaf as a range. Every
+    branch holds at least one multiset, so multisets bound the work.
     """
+    head = qs[: bisect_right(qs, math.isqrt(cap))]
+    head = head if isinstance(head, list) else head.tolist()
 
     def extend(start: int, prod: int, g: int, w: int, m: int, depth: int):
-        if depth + 1 == k:  # the last member: every q from qs[start] to cap // prod
-            for i in range(start, bisect_right(qs, cap // prod, start)):
-                q = qs[i]
-                leaf(prod * q, math.gcd(g, q - 1), w * k // (m + 1 if i == start else 1))
+        if depth + 1 == k:
+            leaf(prod, g, w, m, start, bisect_right(qs, cap // prod, start))
             return
-        for i in range(start, len(qs)):
-            q = qs[i]
+        for i in range(start, len(head)):
+            q = head[i]
             if prod * q ** (k - depth) > cap:
                 break
             m_q = m + 1 if i == start else 1
@@ -358,31 +406,58 @@ def tuple_sieve_limit(x: int, k: int) -> int:
 def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
     """Products of all qualifying tuples, one entry per ordered tuple.
 
-    Brute-force reference: _walk every multiset of primes with product <= x,
-    test P+(gcd of the shifts) from its own factorizer table, sharing no code
-    with the fast route's `_gpf_block`, and list a qualifying product once
-    per ordering. Intended for modest x; ORACLE_NODE_BUDGET makes runaway
-    enumerations fail loudly instead of hanging.
+    Brute-force reference: _walk reaches every multiset of primes with
+    product <= x, and each is tested; none is pruned. The branches are
+    gathered and expanded into chunks of at most _ORACLE_CHUNK last members
+    (a long branch is cut into pieces), so temporaries stay a few MB. Per
+    chunk, np.gcd gives the gcds of the shifts, P+ of each comes from the
+    oracle's own factorizer table, sharing no code with the fast route's
+    _gpf_block, and _threshold_masks applies the exact threshold; a
+    qualifying product is listed once per ordering. ORACLE_NODE_BUDGET
+    counts multisets, so a runaway enumeration fails loudly before its
+    branch is expanded. build_spf's ceiling keeps x below 2**63, so products
+    are int64.
     """
     cache._check(tuple_sieve_limit(x, k))
     if max(x, 0).bit_length() <= k:  # x < 2^k: no k primes have a product below it
         return []
-    ps = primes_in(cache, 0, x >> (k - 1)).tolist()
+    ps = primes_in(cache, 0, x >> (k - 1))
     spf = build_spf(max(math.isqrt(x), 2))  # a gcd lies below x**(1/k), as in the fast route
-    gpf = [0, 1] + [factorize(n, spf)[-1][0] for n in range(2, len(spf))]  # P+(1) = 1
-    out = []
+    gpf = np.array([0, 1] + [factorize(n, spf)[-1][0] for n in range(2, len(spf))])  # P+(1) = 1
+    pieces = []  # (prod, g, orderings of the first entry, of the others, start, stop)
+    found = []  # (products, orderings) per chunk; (2, ..., 2) is a multiset, so never left empty
+    held = 0
     budget = ORACLE_NODE_BUDGET
 
-    def leaf(prod: int, g: int, w: int):
-        nonlocal budget
-        budget -= 1
+    def test():
+        nonlocal held
+        prod, *cols = zip(*pieces)
+        g, first, rest, start, stop = (np.array(c, dtype=np.int64) for c in cols)
+        owner, rank = _expand(stop - start)
+        q = ps[start[owner] + rank]
+        n = np.array(prod, dtype=np.int64)[owner] * q
+        ok = _threshold_masks(gpf[np.gcd(g[owner], q - 1)], n, theta)[0]
+        w = np.where(rank == 0, first[owner], rest[owner])
+        found.append((n[ok], w[ok]))
+        pieces.clear()
+        held = 0
+
+    def leaf(prod: int, g: int, w: int, m: int, start: int, stop: int):
+        nonlocal budget, held
+        budget -= stop - start
         if budget < 0:
             raise RangeError("tuple enumeration exceeded the node budget")
-        if threshold_test(gpf[g], prod, theta):
-            out.extend([prod] * w)
+        for lo in range(start, stop, _ORACLE_CHUNK):
+            hi = min(lo + _ORACLE_CHUNK, stop)
+            if held + hi - lo > _ORACLE_CHUNK:
+                test()
+            pieces.append((prod, g, w * k // (m + 1) if lo == start else w * k, w * k, lo, hi))
+            held += hi - lo
 
     _walk(ps, k, x, leaf)
-    return out
+    if pieces:
+        test()
+    return np.repeat(*(np.concatenate(part) for part in zip(*found))).tolist()
 
 
 def tuple_count_oracle(cache, x: int, k: int, theta: Theta) -> int:
@@ -397,9 +472,11 @@ def _fast_count_for_r(cache, x: int, k: int, theta: Theta, gpf, r: int) -> int:
     qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r).tolist()
     count = 0
 
-    def leaf(prod: int, g: int, w: int):
+    def leaf(prod: int, g: int, w: int, m: int, start: int, stop: int):
         nonlocal count
-        count += w if gpf[g] == r else 0
+        for i in range(start, stop):  # the branches are short: a plain loop beats arrays here
+            if gpf[math.gcd(g, qs[i] - 1)] == r:
+                count += w * k // (m + 1 if i == start else 1)
 
     _walk(qs, k, n_cap, leaf)
     return count

@@ -128,6 +128,21 @@ class TestBuildSieve:
         assert c.is_prime(np.array([], dtype=np.int64)).tolist() == []
         assert c.is_prime(ns[::-3]).tolist() == want[::-3]
 
+    def test_is_prime_edges(self):
+        """Negatives, 0 and 1, the limit itself, an empty array and a strided view, in any integer width."""
+        c = build_sieve(2999)  # a prime limit, at bit 7 of its byte
+        ns = np.array([-(2**31), -7, -1, 0, 1, 2, 3, 2998, 2999], dtype=np.int64)
+        want = [False] * 5 + [True, True, False, True]
+        for dtype in (np.int64, np.int32):
+            got = c.is_prime(ns.astype(dtype))
+            assert got.dtype == bool and got.tolist() == want
+        assert c.is_prime(np.array([-5], dtype=np.int64)).tolist() == [False]
+        assert c.is_prime(np.array([2999])).tolist() == [True]
+        assert c.is_prime(np.zeros(0, dtype=np.int32)).tolist() == []
+        grid = np.arange(-30, 3000).reshape(-1, 10)  # a column is a strided view
+        ref = reference_flags(2999)
+        assert c.is_prime(grid[:, 3]).tolist() == [v >= 0 and bool(ref[v]) for v in grid[:, 3].tolist()]
+
 
 def _attribute_reads(path, attrs):
     """(enclosing function or method, attribute, line) of every read of one of attrs in path."""

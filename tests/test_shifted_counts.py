@@ -666,3 +666,114 @@ class TestFixedThresholdCutoff:
                     if flags[p] and gpf_trial(p - 1) ** theta.den >= x**theta.num
                 )
                 assert large_factor_count_fixed(c, x, theta) == want, (x, theta)
+
+
+class TestThresholdMasks:
+    """The one exact array threshold, elementwise against threshold_test."""
+
+    @staticmethod
+    def assert_masks_exact(rs, ns, theta):
+        ge, le = shifted_counts._threshold_masks(np.array(rs), np.array(ns), theta)
+        assert ge.tolist() == [threshold_test(r, n, theta) for r, n in zip(rs, ns)]
+        assert le.tolist() == [r**theta.den <= n**theta.num for r, n in zip(rs, ns)]
+
+    @pytest.mark.parametrize("theta", [Theta(1, 2), Theta(1, 3), Theta(2, 3), Theta(3, 8), Theta(5, 32)], ids=str)
+    def test_exact_ties(self, theta):
+        """r = a**num, n = a**den gives r**den == n**num: both masks hold, and fail beside it."""
+        a = np.unique(np.geomspace(2, 2 ** (40 // theta.den), 3000).astype(np.int64))
+        r_tie, n_tie = (a**theta.num).tolist(), (a**theta.den).tolist()
+        assert max(n_tie) <= 2**40
+        rs = r_tie * 3 + [r - 1 for r in r_tie] + [r + 1 for r in r_tie]
+        ns = n_tie + [n - 1 for n in n_tie] + [n + 1 for n in n_tie] + n_tie * 2
+        self.assert_masks_exact(rs, ns, theta)
+
+    @pytest.mark.parametrize(
+        "theta", [Theta(1, 2), Theta(17, 64), Theta(97, 200), Theta(1, 10**4), Theta(9999, 10**4)], ids=str
+    )
+    def test_near_ties_up_to_two_to_the_40(self, theta):
+        """r = floor(n**theta) and its neighbours, for n drawn up to 2**40, and at both ends (n = 1 is a tie)."""
+        rng = np.random.default_rng(7)
+        drawn = np.exp(rng.uniform(math.log(2), 40 * math.log(2), 30)).astype(np.int64).tolist()
+        rs, ns = [], []
+        for n in [1, 2, 3, 2**40 - 1, 2**40, *drawn]:
+            root = floor_root(n**theta.num, theta.den)
+            for r in range(max(root - 1, 1), root + 2):
+                rs.append(r)
+                ns.append(n)
+        self.assert_masks_exact(rs, ns, theta)
+
+
+class TestSinglePrimeCutoffs:
+    @pytest.mark.parametrize(
+        "theta",
+        [Theta(1, 2), Theta(1, 3), Theta(2, 5), Theta(1, 8), Theta(17, 64), Theta(97, 200), Theta(9999, 10000)],
+        ids=str,
+    )
+    def test_every_x_below_3000_matches_threshold_test(self, monkeypatch, theta):
+        """(T, T', Tc) at each x < 3000 against threshold_test prime by prime, on blocks of 7 and 64."""
+        flags = reference_flags(3000)
+        ps = [p for p in range(2, 3000) if flags[p]]
+        rs = {p: gpf_trial(p - 1) for p in ps}
+        # T' at x counts the primes p <= x whose r passes at x, those with r >= levels[h]:
+        # as x grows fewer levels pass, so h only moves up
+        levels = sorted(set(rs.values()))
+        want, t, tc, i, h = [], 0, 0, 0, 0
+        for x in range(3000):
+            while i < len(ps) and ps[i] <= x:
+                p = ps[i]
+                ge = threshold_test(rs[p], p, theta)
+                t += ge
+                tc += not ge or rs[p] ** theta.den == p**theta.num
+                i += 1
+            while h < len(levels) and not threshold_test(levels[h], x, theta):
+                h += 1
+            tp = sum(rs[p] >= levels[h] for p in ps[:i]) if h < len(levels) else 0
+            want.append((t, tp, tc))
+        for block in (7, 64):
+            monkeypatch.setattr(shifted_counts, "_BLOCK", block)
+            assert single_prime_counts(build_sieve(3000), theta, range(3000)) == want, block
+
+
+def multiset_count(x: int, k: int) -> int:
+    """#{multisets of k primes with product <= x}, by plain recursion over a byte sieve."""
+    flags = reference_flags(x)
+    ps = [p for p in range(2, x // 2 ** (k - 1) + 1) if flags[p]]
+
+    def count(start: int, cap: int, left: int) -> int:
+        if left == 0:
+            return 1
+        return sum(count(i, cap // p, left - 1) for i, p in enumerate(ps[start:], start) if p**left <= cap)
+
+    return count(0, x, k)
+
+
+class TestOracleArrays:
+    """The oracle tests the last members of each branch as arrays, chunk by chunk."""
+
+    @pytest.mark.parametrize("k, theta, want", [(2, Theta(1, 4), 4386), (3, Theta(1, 6), 1050)])
+    def test_oracle_equals_fast_at_1e7(self, big_cache, k, theta, want):
+        assert tuple_count_oracle(big_cache, 10**7, k, theta) == want
+        assert tuple_count_fast(big_cache, 10**7, k, theta) == want
+
+    @pytest.mark.parametrize("x, k", [(5000, 2), (3000, 3), (2000, 4)])
+    def test_budget_is_the_number_of_multisets(self, cache, monkeypatch, x, k):
+        """N multisets pass at ORACLE_NODE_BUDGET = N and raise at N - 1, under any chunk size."""
+        n = multiset_count(x, k)
+        for chunk in (shifted_counts._ORACLE_CHUNK, 3):
+            monkeypatch.setattr(shifted_counts, "_ORACLE_CHUNK", chunk)
+            monkeypatch.setattr(shifted_counts, "ORACLE_NODE_BUDGET", n)
+            tuple_count_oracle(cache, x, k, Theta(1, 2 * k))
+            monkeypatch.setattr(shifted_counts, "ORACLE_NODE_BUDGET", n - 1)
+            with pytest.raises(RangeError, match="node budget"):
+                tuple_count_oracle(cache, x, k, Theta(1, 2 * k))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_chunks_of_three_list_the_same_products(self, cache, monkeypatch, k):
+        """Branches cut into pieces of at most 3 last members give the same product multiset."""
+        for fr in (Fraction(1, 2 * k), Fraction(17, 32 * k) - Fraction(1, 100)):
+            th = theta_from_fraction(fr)
+            whole = Counter(oracle_qualifying_products(cache, 3000, k, th))
+            monkeypatch.setattr(shifted_counts, "_ORACLE_CHUNK", 3)
+            assert Counter(oracle_qualifying_products(cache, 3000, k, th)) == whole
+            monkeypatch.undo()
+            assert whole
