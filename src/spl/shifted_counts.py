@@ -239,12 +239,6 @@ def _threshold_masks(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
     return ge, le
 
 
-def _count_threshold(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
-    """(#{rs >= ns**theta}, #{rs <= ns**theta}) over aligned arrays, from _threshold_masks."""
-    ge, le = _threshold_masks(rs, ns, theta)
-    return int(np.count_nonzero(ge)), int(np.count_nonzero(le))
-
-
 _ROOT_MARGIN = 1e-9  # relative widening of a float p**theta, far above its rounding error (~1e-14)
 
 
@@ -256,14 +250,14 @@ def _piece_counts(rs: np.ndarray, ps: np.ndarray, theta: Theta) -> tuple:
     the piece, from one float evaluation of each power widened by
     _ROOT_MARGIN. An r <= lo counts for Tc and not for T, an r >= hi for T
     and not for Tc; each count takes its own comparison. Only the band
-    lo < r < hi goes to _count_threshold, which decides both exactly.
+    lo < r < hi goes to _threshold_masks, which decides both exactly.
     """
     if not len(ps):
         return 0, 0
     lo = math.ceil(float(ps[0]) ** theta.as_real * (1 - _ROOT_MARGIN)) - 1
     hi = math.floor(float(ps[-1]) ** theta.as_real * (1 + _ROOT_MARGIN)) + 1
     band = (rs > lo) & (rs < hi)
-    ge, le = _count_threshold(rs[band], ps[band], theta)
+    ge, le = (int(np.count_nonzero(mask)) for mask in _threshold_masks(rs[band], ps[band], theta))
     return ge + int(np.count_nonzero(rs >= hi)), le + int(np.count_nonzero(rs <= lo))
 
 
@@ -354,31 +348,32 @@ def smooth_shift_count(cache, x: int, theta: Theta) -> int:
 # ---------------------------------------------------------------------------
 
 ORACLE_NODE_BUDGET = 10**9  # multisets (last members of _walk's branches) the oracle may test
-_ORACLE_CHUNK = 1 << 16  # last members the oracle tests in one round of array calls
+_ORACLE_CHUNK = 1 << 16  # most last members of one branch the oracle tests in one view
 
 
 def _walk(qs, k: int, cap: int, leaf) -> None:
-    """Call leaf(prod, g, w, m, start, stop) once per branch of the multisets of k members of qs.
+    """Call leaf(prod, g, first, rest, start, stop) per branch of the multisets of k members of qs.
 
     qs ascends (a list, or an int64 array) and members are taken
     nondecreasing with product <= cap, so a branch stops at the first q with
     prod * q**(members left) > cap. A branch is the first k - 1 members: prod
-    is their product, g the gcd of their shifts q - 1, m the multiplicity of
-    the last of them, qs[start], and w = (k - 1)! / prod m_i! counts their
-    orderings (m_i the multiplicities; a member of multiplicity m added at
-    depth d takes w to w(d + 1)/m). Its multisets end in each q of
-    qs[start:stop], every q from qs[start] to cap // prod: the one ending in
-    qs[start] weighs w * k / (m + 1) orderings, every other one w * k. Each
-    member but the last has q * q <= cap, so the walk reads only those one
-    by one, as Python ints; the last are left to the leaf as a range. Every
-    branch holds at least one multiset, so multisets bound the work.
+    is their product and g the gcd of their shifts q - 1. Its multisets end
+    in each q of qs[start:stop], every q from qs[start], the last of the k - 1,
+    to cap // prod. The one ending in qs[start] weighs `first` orderings,
+    every other one `rest`: with m the multiplicity of qs[start] among the
+    k - 1 and w = (k - 1)! / prod m_i! their orderings (m_i the
+    multiplicities; a member of multiplicity m added at depth d takes w to
+    w(d + 1)/m), first = w * k // (m + 1) and rest = w * k. Each member but
+    the last has q * q <= cap, so the walk reads only those one by one, as
+    Python ints; the last are left to the leaf as a range. Every branch
+    holds at least one multiset (start < stop), so multisets bound the work.
     """
     head = qs[: bisect_right(qs, math.isqrt(cap))]
     head = head if isinstance(head, list) else head.tolist()
 
     def extend(start: int, prod: int, g: int, w: int, m: int, depth: int):
         if depth + 1 == k:
-            leaf(prod, g, w, m, start, bisect_right(qs, cap // prod, start))
+            leaf(prod, g, w * k // (m + 1), w * k, start, bisect_right(qs, cap // prod, start))
             return
         for i in range(start, len(head)):
             q = head[i]
@@ -407,16 +402,16 @@ def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
     """Products of all qualifying tuples, one entry per ordered tuple.
 
     Brute-force reference: _walk reaches every multiset of primes with
-    product <= x, and each is tested; none is pruned. The branches are
-    gathered and expanded into chunks of at most _ORACLE_CHUNK last members
-    (a long branch is cut into pieces), so temporaries stay a few MB. Per
-    chunk, np.gcd gives the gcds of the shifts, P+ of each comes from the
-    oracle's own factorizer table, sharing no code with the fast route's
-    _gpf_block, and _threshold_masks applies the exact threshold; a
-    qualifying product is listed once per ordering. ORACLE_NODE_BUDGET
-    counts multisets, so a runaway enumeration fails loudly before its
-    branch is expanded. build_spf's ceiling keeps x below 2**63, so products
-    are int64.
+    product <= x, and each is tested; none is pruned. Each branch's last
+    members are tested where _walk hands them over, as views of the prime
+    list, at most _ORACLE_CHUNK at a time (a longer branch is cut), so
+    temporaries stay a few MB. Per view, np.gcd gives the gcds of the
+    shifts, P+ of each comes from the oracle's own factorizer table,
+    sharing no code with the fast route's _gpf_block, and _threshold_masks
+    applies the exact threshold; a qualifying product is listed once per
+    ordering. ORACLE_NODE_BUDGET counts multisets, so a runaway enumeration
+    fails loudly before its branch is tested. build_spf's ceiling keeps x
+    below 2**63, so products are int64.
     """
     cache._check(tuple_sieve_limit(x, k))
     if max(x, 0).bit_length() <= k:  # x < 2^k: no k primes have a product below it
@@ -424,39 +419,25 @@ def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
     ps = primes_in(cache, 0, x >> (k - 1))
     spf = build_spf(max(math.isqrt(x), 2))  # a gcd lies below x**(1/k), as in the fast route
     gpf = np.array([0, 1] + [factorize(n, spf)[-1][0] for n in range(2, len(spf))])  # P+(1) = 1
-    pieces = []  # (prod, g, orderings of the first entry, of the others, start, stop)
-    found = []  # (products, orderings) per chunk; (2, ..., 2) is a multiset, so never left empty
-    held = 0
+    found = [(ps[:0], ps[:0])]  # (products, orderings) per view with a hit, after one empty pair
     budget = ORACLE_NODE_BUDGET
 
-    def test():
-        nonlocal held
-        prod, *cols = zip(*pieces)
-        g, first, rest, start, stop = (np.array(c, dtype=np.int64) for c in cols)
-        owner, rank = _expand(stop - start)
-        q = ps[start[owner] + rank]
-        n = np.array(prod, dtype=np.int64)[owner] * q
-        ok = _threshold_masks(gpf[np.gcd(g[owner], q - 1)], n, theta)[0]
-        w = np.where(rank == 0, first[owner], rest[owner])
-        found.append((n[ok], w[ok]))
-        pieces.clear()
-        held = 0
-
-    def leaf(prod: int, g: int, w: int, m: int, start: int, stop: int):
-        nonlocal budget, held
+    def leaf(prod: int, g: int, first: int, rest: int, start: int, stop: int):
+        nonlocal budget
         budget -= stop - start
         if budget < 0:
             raise RangeError("tuple enumeration exceeded the node budget")
         for lo in range(start, stop, _ORACLE_CHUNK):
-            hi = min(lo + _ORACLE_CHUNK, stop)
-            if held + hi - lo > _ORACLE_CHUNK:
-                test()
-            pieces.append((prod, g, w * k // (m + 1) if lo == start else w * k, w * k, lo, hi))
-            held += hi - lo
+            q = ps[lo : min(lo + _ORACLE_CHUNK, stop)]
+            n = prod * q
+            ok = _threshold_masks(gpf[np.gcd(g, q - 1)], n, theta)[0]
+            if ok.any():
+                w = np.full(len(q), rest)
+                if lo == start:
+                    w[0] = first
+                found.append((n[ok], w[ok]))
 
     _walk(ps, k, x, leaf)
-    if pieces:
-        test()
     return np.repeat(*(np.concatenate(part) for part in zip(*found))).tolist()
 
 
@@ -472,11 +453,11 @@ def _fast_count_for_r(cache, x: int, k: int, theta: Theta, gpf, r: int) -> int:
     qs = primes_in_class(cache, n_cap // (r + 1) ** (k - 1), r).tolist()
     count = 0
 
-    def leaf(prod: int, g: int, w: int, m: int, start: int, stop: int):
+    def leaf(prod: int, g: int, first: int, rest: int, start: int, stop: int):
         nonlocal count
         for i in range(start, stop):  # the branches are short: a plain loop beats arrays here
             if gpf[math.gcd(g, qs[i] - 1)] == r:
-                count += w * k // (m + 1 if i == start else 1)
+                count += first if i == start else rest
 
     _walk(qs, k, n_cap, leaf)
     return count

@@ -95,6 +95,30 @@ def test_every_private_name_is_read():
     assert sorted(private - read) == []
 
 
+def test_every_imported_name_is_read_where_imported():
+    """Every name a module of the package imports is read in that module.
+
+    An import alias does not count as a read of its own name here (it does
+    in test_every_private_name_is_read), so an import kept after its last
+    use in the module is cut shows here. `from __future__` binds nothing.
+    """
+    unread = []
+    for path in Path(spl.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.stem}.{name}" for name in sorted(bound - read)]
+    assert unread == []
+
+
 def test_package_reexports_nothing():
     importlib.import_module("spl.cli")  # binds every submodule the CLI uses on the package
     reexported = [

@@ -19,7 +19,6 @@ from spl.errors import ArgumentError, RangeError
 from spl.experiments import density_table
 from spl.shifted_counts import (
     Theta,
-    _count_threshold,
     _gpf_block,
     _GpfPlan,
     _shift_gpf_blocks,
@@ -612,6 +611,11 @@ class TestGpfBlock:
         assert tiny.wheel_smooth is plan.wheel_smooth and len(tiny.smooth) == 101
 
 
+def threshold_counts(rs, ns, theta: Theta) -> tuple:
+    """(#{rs >= ns**theta}, #{rs <= ns**theta}), counted from the masks of _threshold_masks."""
+    return tuple(int(np.count_nonzero(mask)) for mask in shifted_counts._threshold_masks(rs, ns, theta))
+
+
 class TestCountThresholdChunks:
     @pytest.mark.parametrize("theta", [Theta(1, 2), Theta(2, 3), Theta(1, 3)])
     def test_tiny_chunks_match_one_chunk(self, theta):
@@ -621,13 +625,13 @@ class TestCountThresholdChunks:
         r_tie, n_tie = a**theta.num, a**theta.den
         rs = np.concatenate([r_tie, r_tie, r_tie, np.arange(1, 500, dtype=np.int64)])
         ns = np.concatenate([n_tie - 1, n_tie, n_tie + 1, np.arange(700, 1199, dtype=np.int64)])
-        one = _count_threshold(rs, ns, theta)
+        one = threshold_counts(rs, ns, theta)
         exact = (
             sum(int(r) ** theta.den >= int(n) ** theta.num for r, n in zip(rs, ns)),
             sum(int(r) ** theta.den <= int(n) ** theta.num for r, n in zip(rs, ns)),
         )
         assert one == exact
-        pieces = [_count_threshold(rs[i : i + 5], ns[i : i + 5], theta) for i in range(0, len(rs), 5)]
+        pieces = [threshold_counts(rs[i : i + 5], ns[i : i + 5], theta) for i in range(0, len(rs), 5)]
         assert tuple(map(sum, zip(*pieces))) == one
 
     @pytest.mark.parametrize(
@@ -649,7 +653,7 @@ class TestCountThresholdChunks:
                 exact[1] += lhs <= rhs
                 rs.append(r)
                 ns.append(n)
-        assert _count_threshold(np.array(rs), np.array(ns), theta) == tuple(exact)
+        assert threshold_counts(np.array(rs), np.array(ns), theta) == tuple(exact)
 
 
 class TestFixedThresholdCutoff:
@@ -747,8 +751,35 @@ def multiset_count(x: int, k: int) -> int:
     return count(0, x, k)
 
 
+def ordered_tuple_count(x: int, k: int) -> int:
+    """#{ordered k-tuples of primes with product <= x}, by plain recursion over a byte sieve."""
+    flags = reference_flags(max(x, 2))
+    ps = [p for p in range(2, x + 1) if flags[p]]
+
+    @functools.cache
+    def count(cap: int, left: int) -> int:
+        return 1 if left == 0 else sum(count(cap // p, left - 1) for p in ps if p <= cap)
+
+    return count(x, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_walk_leaves_weigh_every_ordered_tuple(k):
+    """Summed over _walk's leaves, first + (stop - start - 1) * rest is the number of
+    ordered k-tuples of primes with product <= cap, and every leaf holds a multiset."""
+    flags = reference_flags(2000)
+    primes = [p for p in range(2, 2000) if flags[p]]
+    for qs in (primes, np.array(primes, dtype=np.int64)):
+        for cap in [*range(0, 300), *range(300, 2000, 37), 1999]:
+            leaves = []
+            shifted_counts._walk(qs, k, cap, lambda *leaf: leaves.append(leaf))
+            assert all(start < stop for *_, start, stop in leaves), cap
+            total = sum(first + (stop - start - 1) * rest for _, _, first, rest, start, stop in leaves)
+            assert total == ordered_tuple_count(cap, k), (cap, k)
+
+
 class TestOracleArrays:
-    """The oracle tests the last members of each branch as arrays, chunk by chunk."""
+    """The oracle tests the last members of each branch as views of the prime list, chunk by chunk."""
 
     @pytest.mark.parametrize("k, theta, want", [(2, Theta(1, 4), 4386), (3, Theta(1, 6), 1050)])
     def test_oracle_equals_fast_at_1e7(self, big_cache, k, theta, want):
@@ -766,6 +797,21 @@ class TestOracleArrays:
             monkeypatch.setattr(shifted_counts, "ORACLE_NODE_BUDGET", n - 1)
             with pytest.raises(RangeError, match="node budget"):
                 tuple_count_oracle(cache, x, k, Theta(1, 2 * k))
+
+    def test_temporaries_are_bounded_by_a_chunk_not_a_branch(self, cache, monkeypatch):
+        """At 2e6, k = 2 the branch q1 = 2 holds 78498 last members: tested unchunked, its
+        int64 and float64 temporaries would peak near 4.7 MB. Chunks of 2**10 keep the
+        oracle's peak below even one such 628 kB temporary."""
+        x, th = 2 * 10**6, Theta(1, 4)
+        monkeypatch.setattr(shifted_counts, "_ORACLE_CHUNK", 1 << 10)
+        assert len(oracle_qualifying_products(cache, x, 2, th)) == 1464  # warm-up, untraced
+        tracemalloc.start()
+        try:
+            oracle_qualifying_products(cache, x, 2, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10**5
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_chunks_of_three_list_the_same_products(self, cache, monkeypatch, k):
