@@ -12,9 +12,9 @@ Theta enters only as a reduced fraction, so every threshold has one exact
 answer, the integer power test r**den >= n**num. Arrays of pairs go through
 one helper, _threshold_masks: it compares logs in float64 and falls back to
 that test inside a margin around the boundary, so each mask equals the
-exact test. T and Tc settle most of a block by two cutoffs first; the
-oracle and the cutoffs of T' use the helper too; the fast route's cap is an
-exact integer root.
+exact test. T and Tc settle most of a block by two exact cutoffs first; the
+oracle and every cutoff use the helper too; the fast route's cap is an exact
+integer root.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "tuple_count_oracle",
     "tuple_count_fast",
     "tuple_sieve_limit",
-    "oracle_qualifying_products",
 ]
 
 _THETA_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*\Z")
@@ -239,23 +238,21 @@ def _threshold_masks(rs: np.ndarray, ns: np.ndarray, theta: Theta) -> tuple:
     return ge, le
 
 
-_ROOT_MARGIN = 1e-9  # relative widening of a float p**theta, far above its rounding error (~1e-14)
-
-
 def _piece_counts(rs: np.ndarray, ps: np.ndarray, theta: Theta) -> tuple:
     """(T, Tc) over one piece of the pass: #{r >= p**theta} and #{r <= p**theta}, exact.
 
-    p**theta grows with p, so cutoffs at the piece's first and last prime
-    decide most pairs at once: lo < p**theta and hi > p**theta at every p of
-    the piece, from one float evaluation of each power widened by
-    _ROOT_MARGIN. An r <= lo counts for Tc and not for T, an r >= hi for T
-    and not for Tc; each count takes its own comparison. Only the band
-    lo < r < hi goes to _threshold_masks, which decides both exactly.
+    p**theta grows with p, so exact cutoffs at the piece's first and last
+    prime decide most pairs at once: lo is _fixed_cutoffs' at the first p and
+    hi one above its cutoff at the last, so lo < p**theta < hi at every p of
+    the piece (hi**den = p**num would make a prime a den-th power). An r <= lo
+    counts for Tc and not for T, an r >= hi for T and not for Tc; each count
+    takes its own comparison. Only the band lo < r < hi goes to
+    _threshold_masks, which decides both exactly.
     """
     if not len(ps):
         return 0, 0
-    lo = math.ceil(float(ps[0]) ** theta.as_real * (1 - _ROOT_MARGIN)) - 1
-    hi = math.floor(float(ps[-1]) ** theta.as_real * (1 + _ROOT_MARGIN)) + 1
+    lo, hi = _fixed_cutoffs([int(ps[0]), int(ps[-1])], theta).tolist()
+    hi += 1
     band = (rs > lo) & (rs < hi)
     ge, le = (int(np.count_nonzero(mask)) for mask in _threshold_masks(rs[band], ps[band], theta))
     return ge + int(np.count_nonzero(rs >= hi)), le + int(np.count_nonzero(rs <= lo))
@@ -398,52 +395,43 @@ def tuple_sieve_limit(x: int, k: int) -> int:
     return max(x, 0) >> (k - 1)
 
 
-def oracle_qualifying_products(cache, x: int, k: int, theta: Theta) -> list:
-    """Products of all qualifying tuples, one entry per ordered tuple.
+def tuple_count_oracle(cache, x: int, k: int, theta: Theta) -> int:
+    """Brute-force count of qualifying k-tuples (ordered, repeats allowed).
 
-    Brute-force reference: _walk reaches every multiset of primes with
-    product <= x, and each is tested; none is pruned. Each branch's last
-    members are tested where _walk hands them over, as views of the prime
-    list, at most _ORACLE_CHUNK at a time (a longer branch is cut), so
-    temporaries stay a few MB. Per view, np.gcd gives the gcds of the
-    shifts, P+ of each comes from the oracle's own factorizer table,
-    sharing no code with the fast route's _gpf_block, and _threshold_masks
-    applies the exact threshold; a qualifying product is listed once per
-    ordering. ORACLE_NODE_BUDGET counts multisets, so a runaway enumeration
-    fails loudly before its branch is tested. build_spf's ceiling keeps x
-    below 2**63, so products are int64.
+    _walk reaches every multiset of primes with product <= x, and each is
+    tested; none is pruned. Each branch's last members are tested where
+    _walk hands them over, as views of the prime list, at most
+    _ORACLE_CHUNK at a time (a longer branch is cut), so temporaries stay a
+    few MB. Per view, np.gcd gives the gcds of the shifts, P+ of each comes
+    from the oracle's own factorizer table, sharing no code with the fast
+    route's _gpf_block, and _threshold_masks applies the exact threshold; a
+    qualifying multiset adds its orderings. Tuples are counted, not listed.
+    ORACLE_NODE_BUDGET counts multisets, so a runaway enumeration fails
+    loudly before its branch is tested. build_spf's ceiling keeps x below
+    2**63, so products are int64.
     """
     cache._check(tuple_sieve_limit(x, k))
     if max(x, 0).bit_length() <= k:  # x < 2^k: no k primes have a product below it
-        return []
+        return 0
     ps = primes_in(cache, 0, x >> (k - 1))
     spf = build_spf(max(math.isqrt(x), 2))  # a gcd lies below x**(1/k), as in the fast route
     gpf = np.array([0, 1] + [factorize(n, spf)[-1][0] for n in range(2, len(spf))])  # P+(1) = 1
-    found = [(ps[:0], ps[:0])]  # (products, orderings) per view with a hit, after one empty pair
+    count = 0
     budget = ORACLE_NODE_BUDGET
 
     def leaf(prod: int, g: int, first: int, rest: int, start: int, stop: int):
-        nonlocal budget
+        nonlocal budget, count
         budget -= stop - start
         if budget < 0:
             raise RangeError("tuple enumeration exceeded the node budget")
         for lo in range(start, stop, _ORACLE_CHUNK):
             q = ps[lo : min(lo + _ORACLE_CHUNK, stop)]
-            n = prod * q
-            ok = _threshold_masks(gpf[np.gcd(g, q - 1)], n, theta)[0]
+            ok = _threshold_masks(gpf[np.gcd(g, q - 1)], prod * q, theta)[0]
             if ok.any():
-                w = np.full(len(q), rest)
-                if lo == start:
-                    w[0] = first
-                found.append((n[ok], w[ok]))
+                count += rest * int(np.count_nonzero(ok)) + (first - rest) * bool(lo == start and ok[0])
 
     _walk(ps, k, x, leaf)
-    return np.repeat(*(np.concatenate(part) for part in zip(*found))).tolist()
-
-
-def tuple_count_oracle(cache, x: int, k: int, theta: Theta) -> int:
-    """Brute-force count of qualifying k-tuples (ordered, repeats allowed)."""
-    return len(oracle_qualifying_products(cache, x, k, theta))
+    return count
 
 
 def _fast_count_for_r(cache, x: int, k: int, theta: Theta, gpf, r: int) -> int:

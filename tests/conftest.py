@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from spl.core_primes import build_sieve, build_spf
 from spl.dickman import build_rho_table
+from spl.shifted_counts import Theta
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +83,32 @@ def gpf_trial(n: int) -> int:
                 n //= d
         d += 1 if d == 2 else 2
     return n if n > 1 else g
+
+
+def ordered_products(x: int, k: int, theta: Theta) -> list:
+    """Products of the qualifying ordered k-tuples of primes with product <= x, one per tuple.
+
+    The reference for both tuple routes, sharing no code with them: each
+    ordering is walked on its own over a plain byte sieve, and P+ of the
+    shifted gcd comes from trial division.
+    """
+    flags = reference_flags(x)
+    ps = [p for p in range(2, x // 2 ** (k - 1) + 1) if flags[p]]
+    out = []
+
+    def visit(prod: int, g: int, depth: int):
+        rest = 2 ** (k - depth - 1)
+        for p in ps:
+            if prod * p * rest > x:
+                break
+            g_p = math.gcd(g, p - 1)
+            if depth + 1 < k:
+                visit(prod * p, g_p, depth + 1)
+            elif gpf_trial(g_p) ** theta.den >= (prod * p) ** theta.num:
+                out.append(prod * p)
+
+    visit(1, 0, 0)
+    return out
 
 
 def assert_count_matches_products(count, products, x: int) -> None:

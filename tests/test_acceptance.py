@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import assert_count_matches_products, child_env, reference_flags
+from conftest import assert_count_matches_products, child_env, ordered_products, reference_flags
 from spl.core_primes import build_spf, factorize, prime_count
 from spl.dickman import STEP, rho
 from spl.experiments import ratio_table
@@ -26,7 +26,6 @@ from spl.linear_forms import (
 )
 from spl.shifted_counts import (
     Theta,
-    oracle_qualifying_products,
     tuple_count_fast,
     tuple_count_oracle,
     large_factor_count_fixed,
@@ -90,16 +89,17 @@ def test_criterion_03_oracle_equivalence(cache):
         base = Fraction(1, 2 * k)
         for fr in (base, base + Fraction(1, 100), Fraction(17, 32 * k) - Fraction(1, 100)):
             th = Theta(fr.numerator, fr.denominator)
-            oracle = np.sort(oracle_qualifying_products(cache, 3000, k, th))
-            # per-tuple qualification is x-independent, so the fast count
-            # agreeing with the oracle's products at each product, one below
-            # it and at 3000 gives equality of both counters at every x <= 3000
-            assert_count_matches_products(lambda y: tuple_count_fast(cache, y, k, th), oracle, 3000)
-            counts_o = np.searchsorted(oracle, xs, side="right")
+            reference = np.sort(ordered_products(3000, k, th))
+            # per-tuple qualification is x-independent, so each route agreeing
+            # with the ordered walk's products at each product, one below it
+            # and at 3000 gives equality of both counters at every x <= 3000
+            for route in (tuple_count_oracle, tuple_count_fast):
+                assert_count_matches_products(lambda y: route(cache, y, k, th), reference, 3000)
+            counts_r = np.searchsorted(reference, xs, side="right")
             for x in (2, 9, 35, 100, 513, 1000, 2048, 3000):
                 co = tuple_count_oracle(cache, x, k, th)
                 cf = tuple_count_fast(cache, x, k, th)
-                assert co == cf == int(counts_o[x - 1])
+                assert co == cf == int(counts_r[x - 1])
             combos += 1
     elapsed = time.monotonic() - start
     report(3, True, f"{combos} (k,theta) combos, all x<=3000 equal, elapsed={elapsed:.1f}s")

@@ -2,7 +2,6 @@ import functools
 import math
 import sys
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_count_matches_products, gpf_trial, reference_flags
+from conftest import assert_count_matches_products, gpf_trial, ordered_products, reference_flags
 from spl.core_primes import (
     _WHEEL, SIEVE_CEILING, SieveCache, _wheel, build_sieve, floor_root, prime_count, primes_in,
 )
@@ -24,7 +23,6 @@ from spl.shifted_counts import (
     _shift_gpf_blocks,
     large_factor_count,
     large_factor_count_fixed,
-    oracle_qualifying_products,
     single_prime_counts,
     smooth_shift_count,
     threshold_test,
@@ -42,32 +40,6 @@ def gpf_block(ns, small):
     """_gpf_block over ns alone, with a plan made for that one block from the primes `small`."""
     lo, hi = int(ns[0]), int(ns[-1]) + 1
     return _gpf_block(ns, _GpfPlan(small, hi - lo, hi))
-
-
-def ordered_products(x: int, k: int, theta: Theta) -> list:
-    """Products of the qualifying ordered k-tuples of primes with product <= x, one per tuple.
-
-    The reference for both tuple routes, sharing no code with them: each
-    ordering is walked on its own over a plain byte sieve, and P+ of the
-    shifted gcd comes from trial division.
-    """
-    flags = reference_flags(x)
-    ps = [p for p in range(2, x // 2 ** (k - 1) + 1) if flags[p]]
-    out = []
-
-    def visit(prod: int, g: int, depth: int):
-        rest = 2 ** (k - depth - 1)
-        for p in ps:
-            if prod * p * rest > x:
-                break
-            g_p = math.gcd(g, p - 1)
-            if depth + 1 < k:
-                visit(prod * p, g_p, depth + 1)
-            elif gpf_trial(g_p) ** theta.den >= (prod * p) ** theta.num:
-                out.append(prod * p)
-
-    visit(1, 0, 0)
-    return out
 
 
 def shift_gpfs(c, x):
@@ -215,7 +187,7 @@ class TestTupleCounters:
         assert tuple_count_oracle(cache, 35, 2, q) == 3
         assert tuple_count_oracle(cache, 8, 2, q) == 0
         assert tuple_count_oracle(cache, 9, 2, q) == 1
-        assert sorted(oracle_qualifying_products(cache, 35, 2, q)) == [9, 15, 15]
+        assert_count_matches_products(lambda y: tuple_count_oracle(cache, y, 2, q), [9, 15, 15], 35)
 
     def test_fast_examples(self, cache):
         assert tuple_count_fast(cache, 35, 2, Theta(1, 4)) == 3
@@ -248,8 +220,9 @@ class TestTupleCounters:
     def test_two_never_qualifies(self, cache):
         # a tuple containing p = 2 forces gcd 1; all qualifying products are odd
         for k in (2, 3):
-            prods = oracle_qualifying_products(cache, 500, k, Theta(1, 8))
+            prods = ordered_products(500, k, Theta(1, 8))
             assert prods and all(p % 2 == 1 for p in prods)
+            assert_count_matches_products(lambda y: tuple_count_oracle(cache, y, k, Theta(1, 8)), prods, 500)
 
     def test_oracle_fast_agree_small_sweep(self, cache):
         for k in (2, 3):
@@ -279,13 +252,8 @@ class TestTupleCounters:
                 n = head * (x // head)
                 assert fast(n) > fast(n - 1)  # the product (3, ..., 3, q) is counted
                 assert tuple_count_oracle(cache, x, k, th) == tuple_count_fast(cache, x, k, th)
-                if k == 3:
-                    assert_count_matches_products(fast, oracle_qualifying_products(cache, x, k, th), x)
-
-    def test_product_multisets_agree(self, cache):
-        th = Theta(1, 4)
-        products = oracle_qualifying_products(cache, 2000, 2, th)
-        assert_count_matches_products(lambda y: tuple_count_fast(cache, y, 2, th), products, 2000)
+            # and one reference at the largest x checks the fast count at every cap below it
+            assert_count_matches_products(fast, ordered_products(max(xs), k, th), max(xs))
 
     def test_fast_count_holds_no_product_list(self, cache):
         """101170 tuples at 1e6: a list of their products would peak near 5.6 MB."""
@@ -306,16 +274,18 @@ class TestTupleCounters:
                 th = theta_from_fraction(fr)
                 products = ordered_products(3000, k, th)
                 assert products
-                assert sorted(oracle_qualifying_products(cache, 3000, k, th)) == sorted(products)
                 for route in (tuple_count_oracle, tuple_count_fast):
                     assert_count_matches_products(lambda y: route(cache, y, k, th), products, 3000)
 
     def test_repeated_members_weigh_their_orderings(self, cache):
-        """At k = 3, (3, 3, q) stands for three ordered tuples and (q, q, q) for one."""
-        counts = Counter(oracle_qualifying_products(cache, 4096, 3, Theta(1, 12)))
+        """At k = 3, (3, 3, q) stands for three ordered tuples and (q, q, q) for one.
+
+        The oracle's count at n less its count at n - 1 is the number of
+        ordered tuples with product exactly n."""
+        oracle = functools.cache(lambda y: tuple_count_oracle(cache, y, 3, Theta(1, 12)))
         qs = primes_in(cache, 3, 4096 // 9).tolist()  # P+(gcd) = 2 and 2^12 >= 9 q
-        assert qs and [counts[9 * q] for q in qs] == [3] * len(qs)
-        assert [counts[q**3] for q in (3, 5, 7, 11, 13)] == [1] * 5
+        assert qs and [oracle(9 * q) - oracle(9 * q - 1) for q in qs] == [3] * len(qs)
+        assert [oracle(q**3) - oracle(q**3 - 1) for q in (3, 5, 7, 11, 13)] == [1] * 5
 
     def test_node_budget_counts_multisets(self, cache, monkeypatch):
         """3^12 at k = 12 is a few hundred multisets; an ordered walk there visits 3949036 nodes."""
@@ -671,6 +641,19 @@ class TestFixedThresholdCutoff:
                 )
                 assert large_factor_count_fixed(c, x, theta) == want, (x, theta)
 
+    @pytest.mark.parametrize(
+        "theta", [Theta(1, 2), Theta(2, 3), Theta(17, 64), Theta(1, 10**4), Theta(9999, 10**4)], ids=str
+    )
+    def test_cutoffs_are_exact_roots_up_to_the_ceiling(self, theta):
+        """_fixed_cutoffs(x) is the largest n with n**den <= x**num - 1, at both ends, for x
+        drawn up to SIEVE_CEILING, and beside the perfect powers a**den that fit below it."""
+        rng = np.random.default_rng(3)
+        drawn = np.exp(rng.uniform(0, math.log(SIEVE_CEILING), 30)).astype(np.int64).tolist()
+        powers = [a**theta.den + d for a in (2, 3, 10) for d in (-1, 0, 1) if a**theta.den + d <= SIEVE_CEILING]
+        xs = [1, 2, 3, SIEVE_CEILING - 1, SIEVE_CEILING, *drawn, *powers]
+        want = [floor_root(x**theta.num - 1, theta.den) for x in xs]
+        assert shifted_counts._fixed_cutoffs(xs, theta).tolist() == want
+
 
 class TestThresholdMasks:
     """The one exact array threshold, elementwise against threshold_test."""
@@ -798,16 +781,18 @@ class TestOracleArrays:
             with pytest.raises(RangeError, match="node budget"):
                 tuple_count_oracle(cache, x, k, Theta(1, 2 * k))
 
-    def test_temporaries_are_bounded_by_a_chunk_not_a_branch(self, cache, monkeypatch):
+    @pytest.mark.parametrize("theta, want", [(Theta(1, 4), 1464), (Theta(1, 16), 181917)], ids=str)
+    def test_temporaries_are_bounded_by_a_chunk_not_a_branch(self, cache, monkeypatch, theta, want):
         """At 2e6, k = 2 the branch q1 = 2 holds 78498 last members: tested unchunked, its
         int64 and float64 temporaries would peak near 4.7 MB. Chunks of 2**10 keep the
-        oracle's peak below even one such 628 kB temporary."""
-        x, th = 2 * 10**6, Theta(1, 4)
+        oracle's peak below even one such 628 kB temporary, and at theta = 1/16 below a
+        list of its 181917 products."""
+        x = 2 * 10**6
         monkeypatch.setattr(shifted_counts, "_ORACLE_CHUNK", 1 << 10)
-        assert len(oracle_qualifying_products(cache, x, 2, th)) == 1464  # warm-up, untraced
+        assert tuple_count_oracle(cache, x, 2, theta) == want  # warm-up, untraced
         tracemalloc.start()
         try:
-            oracle_qualifying_products(cache, x, 2, th)
+            tuple_count_oracle(cache, x, 2, theta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -815,11 +800,10 @@ class TestOracleArrays:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_chunks_of_three_list_the_same_products(self, cache, monkeypatch, k):
-        """Branches cut into pieces of at most 3 last members give the same product multiset."""
+        """Branches cut into pieces of at most 3 last members count the ordered walk's tuples at every cap."""
+        monkeypatch.setattr(shifted_counts, "_ORACLE_CHUNK", 3)
         for fr in (Fraction(1, 2 * k), Fraction(17, 32 * k) - Fraction(1, 100)):
             th = theta_from_fraction(fr)
-            whole = Counter(oracle_qualifying_products(cache, 3000, k, th))
-            monkeypatch.setattr(shifted_counts, "_ORACLE_CHUNK", 3)
-            assert Counter(oracle_qualifying_products(cache, 3000, k, th)) == whole
-            monkeypatch.undo()
-            assert whole
+            products = ordered_products(3000, k, th)
+            assert products
+            assert_count_matches_products(lambda y: tuple_count_oracle(cache, y, k, th), products, 3000)
