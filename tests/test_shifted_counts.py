@@ -781,22 +781,29 @@ class TestOracleArrays:
             with pytest.raises(RangeError, match="node budget"):
                 tuple_count_oracle(cache, x, k, Theta(1, 2 * k))
 
-    @pytest.mark.parametrize("theta, want", [(Theta(1, 4), 1464), (Theta(1, 16), 181917)], ids=str)
-    def test_temporaries_are_bounded_by_a_chunk_not_a_branch(self, cache, monkeypatch, theta, want):
-        """At 2e6, k = 2 the branch q1 = 2 holds 78498 last members: tested unchunked, its
-        int64 and float64 temporaries would peak near 4.7 MB. Chunks of 2**10 keep the
-        oracle's peak below even one such 628 kB temporary, and at theta = 1/16 below a
-        list of its 181917 products."""
+    @staticmethod
+    def _oracle_peak(cache, monkeypatch, theta, want):
+        """Traced peak of one chunked oracle call at (2e6, k = 2), after an untraced warm-up."""
         x = 2 * 10**6
         monkeypatch.setattr(shifted_counts, "_ORACLE_CHUNK", 1 << 10)
         assert tuple_count_oracle(cache, x, 2, theta) == want  # warm-up, untraced
         tracemalloc.start()
         try:
             tuple_count_oracle(cache, x, 2, theta)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 10**5
+
+    def test_temporaries_are_bounded_by_a_chunk_not_a_branch(self, cache, monkeypatch):
+        """At 2e6, k = 2 the branch q1 = 2 holds 78498 last members: tested unchunked, its
+        int64 and float64 temporaries would peak near 4.7 MB. Chunks of 2**10 keep the
+        oracle's peak below even one such 628 kB temporary."""
+        assert self._oracle_peak(cache, monkeypatch, Theta(1, 4), 1464) < 5 * 10**5
+
+    def test_many_qualifying_tuples_keep_no_list(self, cache, monkeypatch):
+        """At theta = 1/16, 181917 tuples qualify: the oracle counts them, so its peak stays
+        below a list of their products as well as below one unchunked temporary."""
+        assert self._oracle_peak(cache, monkeypatch, Theta(1, 16), 181917) < 5 * 10**5
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_chunks_of_three_list_the_same_products(self, cache, monkeypatch, k):
